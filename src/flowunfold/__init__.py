@@ -1,22 +1,11 @@
 """Linear inverse imaging via an unrolled proximal gradient network with a
 trainable invertible (normalizing-flow) prior.
 
-The package is layered bottom-up:
-
-* :mod:`flowunfold.numerics` - seeded PRNG, circular convolution, kernels;
-* :mod:`flowunfold.diff` - parameter store, manual reverse-mode gradients,
-  finite-difference gradient checking;
-* :mod:`flowunfold.flow` - the invertible model (actnorm, 1x1 convolutions,
-  affine couplings, multi-scale squeeze) with exact log-determinants;
-* :mod:`flowunfold.operators` - measurement operators (identity, center
-  mask, circular Gaussian blur) and noisy measurement synthesis;
-* :mod:`flowunfold.unfold` - the K-fold unrolled reconstruction network and
-  its hand-derived end-to-end gradients;
-* :mod:`flowunfold.train` - losses, Adam, early stopping, the two training
-  loops (likelihood pretraining, end-to-end fine-tuning);
-* :mod:`flowunfold.cli` - file formats, configuration, and the command-line
-  pipeline (``flowunfold synth-data | pretrain | train | reconstruct |
-  eval | selftest``).
+Modules, bottom-up: ``numerics`` (PRNG, circular convolution), ``diff``
+(parameter store, gradient checking), ``flow`` (the invertible model),
+``operators`` (measurement operators), ``unfold`` (the K-fold network and
+its reverse sweep), ``train`` (the config, losses, Adam, both training
+loops) and ``cli`` (file formats and commands).
 """
 
 from .errors import (
@@ -27,11 +16,11 @@ from .errors import (
     GradCheckError,
     ShapeError,
 )
-from .flow import FlowModel, flow_forward, flow_inverse, log_prob
+from .flow import FlowModel
 from .numerics import Prng, derive_seed
 from .operators import make_measurement, operator_for_task
 from .train import TrainConfig, mse_loss, nll_loss, pretrain, psnr, train_unrolled
-from .unfold import UnrolledNet, initial_guess, reconstruct
+from .unfold import UnrolledNet, reconstruct
 
 __version__ = "0.1.0"
 
@@ -43,9 +32,6 @@ __all__ = [
     "GradCheckError",
     "ShapeError",
     "FlowModel",
-    "flow_forward",
-    "flow_inverse",
-    "log_prob",
     "Prng",
     "derive_seed",
     "make_measurement",
@@ -57,7 +43,6 @@ __all__ = [
     "psnr",
     "train_unrolled",
     "UnrolledNet",
-    "initial_guess",
     "reconstruct",
     "__version__",
 ]

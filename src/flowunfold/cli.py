@@ -19,8 +19,9 @@ import math
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     DataError,
     FlowUnfoldError,
 )
-from .flow import FlowModel, flow_forward
+from .flow import FlowModel
 from .numerics import Prng, derive_seed
 from .operators import TASKS, Identity, make_measurement, operator_for_task
 from .train import (
@@ -42,7 +43,7 @@ from .train import (
     pretrain,
     train_unrolled,
 )
-from .unfold import UnrolledNet, initial_guess, prox_shrink, reconstruct
+from .unfold import UnrolledNet, prox_shrink, reconstruct
 
 __all__ = [
     "ImageSet",
@@ -53,8 +54,6 @@ __all__ = [
     "load_checkpoint",
     "restore_into",
     "parse_config",
-    "resolve_config",
-    "config_to_traincfg",
     "echo_config",
     "synth_blobs",
     "main",
@@ -285,6 +284,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             entries[name] = values.reshape(dims).astype(float)
     except (struct.error, ValueError) as exc:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint") from exc
+    if offset != len(data):
+        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after the last entry")
     return entries
 
 
@@ -309,39 +310,16 @@ def restore_into(store: ParamStore, entries: dict[str, np.ndarray], origin="chec
 
 # -- configuration ---------------------------------------------------------------
 
-# key -> (type, default); -1/0 sentinels resolve against task and image size
-_CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "task": (str, "denoise"),
-    "sigma_n": (float, -1.0),  # -1: task default (0.1 denoise, 0 otherwise)
-    "mask_w": (int, 0),  # 0: ceil(0.3 min(H, W))
-    "sigma_b": (float, 1.0),
-    "blur_radius": (int, 0),  # 0: ceil(3 sigma_b)
-    "K": (int, 3),
-    "L": (int, 2),
-    "D": (int, 4),
-    "hidden": (int, 16),
-    "lr": (float, 0.0),  # 0: 1e-4 when min(H, W) < 32, else 1e-5
-    "scalar_lr": (float, 1e-2),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "eps_adam": (float, 1e-8),
-    "batch_size": (int, 16),
-    "max_epochs": (int, 30),
-    "patience": (int, 5),
-    "seed": (int, 0),
-    "height": (int, 16),
-    "width": (int, 16),
-    "channels": (int, 1),
-    "count": (int, 500),
-}
+_CONFIG_TYPES = get_type_hints(TrainConfig)
 
 
-def parse_config(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys error."""
+def parse_config(path) -> TrainConfig:
+    """Parse `key = value` lines over the defaults; '#' starts a comment;
+    unknown keys error."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    out: dict = {}
+    values: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -349,102 +327,51 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_SCHEMA:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = _CONFIG_SCHEMA[key][0]
+        typ = _CONFIG_TYPES[key]
         try:
-            out[key] = typ(value)
+            values[key] = typ(value)
         except ValueError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: key {key!r} expects {typ.__name__}, got {value!r}"
             ) from exc
-    return out
+    return TrainConfig(**values)
 
 
-def resolve_config(overrides: dict, shape=None, task: str | None = None) -> dict:
-    """Fill defaults and resolve sentinel values against the task and the
-    image size (when known)."""
-    cfg = {key: default for key, (_, default) in _CONFIG_SCHEMA.items()}
-    for key, value in overrides.items():
-        if key not in _CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = value
-    if task is not None:
-        cfg["task"] = task
-    if shape is not None:
-        cfg["channels"], cfg["height"], cfg["width"] = shape
-    if cfg["sigma_n"] < 0:
-        cfg["sigma_n"] = 0.1 if cfg["task"] == "denoise" else 0.0
-    if cfg["lr"] == 0:
-        cfg["lr"] = 1e-4 if min(cfg["height"], cfg["width"]) < 32 else 1e-5
-    if cfg["mask_w"] == 0:
-        cfg["mask_w"] = math.ceil(0.3 * min(cfg["height"], cfg["width"]))
-    if cfg["blur_radius"] == 0:
-        cfg["blur_radius"] = math.ceil(3 * cfg["sigma_b"])
-    return cfg
-
-
-def config_to_traincfg(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        task=cfg["task"],
-        sigma_n=cfg["sigma_n"],
-        mask_w=cfg["mask_w"],
-        sigma_b=cfg["sigma_b"],
-        blur_radius=cfg["blur_radius"],
-        folds=cfg["K"],
-        levels=cfg["L"],
-        depth=cfg["D"],
-        hidden=cfg["hidden"],
-        lr=cfg["lr"],
-        scalar_lr=cfg["scalar_lr"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        eps_adam=cfg["eps_adam"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-    ).validate()
-
-
-def echo_config(cfg: dict, dirpath) -> None:
+def echo_config(cfg: TrainConfig, dirpath) -> None:
     """Write the fully resolved config, replayable through parse_config."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    lines = [f"{key} = {cfg[key]}" for key in _CONFIG_SCHEMA]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
     (dirpath / "resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
-# -- shape/arch helpers ------------------------------------------------------------
+# -- restoring models --------------------------------------------------------------
 
 
-def _build_flow(cfg: dict, shape) -> FlowModel:
-    store = ParamStore()
-    return FlowModel(shape, cfg["L"], cfg["D"], cfg["hidden"], store)
-
-
-def _build_net(cfg: dict, shape) -> UnrolledNet:
-    return UnrolledNet(shape, cfg["K"], cfg["L"], cfg["D"], cfg["hidden"])
-
-
-def _operator(cfg: dict, shape):
-    return operator_for_task(
-        cfg["task"], shape, cfg["mask_w"], cfg["sigma_b"], cfg["blur_radius"]
-    )
-
-
-def _load_net(cfg: dict, shape, ckpt_path) -> UnrolledNet:
-    net = _build_net(cfg, shape)
+def _restore(store: ParamStore, flows, ckpt_path) -> None:
+    """Load a checkpoint into a freshly built model whose flows are
+    ``flows``, then mark their actnorms initialized."""
     try:
-        restore_into(net.store, load_checkpoint(ckpt_path), origin=str(ckpt_path))
+        restore_into(store, load_checkpoint(ckpt_path), origin=str(ckpt_path))
     except CheckpointError as exc:
         raise CheckpointError(
-            f"{exc} (model built for image shape {tuple(shape)}; "
+            f"{exc} (model built for image shape {flows[0].shape}; "
             f"check that the checkpoint was trained at this size)"
         ) from None
-    for fold in net.folds:
-        fold.flow.mark_initialized()
+    for flow in flows:
+        flow.mark_initialized()
+
+
+def _load_net(cfg: TrainConfig, shape, ckpt_path) -> UnrolledNet:
+    net = UnrolledNet(shape, cfg.K, cfg.L, cfg.D, cfg.hidden)
+    _restore(net.store, [fold.flow for fold in net.folds], ckpt_path)
     return net
+
+
+def _operator(cfg: TrainConfig, shape):
+    return operator_for_task(cfg.task, shape, cfg.mask_w, cfg.sigma_b, cfg.blur_radius)
 
 
 # -- commands ----------------------------------------------------------------------
@@ -457,10 +384,7 @@ def cmd_synth_data(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     h, w = args.size
     shape = (args.channels, h, w)
-    cfg = resolve_config(
-        {"count": args.count, "height": h, "width": w, "channels": args.channels,
-         "seed": args.seed}
-    )
+    cfg = TrainConfig(count=args.count, seed=args.seed).resolved(shape)
     images = synth_blobs(args.count, shape, args.seed)
     n_train, n_val, _ = split_counts(args.count)
     lines = []
@@ -481,10 +405,9 @@ def _write_log(path, lines):
 def cmd_pretrain(args) -> int:
     dataset = load_dataset(args.data)
     shape = dataset.train.shape[1:]
-    cfg = resolve_config(parse_config(args.config), shape=shape)
-    tcfg = config_to_traincfg(cfg)
+    cfg = parse_config(args.config).resolved(shape)
     lines: list[str] = []
-    flow = pretrain(dataset, tcfg, log=lines.append)
+    flow = pretrain(dataset, cfg, log=lines.append)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, flow.store)
@@ -497,15 +420,13 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     shape = dataset.train.shape[1:]
-    cfg = resolve_config(parse_config(args.config), shape=shape, task=args.task)
-    tcfg = config_to_traincfg(cfg)
+    cfg = parse_config(args.config).resolved(shape, args.task).validate()
     pretrained = None
     if args.pretrained is not None:
-        pretrained = _build_flow(cfg, shape)
-        restore_into(pretrained.store, load_checkpoint(args.pretrained), origin=args.pretrained)
-        pretrained.mark_initialized()
+        pretrained = FlowModel(shape, cfg.L, cfg.D, cfg.hidden, ParamStore())
+        _restore(pretrained.store, [pretrained], args.pretrained)
     lines: list[str] = []
-    net = train_unrolled(dataset, tcfg, pretrained, log=lines.append)
+    net = train_unrolled(dataset, cfg, pretrained, log=lines.append)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net.store)
@@ -515,8 +436,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_image_shape(cfg: dict, shape, what: str) -> None:
-    expected = (cfg["channels"], cfg["height"], cfg["width"])
+def _check_image_shape(cfg: TrainConfig, shape, what: str) -> None:
+    expected = (cfg.channels, cfg.height, cfg.width)
     if tuple(shape) != expected:
         raise DataError(
             f"{what} has shape {tuple(shape)} but the model was configured "
@@ -526,13 +447,13 @@ def _check_image_shape(cfg: dict, shape, what: str) -> None:
 
 def cmd_reconstruct(args) -> int:
     x_in = load_image(args.input)
-    cfg = resolve_config(parse_config(args.config), task=args.task)
+    cfg = parse_config(args.config).resolved(task=args.task)
     _check_image_shape(cfg, x_in.shape, f"input image {args.input}")
     net = _load_net(cfg, x_in.shape, args.model)
     op = _operator(cfg, x_in.shape)
     if args.measure:
-        rng = Prng(derive_seed(cfg["seed"], _TAG_MEASURE))
-        y = make_measurement(op, x_in, cfg["sigma_n"], rng)
+        rng = Prng(derive_seed(cfg.seed, _TAG_MEASURE))
+        y = make_measurement(op, x_in, cfg.sigma_n, rng)
     else:
         y = x_in
     x_hat = reconstruct(net, y, op)
@@ -541,7 +462,7 @@ def cmd_reconstruct(args) -> int:
     save_image(out, x_hat)
     if args.emit_init:
         init_path = out.with_name(out.stem + "_init" + out.suffix)
-        save_image(init_path, initial_guess(net))
+        save_image(init_path, net.initial_guess()[0][0])
     echo_config(cfg, out.parent)
     print(f"reconstruction written to {out}")
     return 0
@@ -553,7 +474,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.data} has an empty test split")
     test = dataset.test
     shape = test.shape[1:]
-    cfg = resolve_config(parse_config(args.config), task=args.task)
+    cfg = parse_config(args.config).resolved(task=args.task)
     _check_image_shape(cfg, shape, f"test split of {args.data}")
     net = _load_net(cfg, shape, args.model)
     op = _operator(cfg, shape)
@@ -561,10 +482,10 @@ def cmd_eval(args) -> int:
 
     y = np.empty_like(test)
     for i, image_id in enumerate(ids):
-        rng = Prng(derive_seed(cfg["seed"], _TAG_EVAL, int(image_id)))
-        y[i] = make_measurement(op, test[i], cfg["sigma_n"], rng)
+        rng = Prng(derive_seed(cfg.seed, _TAG_EVAL, int(image_id)))
+        y[i] = make_measurement(op, test[i], cfg.sigma_n, rng)
     x_hat = np.empty_like(test)
-    bs = cfg["batch_size"]
+    bs = cfg.batch_size
     for start in range(0, len(test), bs):
         x_hat[start : start + bs] = net.reconstruct_batch(y[start : start + bs], op)
 
@@ -575,10 +496,10 @@ def cmd_eval(args) -> int:
         po = psnr(x_hat[i], test[i])
         p_in.append(pi)
         p_out.append(po)
-        rows.append(f"{image_id},{cfg['task']},{pi:.6f},{po:.6f}")
+        rows.append(f"{image_id},{cfg.task},{pi:.6f},{po:.6f}")
     mean_in = sum(p_in) / len(p_in)
     mean_out = sum(p_out) / len(p_out)
-    rows.append(f"MEAN,{cfg['task']},{mean_in:.6f},{mean_out:.6f}")
+    rows.append(f"MEAN,{cfg.task},{mean_in:.6f},{mean_out:.6f}")
     report = Path(args.report)
     report.parent.mkdir(parents=True, exist_ok=True)
     report.write_text("".join(row + "\n" for row in rows))
@@ -604,8 +525,8 @@ def _check_flow_round_trip(tol_inv):
 def _check_logdet():
     model = FlowModel((3, 2, 2), 1, 2, 8, ParamStore())
     model.randomize(Prng(0x5E1F03), scale=0.1)
-    x = Prng(0x5E1F04).gauss_array((3, 2, 2))
-    _, ld = flow_forward(x, model)
+    x = Prng(0x5E1F04).gauss_array((1, 3, 2, 2))
+    _, ld, _ = model.forward_batch(x)
     h = 1e-5
     flat = x.ravel()
     cols = []
@@ -613,11 +534,11 @@ def _check_logdet():
         xp, xm = flat.copy(), flat.copy()
         xp[j] += h
         xm[j] -= h
-        zp, _ = flow_forward(xp.reshape(3, 2, 2), model)
-        zm, _ = flow_forward(xm.reshape(3, 2, 2), model)
-        cols.append((zp - zm) / (2 * h))
+        zp, _, _ = model.forward_batch(xp.reshape(x.shape))
+        zm, _, _ = model.forward_batch(xm.reshape(x.shape))
+        cols.append((zp[0] - zm[0]) / (2 * h))
     _, ld_num = np.linalg.slogdet(np.stack(cols, axis=1))
-    err = abs(ld - ld_num)
+    err = abs(float(ld[0]) - ld_num)
     return err < 1e-6, f"analytic vs numeric log-det differ by {err:.3g}"
 
 

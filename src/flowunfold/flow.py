@@ -29,10 +29,6 @@ __all__ = [
     "InvConv1x1",
     "AffineCoupling",
     "FlowModel",
-    "flow_forward",
-    "flow_inverse",
-    "log_prob",
-    "actnorm_data_init",
     "squeeze",
     "unsqueeze",
 ]
@@ -527,28 +523,3 @@ class FlowModel:
     def log_prob_batch(self, x: np.ndarray) -> np.ndarray:
         z, ld, _ = self.forward_batch(x)
         return -0.5 * self.n * LOG_2PI - 0.5 * np.sum(z * z, axis=1) + ld
-
-
-# -- single-sample convenience wrappers ----------------------------------------
-
-
-def flow_forward(x: np.ndarray, model: FlowModel):
-    """(C, H, W) -> (z of length n, logdet)."""
-    z, ld, _ = model.forward_batch(x[None])
-    return z[0], float(ld[0])
-
-
-def flow_inverse(z: np.ndarray, model: FlowModel) -> np.ndarray:
-    """(n,) -> (C, H, W); exact inverse of :func:`flow_forward`."""
-    x, _ = model.inverse_batch(z[None])
-    return x[0]
-
-
-def log_prob(x: np.ndarray, model: FlowModel) -> float:
-    """Exact log-density of x under the flow and a standard-normal base."""
-    return float(model.log_prob_batch(x[None])[0])
-
-
-def actnorm_data_init(model: FlowModel, batch: np.ndarray) -> None:
-    """Data-dependent actnorm initialization on a (B, C, H, W) batch."""
-    model.data_init(batch)

@@ -10,6 +10,8 @@ non-symmetric operator is ever added.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -20,9 +22,8 @@ __all__ = [
     "Identity",
     "CenterMask",
     "GaussianBlur",
-    "apply",
-    "adjoint",
     "make_measurement",
+    "default_geometry",
     "operator_for_task",
 ]
 
@@ -116,16 +117,6 @@ class GaussianBlur(ForwardOp):
     adjoint = apply
 
 
-def apply(op: ForwardOp, x: np.ndarray) -> np.ndarray:
-    """y = A x."""
-    return op.apply(x)
-
-
-def adjoint(op: ForwardOp, v: np.ndarray) -> np.ndarray:
-    """u = A^T v."""
-    return op.adjoint(v)
-
-
 def make_measurement(
     op: ForwardOp, x: np.ndarray, sigma_n: float, rng: Prng
 ) -> np.ndarray:
@@ -144,6 +135,13 @@ def make_measurement(
 TASKS = ("denoise", "inpaint", "deblur")
 
 
+def default_geometry(shape, mask_w: int, sigma_b: float, blur_radius: int):
+    """Resolve the zero sentinels of the operator geometry:
+    ``(mask_w or ceil(0.3 min(H, W)), blur_radius or ceil(3 sigma_b))``."""
+    return (mask_w or -(-3 * min(shape[1], shape[2]) // 10),
+            blur_radius or math.ceil(3 * sigma_b))
+
+
 def operator_for_task(
     task: str,
     shape: tuple[int, int, int],
@@ -152,14 +150,13 @@ def operator_for_task(
     blur_radius: int = 0,
 ) -> ForwardOp:
     """Build the operator a task name calls for; zeros mean library defaults
-    (mask w = ceil(0.3 min(H, W)), radius = ceil(3 sigma_b))."""
+    (sigma_b = 1, and :func:`default_geometry` for the rest)."""
+    sigma_b = sigma_b or 1.0
+    mask_w, blur_radius = default_geometry(shape, mask_w, sigma_b, blur_radius)
     if task == "denoise":
         return Identity(shape)
     if task == "inpaint":
-        w = mask_w if mask_w else -(-3 * min(shape[1], shape[2]) // 10)
-        return CenterMask(shape, w)
+        return CenterMask(shape, mask_w)
     if task == "deblur":
-        sb = sigma_b if sigma_b else 1.0
-        radius = blur_radius if blur_radius else int(np.ceil(3 * sb))
-        return GaussianBlur(shape, sb, radius)
+        return GaussianBlur(shape, sigma_b, blur_radius)
     raise ConfigError(f"unknown task {task!r}, expected one of {TASKS}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 
 import numpy as np
@@ -20,7 +20,7 @@ from .diff import ParamStore, zero_grads
 from .errors import ConfigError, DataError, ShapeError
 from .flow import LOG_2PI, FlowModel
 from .numerics import Prng, derive_seed
-from .operators import TASKS, make_measurement, operator_for_task
+from .operators import TASKS, default_geometry, make_measurement, operator_for_task
 from .unfold import UnrolledNet
 
 __all__ = [
@@ -46,16 +46,20 @@ _TAG_VAL_NOISE = 4
 
 @dataclass
 class TrainConfig:
+    """Every config-file key with its type and default.  The sentinels
+    (sigma_n = -1, lr = 0, mask_w = 0, blur_radius = 0) mean "work it out":
+    :meth:`resolved` fills them in against the task and the image shape."""
+
     task: str = "denoise"
-    sigma_n: float = 0.1
-    mask_w: int = 0  # 0: ceil(0.3 min(H, W))
+    sigma_n: float = -1.0  # -1: task default (0.1 denoise, 0 otherwise)
+    mask_w: int = 0
     sigma_b: float = 1.0
-    blur_radius: int = 0  # 0: ceil(3 sigma_b)
-    folds: int = 3
-    levels: int = 2
-    depth: int = 4
+    blur_radius: int = 0
+    K: int = 3  # folds
+    L: int = 2  # flow levels
+    D: int = 4  # flow steps per level
     hidden: int = 16
-    lr: float = 1e-5
+    lr: float = 0.0  # 0: 1e-4 when min(H, W) < 32, else 1e-5
     scalar_lr: float = 1e-2
     beta1: float = 0.9
     beta2: float = 0.999
@@ -64,21 +68,42 @@ class TrainConfig:
     max_epochs: int = 30
     patience: int = 5
     seed: int = 0
+    height: int = 16
+    width: int = 16
+    channels: int = 1
+    count: int = 500
+
+    def resolved(self, shape=None, task: str | None = None) -> "TrainConfig":
+        """A copy with the task and image shape (when given) set and every
+        sentinel replaced by its value."""
+        cfg = replace(self)
+        if task is not None:
+            cfg.task = task
+        if shape is not None:
+            cfg.channels, cfg.height, cfg.width = shape
+        if cfg.sigma_n < 0:
+            cfg.sigma_n = 0.1 if cfg.task == "denoise" else 0.0
+        if cfg.lr == 0:
+            cfg.lr = 1e-4 if min(cfg.height, cfg.width) < 32 else 1e-5
+        cfg.mask_w, cfg.blur_radius = default_geometry(
+            (cfg.channels, cfg.height, cfg.width), cfg.mask_w, cfg.sigma_b, cfg.blur_radius
+        )
+        return cfg
 
     def validate(self) -> "TrainConfig":
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.lr <= 0 or self.scalar_lr <= 0:
-            raise ConfigError("learning rates must be > 0")
+        if self.lr < 0 or self.scalar_lr <= 0:
+            raise ConfigError("learning rates must be > 0 (lr = 0: size default)")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.sigma_n < 0:
-            raise ConfigError(f"sigma_n must be >= 0, got {self.sigma_n}")
+        if self.sigma_n < 0 and self.sigma_n != -1:
+            raise ConfigError(f"sigma_n must be >= 0 or -1 (task default), got {self.sigma_n}")
         if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
             raise ConfigError("Adam betas must lie in (0, 1)")
         if self.eps_adam <= 0:
             raise ConfigError("eps_adam must be > 0")
-        for field in ("folds", "levels", "depth", "hidden", "batch_size", "max_epochs"):
+        for field in ("K", "L", "D", "hidden", "batch_size", "max_epochs"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         return self
@@ -239,12 +264,13 @@ def pretrain(dataset, cfg: TrainConfig, log=None, on_step=None) -> FlowModel:
     train = _check_split(dataset, "train")
     val = _check_split(dataset, "val")
     shape = train.shape[1:]
+    cfg = cfg.resolved(shape)
 
     store = ParamStore()
     flow = FlowModel(
         shape,
-        cfg.levels,
-        cfg.depth,
+        cfg.L,
+        cfg.D,
         cfg.hidden,
         store,
         init="random",
@@ -305,14 +331,15 @@ def train_unrolled(
     train = _check_split(dataset, "train")
     val = _check_split(dataset, "val")
     shape = train.shape[1:]
+    cfg = cfg.resolved(shape)
 
     op = operator_for_task(cfg.task, shape, cfg.mask_w, cfg.sigma_b, cfg.blur_radius)
-    net = UnrolledNet(shape, cfg.folds, cfg.levels, cfg.depth, cfg.hidden)
+    net = UnrolledNet(shape, cfg.K, cfg.L, cfg.D, cfg.hidden)
     if pretrained is not None:
-        if pretrained.arch() != (tuple(shape), cfg.levels, cfg.depth, cfg.hidden):
+        if pretrained.arch() != (tuple(shape), cfg.L, cfg.D, cfg.hidden):
             raise ConfigError(
                 f"pretrained flow {pretrained.arch()} does not match config "
-                f"({tuple(shape)}, {cfg.levels}, {cfg.depth}, {cfg.hidden})"
+                f"({tuple(shape)}, {cfg.L}, {cfg.D}, {cfg.hidden})"
             )
         net.load_pretrained_prior(pretrained)
 

@@ -26,18 +26,7 @@ from .flow import FlowModel
 from .numerics import Prng
 from .operators import ForwardOp
 
-__all__ = [
-    "Fold",
-    "UnrolledNet",
-    "initial_guess",
-    "dc_step",
-    "prox_shrink",
-    "reconstruct",
-    "reconstruct_trace",
-    "map_objective",
-    "latent_objective",
-    "latent_objective_grad",
-]
+__all__ = ["Fold", "UnrolledNet", "dc_step", "prox_shrink", "reconstruct"]
 
 MU_INIT = 0.5
 LAMBDA_INIT = 0.1
@@ -101,42 +90,42 @@ class UnrolledNet:
 
     # -- forward --------------------------------------------------------------
 
-    def initial_guess_batch(self, batch: int) -> np.ndarray:
-        x, _ = self.folds[0].flow.inverse_batch(
-            np.zeros((batch, self.folds[0].flow.n))
-        )
-        return x
+    def initial_guess(self, batch: int = 1):
+        """The prior's most likely image, fold 0's inverse at the zero latent:
+        ``(x0, ctx)`` with x0 of shape (batch, C, H, W)."""
+        return self.folds[0].flow.inverse_batch(np.zeros((batch, self.folds[0].flow.n)))
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
         """Pure batched reconstruction, (B, C, H, W) measurements in and out."""
-        x = self.initial_guess_batch(y.shape[0])
-        last = self.k - 1
-        for k, fold in enumerate(self.folds):
-            xt = dc_step(x, y, op, fold.mu.item())
-            z, _, _ = fold.flow.forward_batch(xt)
-            if k < last:
-                z = z / (1.0 + fold.lam)
-            x, _ = fold.flow.inverse_batch(z)
-        return x
-
-    # -- forward with recorded state, and its reverse sweep ---------------------
+        return self._unroll(y, op, None)[0]
 
     def reconstruct_batch_grad(self, y: np.ndarray, op: ForwardOp):
         """Like reconstruct_batch but records every intermediate needed by
         :meth:`reconstruct_backward`.  Returns (x_hat, pipeline record)."""
-        b = y.shape[0]
-        z0 = np.zeros((b, self.folds[0].flow.n))
-        x, ctx_init = self.folds[0].flow.inverse_batch(z0)
-        last = self.k - 1
         steps = []
-        for k, fold in enumerate(self.folds):
-            atr = op.adjoint(y - op.apply(x))
-            xt = x + fold.mu.item() * atr
-            z, _, ctx_f = fold.flow.forward_batch(xt)
-            zp = z / (1.0 + fold.lam) if k < last else z
-            x, ctx_i = fold.flow.inverse_batch(zp)
-            steps.append((atr, zp, ctx_f, ctx_i))
+        x, ctx_init = self._unroll(y, op, steps)
         return x, (op, ctx_init, steps)
+
+    def _unroll(self, y, op, steps):
+        """The fold loop.  With a ``steps`` list each fold appends what the
+        reverse sweep needs; with None every context is dropped as soon as
+        its fold is done, so memory does not grow with the fold count."""
+        x, ctx_init = self.initial_guess(y.shape[0])
+        if steps is None:
+            ctx_init = None
+        last = self.k - 1
+        for k, fold in enumerate(self.folds):
+            xt, atr = dc_step(x, y, op, fold.mu.item())
+            z, _, ctx_f = fold.flow.forward_batch(xt)
+            if k < last:
+                z = prox_shrink(z, fold.lam)
+            x, ctx_i = fold.flow.inverse_batch(z)
+            if steps is not None:
+                steps.append((atr, z, ctx_f, ctx_i))
+            del ctx_f, ctx_i
+        return x, ctx_init
+
+    # -- reverse sweep ---------------------------------------------------------
 
     def reconstruct_backward(self, pipe, g_xhat: np.ndarray) -> None:
         """Accumulate d(scalar loss)/d(params) for every fold parameter,
@@ -168,16 +157,13 @@ class UnrolledNet:
 # -- module-level operations ----------------------------------------------------
 
 
-def initial_guess(net: UnrolledNet) -> np.ndarray:
-    """The prior's most likely image: fold 0's inverse at the zero latent."""
-    return net.initial_guess_batch(1)[0]
-
-
-def dc_step(x: np.ndarray, y: np.ndarray, op: ForwardOp, mu: float) -> np.ndarray:
-    """Gradient-descent step on the data term: x + mu A^T (y - A x)."""
+def dc_step(x: np.ndarray, y: np.ndarray, op: ForwardOp, mu: float):
+    """Gradient-descent step on the data term: returns
+    ``(x + mu A^T (y - A x), A^T (y - A x))``; the second is d xt / d mu."""
     if x.shape != y.shape:
         raise ShapeError.mismatch("dc_step measurement", y.shape, x.shape)
-    return x + mu * op.adjoint(y - op.apply(x))
+    atr = op.adjoint(y - op.apply(x))
+    return x + mu * atr, atr
 
 
 def prox_shrink(z: np.ndarray, lam: float) -> np.ndarray:
@@ -188,59 +174,3 @@ def prox_shrink(z: np.ndarray, lam: float) -> np.ndarray:
 def reconstruct(net: UnrolledNet, y: np.ndarray, op: ForwardOp) -> np.ndarray:
     """Single-image reconstruction, (C, H, W) in and out."""
     return net.reconstruct_batch(y[None], op)[0]
-
-
-def reconstruct_trace(net: UnrolledNet, y: np.ndarray, op: ForwardOp):
-    """Reconstruction plus per-stage estimates for monitoring: returns
-    (x_hat, [x0, x after fold 0, ..., x after fold K-1])."""
-    x = net.initial_guess_batch(1)
-    trace = [x[0]]
-    last = net.k - 1
-    for k, fold in enumerate(net.folds):
-        xt = dc_step(x, y[None], op, fold.mu.item())
-        z, _, _ = fold.flow.forward_batch(xt)
-        if k < last:
-            z = z / (1.0 + fold.lam)
-        x, _ = fold.flow.inverse_batch(z)
-        trace.append(x[0])
-    return x[0], trace
-
-
-def map_objective(
-    x: np.ndarray, y: np.ndarray, op: ForwardOp, sigma_n: float, flow: FlowModel
-) -> float:
-    """Negative log posterior (up to constants): data term plus prior term."""
-    if sigma_n <= 0:
-        raise ConfigError(f"map_objective needs sigma_n > 0, got {sigma_n}")
-    r = y - op.apply(x)
-    lp = flow.log_prob_batch(x[None])[0]
-    return float((r * r).sum()) / (2.0 * sigma_n**2) - float(lp)
-
-
-def latent_objective(
-    z: np.ndarray, y: np.ndarray, op: ForwardOp, flow: FlowModel, lam: float
-) -> float:
-    """Latent-space surrogate: ||y - A g(z)||^2 + lam ||z||^2."""
-    if lam < 0:
-        raise ConfigError(f"latent_objective needs lam >= 0, got {lam}")
-    x, _ = flow.inverse_batch(z[None])
-    r = y - op.apply(x[0])
-    return float((r * r).sum()) + lam * float((z * z).sum())
-
-
-def latent_objective_grad(
-    z: np.ndarray, y: np.ndarray, op: ForwardOp, flow: FlowModel, lam: float
-):
-    """Value and exact gradient of :func:`latent_objective` w.r.t. z.
-
-    The flow's parameter gradient accumulators are left untouched.
-    """
-    saved = [p.grad.copy() for p in flow.store]
-    x, ctx = flow.inverse_batch(z[None])
-    r = y - op.apply(x[0])
-    val = float((r * r).sum()) + lam * float((z * z).sum())
-    gz = flow.backward_inverse(ctx, (-2.0 * op.adjoint(r))[None])[0]
-    gz = gz + 2.0 * lam * z
-    for p, s in zip(flow.store, saved):
-        p.grad[...] = s
-    return val, gz

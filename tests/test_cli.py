@@ -8,14 +8,12 @@ import pytest
 
 from flowunfold.cli import (
     ImageSet,
-    config_to_traincfg,
     echo_config,
     load_checkpoint,
     load_dataset,
     load_image,
     main,
     parse_config,
-    resolve_config,
     restore_into,
     save_checkpoint,
     save_image,
@@ -25,6 +23,7 @@ from flowunfold.cli import (
 from flowunfold.diff import ParamStore
 from flowunfold.errors import CheckpointError, ConfigError, DataError
 from flowunfold.numerics import Prng
+from flowunfold.train import TrainConfig
 from flowunfold.unfold import UnrolledNet
 
 
@@ -142,6 +141,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "t.ckpt")
 
+    def test_rejects_trailing_bytes(self, tmp_path):
+        store = _sample_store()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, store)
+        p.write_bytes(p.read_bytes() + bytes(8))
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(p)
+
     def test_restore_copies_values(self, tmp_path):
         store = _sample_store()
         p = tmp_path / "m.ckpt"
@@ -173,7 +180,7 @@ class TestConfig:
     def test_parse_values_and_comments(self, tmp_path):
         p = tmp_path / "t.cfg"
         p.write_text("# header\ntask = inpaint\n\nK = 4  # folds\nlr = 2e-4\n")
-        assert parse_config(p) == {"task": "inpaint", "K": 4, "lr": 2e-4}
+        assert parse_config(p) == TrainConfig(task="inpaint", K=4, lr=2e-4)
 
     def test_unknown_key_is_an_error(self, tmp_path):
         p = tmp_path / "t.cfg"
@@ -198,37 +205,40 @@ class TestConfig:
             parse_config(tmp_path / "nope.cfg")
 
     def test_noise_default_depends_on_task(self):
-        assert resolve_config({"task": "denoise"})["sigma_n"] == 0.1
-        assert resolve_config({"task": "inpaint"})["sigma_n"] == 0.0
-        assert resolve_config({"task": "denoise", "sigma_n": 0.25})["sigma_n"] == 0.25
-        assert resolve_config({"task": "denoise", "sigma_n": 0.0})["sigma_n"] == 0.0
+        assert TrainConfig(task="denoise").resolved().sigma_n == 0.1
+        assert TrainConfig(task="inpaint").resolved().sigma_n == 0.0
+        assert TrainConfig(task="denoise", sigma_n=0.25).resolved().sigma_n == 0.25
+        assert TrainConfig(task="denoise", sigma_n=0.0).resolved().sigma_n == 0.0
 
     def test_lr_default_depends_on_image_size(self):
-        assert resolve_config({}, shape=(1, 16, 16))["lr"] == 1e-4
-        assert resolve_config({}, shape=(1, 64, 64))["lr"] == 1e-5
-        assert resolve_config({"lr": 3e-3}, shape=(1, 16, 16))["lr"] == 3e-3
+        assert TrainConfig().resolved((1, 16, 16)).lr == 1e-4
+        assert TrainConfig().resolved((1, 64, 64)).lr == 1e-5
+        assert TrainConfig(lr=3e-3).resolved((1, 16, 16)).lr == 3e-3
 
     def test_geometry_defaults(self):
-        cfg = resolve_config({"sigma_b": 1.5}, shape=(1, 16, 16))
-        assert cfg["mask_w"] == 5  # ceil(0.3 * 16)
-        assert cfg["blur_radius"] == 5  # ceil(3 * 1.5)
+        cfg = TrainConfig(sigma_b=1.5).resolved((1, 16, 16))
+        assert cfg.mask_w == 5  # ceil(0.3 * 16)
+        assert cfg.blur_radius == 5  # ceil(3 * 1.5)
 
     def test_task_override_wins(self):
-        cfg = resolve_config({"task": "denoise"}, task="deblur")
-        assert cfg["task"] == "deblur"
-        assert cfg["sigma_n"] == 0.0
+        cfg = TrainConfig(task="denoise").resolved(task="deblur")
+        assert cfg.task == "deblur"
+        assert cfg.sigma_n == 0.0
 
     def test_echoed_config_is_a_fixed_point(self, tmp_path):
-        cfg = resolve_config({"task": "inpaint", "K": 5}, shape=(1, 8, 8))
+        cfg = TrainConfig(task="inpaint", K=5).resolved((1, 8, 8))
         echo_config(cfg, tmp_path)
-        again = resolve_config(parse_config(tmp_path / "resolved.cfg"))
+        again = parse_config(tmp_path / "resolved.cfg").resolved()
         assert again == cfg
 
-    def test_traincfg_mapping(self):
-        cfg = resolve_config({"K": 5, "L": 1, "D": 2, "hidden": 6}, shape=(1, 16, 16))
-        tcfg = config_to_traincfg(cfg)
-        assert (tcfg.folds, tcfg.levels, tcfg.depth, tcfg.hidden) == (5, 1, 2, 6)
-        assert tcfg.lr == 1e-4
+    def test_traincfg_mapping(self, tmp_path):
+        # config-file keys are the TrainConfig fields, types included
+        p = tmp_path / "t.cfg"
+        p.write_text("K = 5\nL = 1\nD = 2\nhidden = 6\n")
+        cfg = parse_config(p).resolved((1, 16, 16)).validate()
+        assert (cfg.K, cfg.L, cfg.D, cfg.hidden) == (5, 1, 2, 6)
+        assert all(type(v) is int for v in (cfg.K, cfg.L, cfg.D, cfg.hidden))
+        assert cfg.lr == 1e-4
 
 
 class TestSynthBlobs:
@@ -348,9 +358,9 @@ class TestCommands:
         assert pipeline.resolved.exists()
 
     def test_resolved_config_replays(self, pipeline):
-        cfg = resolve_config(parse_config(pipeline.resolved))
-        assert cfg["height"] == 8 and cfg["width"] == 8
-        assert cfg["task"] == "denoise"
+        cfg = parse_config(pipeline.resolved).resolved()
+        assert cfg.height == 8 and cfg.width == 8
+        assert cfg.task == "denoise"
 
     def test_train_demands_an_explicit_prior_choice(self, pipeline):
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +439,26 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert "(4, 2, 3, 3)" in err and "(6, 2, 3, 3)" in err
+
+    def test_eval_rejects_trailing_bytes(self, pipeline, capsys):
+        ckpt = pipeline.root / "padded.ckpt"
+        ckpt.write_bytes(pipeline.net.read_bytes() + bytes(8))
+        rc = main(["eval", "--model", str(ckpt), "--data", str(pipeline.data),
+                   "--task", "denoise", "--config", str(pipeline.resolved),
+                   "--report", str(pipeline.root / "padded" / "report.csv")])
+        assert rc == 1
+        assert "trailing bytes" in capsys.readouterr().err
+
+    def test_prior_of_another_shape_names_the_model_shape(self, pipeline, capsys):
+        color = pipeline.root / "color"
+        assert main(["synth-data", "--out", str(color), "--count", "20",
+                     "--size", "8", "8", "--channels", "3", "--seed", "7"]) == 0
+        rc = main(["train", "--task", "denoise", "--data", str(color),
+                   "--config", str(pipeline.cfg), "--pretrained", str(pipeline.prior),
+                   "--out", str(pipeline.root / "color.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "model built for image shape (3, 8, 8)" in err
 
     def test_eval_report_layout(self, pipeline, capsys):
         report = pipeline.root / "report.csv"

@@ -13,10 +13,6 @@ from flowunfold.flow import (
     AffineCoupling,
     FlowModel,
     InvConv1x1,
-    actnorm_data_init,
-    flow_forward,
-    flow_inverse,
-    log_prob,
     squeeze,
     unsqueeze,
 )
@@ -125,32 +121,34 @@ class TestIdentityModel:
     def test_latent_is_documented_permutation(self):
         model = FlowModel((1, 16, 16), 2, 3, 8, ParamStore())
         x = Prng(0x1D).gauss_array((1, 16, 16))
-        z, ld = flow_forward(x, model)
+        z, ld, _ = model.forward_batch(x[None])
         s0 = squeeze(x)  # (4, 8, 8)
         expect = np.concatenate([s0[:2].ravel(), squeeze(s0[2:]).ravel()])
-        assert np.array_equal(z, expect)
-        assert ld == 0.0
+        assert np.array_equal(z[0], expect)
+        assert ld[0] == 0.0
 
     def test_inverse_of_zero_is_zero_image(self):
         model = FlowModel((1, 8, 8), 2, 2, 8, ParamStore())
-        x = flow_inverse(np.zeros(64), model)
-        assert np.array_equal(x, np.zeros((1, 8, 8)))
+        x, _ = model.inverse_batch(np.zeros((1, 64)))
+        assert np.array_equal(x, np.zeros((1, 1, 8, 8)))
 
     def test_inverse_linearity(self):
         model = FlowModel((1, 8, 8), 2, 2, 8, ParamStore())
-        z = Prng(0x11).gauss_array(64)
-        assert np.allclose(flow_inverse(2 * z, model), 2 * flow_inverse(z, model), atol=1e-14)
+        z = Prng(0x11).gauss_array((1, 64))
+        x1, _ = model.inverse_batch(z)
+        x2, _ = model.inverse_batch(2 * z)
+        assert np.allclose(x2, 2 * x1, atol=1e-14)
 
     def test_log_prob_at_origin(self):
         model = FlowModel((3, 2, 2), 1, 2, 8, ParamStore())
-        lp = log_prob(np.zeros((3, 2, 2)), model)
+        lp = float(model.log_prob_batch(np.zeros((1, 3, 2, 2)))[0])
         assert abs(lp - (-6.0 * math.log(2 * math.pi))) < 1e-12
         assert abs(lp + 11.027) < 1e-3
 
     def test_log_prob_general_identity(self):
         model = FlowModel((1, 4, 4), 1, 2, 8, ParamStore())
         x = Prng(0x1F).gauss_array((1, 4, 4))
-        lp = log_prob(x, model)
+        lp = float(model.log_prob_batch(x[None])[0])
         expect = -8.0 * LOG_2PI - 0.5 * float((x * x).sum())
         assert abs(lp - expect) < 1e-10
 
@@ -171,12 +169,16 @@ class TestRoundTrip:
         assert np.max(np.abs(fwd - z2)) < 1e-8
 
     def test_single_sample_wrappers_match_batch(self):
+        # a batch of one gives bitwise the same row as a larger batch
         model = _random_model((1, 8, 8), 2, 2, 8, seed=0x5A5A)
-        x = Prng(0x77).gauss_array((1, 8, 8))
-        z, ld = flow_forward(x, model)
-        zb, ldb, _ = model.forward_batch(x[None])
-        assert np.array_equal(z, zb[0])
-        assert ld == ldb[0]
+        x = Prng(0x77).gauss_array((3, 1, 8, 8))
+        zb, ldb, _ = model.forward_batch(x)
+        for i in range(3):
+            z, ld, _ = model.forward_batch(x[i : i + 1])
+            assert np.array_equal(z[0], zb[i])
+            assert ld[0] == ldb[i]
+            back, _ = model.inverse_batch(zb[i : i + 1])
+            assert np.array_equal(back[0], model.inverse_batch(zb)[0][i])
 
     def test_forward_deterministic_bitwise(self):
         model = _random_model((1, 8, 8), 1, 2, 8, seed=0xD0)
@@ -199,9 +201,9 @@ class TestJacobianLogdet:
             xm = flat.copy()
             xp[j] += h
             xm[j] -= h
-            zp, _ = flow_forward(xp.reshape(x.shape), model)
-            zm, _ = flow_forward(xm.reshape(x.shape), model)
-            cols.append((zp - zm) / (2 * h))
+            zp, _, _ = model.forward_batch(xp.reshape((1,) + x.shape))
+            zm, _, _ = model.forward_batch(xm.reshape((1,) + x.shape))
+            cols.append((zp[0] - zm[0]) / (2 * h))
         _, ld = np.linalg.slogdet(np.stack(cols, axis=1))
         return ld
 
@@ -209,8 +211,8 @@ class TestJacobianLogdet:
     def test_logdet_matches_numeric_jacobian(self, seed):
         model = _random_model((3, 2, 2), 1, 2, 8, seed=seed)
         x = Prng(seed ^ 0xFF).gauss_array((3, 2, 2))
-        _, ld = flow_forward(x, model)
-        assert abs(ld - self._numeric_logdet(model, x)) < 1e-6
+        _, ld, _ = model.forward_batch(x[None])
+        assert abs(ld[0] - self._numeric_logdet(model, x)) < 1e-6
 
 
 class TestQuadrature:
@@ -229,7 +231,7 @@ class TestDataInit:
         store = ParamStore()
         model = FlowModel((1, 8, 8), 1, 2, 8, store, init="random", rng=Prng(0xDA7A))
         batch = 3.0 * Prng(0xBEEF).gauss_array((32, 1, 8, 8)) + 1.5
-        actnorm_data_init(model, batch)
+        model.data_init(batch)
         first = model._level_steps[0][0].actnorm
         out, _, _ = first.forward(squeeze(batch))
         mean = out.mean(axis=(0, 2, 3))
@@ -241,20 +243,20 @@ class TestDataInit:
         store = ParamStore()
         model = FlowModel((1, 4, 4), 1, 1, 4, store, init="random", rng=Prng(2))
         batch = Prng(3).gauss_array((4, 1, 4, 4))
-        actnorm_data_init(model, batch)
+        model.data_init(batch)
         with pytest.raises(ConfigError):
-            actnorm_data_init(model, batch)
+            model.data_init(batch)
 
     def test_small_batch_errors(self):
         model = FlowModel((1, 4, 4), 1, 1, 4, ParamStore(), init="random", rng=Prng(2))
         with pytest.raises(ConfigError):
-            actnorm_data_init(model, np.zeros((1, 1, 4, 4)))
+            model.data_init(np.zeros((1, 1, 4, 4)))
 
     def test_zero_variance_channel_uses_floor(self):
         store = ParamStore()
         model = FlowModel((1, 4, 4), 1, 1, 4, store, init="random", rng=Prng(5))
         batch = np.zeros((4, 1, 4, 4))  # all channels constant
-        actnorm_data_init(model, batch)  # must not raise
+        model.data_init(batch)  # must not raise
         ls = model._level_steps[0][0].actnorm.log_scale.value
         assert np.all(np.isfinite(ls))
 
@@ -271,8 +273,8 @@ class TestConstruction:
 
     def test_degenerate_axis_squeezes_other_axis(self):
         model = FlowModel((1, 1, 2), 1, 1, 4, ParamStore())
-        z, ld = flow_forward(np.array([[[1.0, 2.0]]]), model)
-        assert z.tolist() == [1.0, 2.0] and ld == 0.0
+        z, ld, _ = model.forward_batch(np.array([[[[1.0, 2.0]]]]))
+        assert z.tolist() == [[1.0, 2.0]] and ld.tolist() == [0.0]
 
     def test_bad_args(self):
         with pytest.raises(ConfigError):
@@ -389,6 +391,23 @@ class TestGradients:
             return float((x * cx).sum())
 
         assert grad_check(f, model.store, 60) < 1e-5
+
+    def test_model_inverse_latent_cotangent(self):
+        # backward_inverse's return value is the latent gradient of
+        # ||g(z) - y||^2, checked by central differences on z
+        model = _random_model((1, 4, 4), 1, 1, 4, seed=0x7B)
+        rng = Prng(12)
+        y = rng.gauss_array((1, 1, 4, 4))
+        wrap = ParamStore()
+        pz = wrap.add("z", rng.gauss_array((1, 16)))
+
+        def f(store):
+            x, ctx = model.inverse_batch(pz.value)
+            r = x - y
+            pz.grad += model.backward_inverse(ctx, 2.0 * r)
+            return float((r * r).sum())
+
+        assert grad_check(f, wrap, 30) < 1e-5
 
     def test_log_prob_gradients(self):
         model = _random_model((1, 8, 8), 2, 2, 4, seed=0x6F01)

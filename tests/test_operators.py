@@ -9,8 +9,6 @@ from flowunfold.operators import (
     CenterMask,
     GaussianBlur,
     Identity,
-    adjoint,
-    apply,
     make_measurement,
     operator_for_task,
 )
@@ -28,18 +26,18 @@ class TestApply:
     def test_identity_bitwise(self):
         op = Identity((2, 5, 7))
         x = Prng(1).gauss_array((2, 5, 7))
-        assert np.array_equal(apply(op, x), x)
+        assert np.array_equal(op.apply(x), x)
 
     def test_center_mask_documented_window(self):
         op = CenterMask((1, 4, 4), 2)
-        y = apply(op, np.ones((1, 4, 4)))
+        y = op.apply(np.ones((1, 4, 4)))
         expect = np.ones((1, 4, 4))
         expect[0, 1:3, 1:3] = 0.0
         assert np.array_equal(y, expect)
 
     def test_blur_preserves_constant(self):
         op = GaussianBlur((1, 8, 8), 2.0, 5)
-        y = apply(op, np.full((1, 8, 8), 0.37))
+        y = op.apply(np.full((1, 8, 8), 0.37))
         assert np.max(np.abs(y - 0.37)) < 1e-12
 
     def test_linearity(self):
@@ -47,21 +45,21 @@ class TestApply:
         for op in _ops():
             u = rng.gauss_array(op.shape)
             v = rng.gauss_array(op.shape)
-            lhs = apply(op, 2.5 * u - 1.25 * v)
-            rhs = 2.5 * apply(op, u) - 1.25 * apply(op, v)
+            lhs = op.apply(2.5 * u - 1.25 * v)
+            rhs = 2.5 * op.apply(u) - 1.25 * op.apply(v)
             assert np.max(np.abs(lhs - rhs)) < 1e-10, op.kind
 
     def test_shape_mismatch_errors(self):
         op = Identity((1, 8, 8))
         with pytest.raises(ShapeError):
-            apply(op, np.zeros((1, 8, 9)))
+            op.apply(np.zeros((1, 8, 9)))
 
     def test_batched_matches_single(self):
         rng = Prng(0xBA)
         for op in _ops((3, 8, 8)):
             x = rng.gauss_array((4, 3, 8, 8))
-            batched = apply(op, x)
-            assert np.array_equal(batched[2], apply(op, x[2])), op.kind
+            batched = op.apply(x)
+            assert np.array_equal(batched[2], op.apply(x[2])), op.kind
 
 
 class TestAdjoint:
@@ -72,30 +70,30 @@ class TestAdjoint:
             for _ in range(50):
                 u = rng.gauss_array(op.shape)
                 v = rng.gauss_array(op.shape)
-                lhs = float((apply(op, u) * v).sum())
-                rhs = float((u * adjoint(op, v)).sum())
+                lhs = float((op.apply(u) * v).sum())
+                rhs = float((u * op.adjoint(v)).sum())
                 worst = max(worst, abs(lhs - rhs))
             assert worst < 1e-8, op.kind
 
     def test_mask_idempotent_projection(self):
         op = CenterMask((1, 16, 16), 5)
         x = Prng(0x1DE).gauss_array((1, 16, 16))
-        once = apply(op, x)
-        assert np.array_equal(apply(op, once), once)
-        assert np.array_equal(adjoint(op, once), once)
+        once = op.apply(x)
+        assert np.array_equal(op.apply(once), once)
+        assert np.array_equal(op.adjoint(once), once)
 
     def test_blur_self_adjoint(self):
         op = GaussianBlur((1, 16, 16), 1.5, 4)
         v = Prng(0x5E1F).gauss_array((1, 16, 16))
-        assert np.max(np.abs(adjoint(op, v) - apply(op, v))) < 1e-12
+        assert np.max(np.abs(op.adjoint(v) - op.apply(v))) < 1e-12
 
     def test_blur_spectral_norm_at_most_one(self):
         op = GaussianBlur((1, 16, 16), 1.0, 3)
         v = Prng(0x90).gauss_array((1, 16, 16))
         for _ in range(100):
-            v = apply(op, v)
+            v = op.apply(v)
             v /= np.linalg.norm(v)
-        norm = np.linalg.norm(apply(op, v))
+        norm = np.linalg.norm(op.apply(v))
         assert norm <= 1 + 1e-8
 
 

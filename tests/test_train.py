@@ -207,8 +207,11 @@ class TestConfigValidation:
             TrainConfig(task="sharpen").validate()
 
     def test_bad_lr(self):
+        # lr = 0 means the size default, so a negative rate is the bad one
         with pytest.raises(ConfigError):
-            TrainConfig(lr=0.0).validate()
+            TrainConfig(lr=-1e-4).validate()
+        with pytest.raises(ConfigError):
+            TrainConfig(scalar_lr=0.0).validate()
 
     def test_bad_patience(self):
         with pytest.raises(ConfigError):
@@ -223,9 +226,9 @@ def _small_cfg(**overrides):
     base = dict(
         task="denoise",
         sigma_n=0.1,
-        folds=2,
-        levels=1,
-        depth=1,
+        K=2,
+        L=1,
+        D=1,
         hidden=4,
         lr=1e-4,
         scalar_lr=1e-2,
@@ -243,7 +246,7 @@ class TestPretrain:
         # an identity flow scores 0.5 log(2 pi) + E|x|^2 / (2 n) nats/dim;
         # data-initialized actnorms already whiten past that
         data = _blob_set(60, (1, 8, 8), seed=11)
-        cfg = _small_cfg(levels=2, depth=2, hidden=8, max_epochs=6, patience=3)
+        cfg = _small_cfg(L=2, D=2, hidden=8, max_epochs=6, patience=3)
         flow = pretrain(data, cfg)
         baseline = 0.5 * LOG_2PI + 0.5 * float((data.val**2).mean())
         assert nll_loss(data.val, flow) < baseline
@@ -275,7 +278,7 @@ class TestPretrain:
         # monotonically across the first 200 steps
         data = _blob_set(64, (1, 8, 8), seed=15)
         cfg = _small_cfg(
-            levels=2, depth=2, hidden=8, batch_size=16, max_epochs=80, patience=80
+            L=2, D=2, hidden=8, batch_size=16, max_epochs=80, patience=80
         )
         losses = []
 
@@ -342,6 +345,15 @@ class TestTrainUnrolled:
         assert len(lines) == 2
         for line in lines:
             assert _LOG_LINE.match(line), line
+
+    def test_sentinels_resolve_against_the_data(self):
+        # lr = 0 and sigma_n = -1 resolve as the CLI resolves them: 1e-4
+        # below 32 pixels, 0.1 for denoising
+        data = _blob_set(30, (1, 8, 8), seed=27)
+        auto = train_unrolled(data, _small_cfg(max_epochs=1, lr=0.0, sigma_n=-1.0), None)
+        explicit = train_unrolled(data, _small_cfg(max_epochs=1), None)
+        for pa, pb in zip(auto.store, explicit.store):
+            assert np.array_equal(pa.value, pb.value), pa.name
 
     def test_empty_val_split_is_an_error(self):
         data = _blob_set(30, (1, 8, 8), seed=26)

@@ -3,26 +3,15 @@
 import numpy as np
 import pytest
 
-from flowunfold.diff import ParamStore, grad_check, zero_grads
-from flowunfold.errors import ConfigError, ShapeError
-from flowunfold.flow import FlowModel
+from flowunfold.diff import grad_check, zero_grads
+from flowunfold.errors import ShapeError
 from flowunfold.numerics import Prng
 from flowunfold.operators import CenterMask, GaussianBlur, Identity, make_measurement
-from flowunfold.unfold import (
-    UnrolledNet,
-    dc_step,
-    initial_guess,
-    latent_objective,
-    latent_objective_grad,
-    map_objective,
-    prox_shrink,
-    reconstruct,
-    reconstruct_trace,
-)
+from flowunfold.unfold import UnrolledNet, dc_step, prox_shrink, reconstruct
 
 
-def _identity_net(shape=(1, 16, 16), k=3, mus=None, rhos=None):
-    net = UnrolledNet(shape, k, levels=2, depth=1, hidden=4)
+def _identity_net(shape=(1, 16, 16), k=3, mus=None, rhos=None, levels=2):
+    net = UnrolledNet(shape, k, levels=levels, depth=1, hidden=4)
     for i, fold in enumerate(net.folds):
         if mus is not None:
             fold.mu.value[...] = mus[i]
@@ -44,17 +33,18 @@ def _random_net(shape, k, levels, depth, hidden, seed, scale=0.05):
 class TestInitialGuess:
     def test_identity_flows_give_zero_image(self):
         net = _identity_net()
-        assert np.array_equal(initial_guess(net), np.zeros((1, 16, 16)))
+        x0, _ = net.initial_guess()
+        assert np.array_equal(x0, np.zeros((1, 1, 16, 16)))
 
     def test_maps_back_to_zero_latent(self):
         net = _random_net((1, 8, 8), 2, 2, 2, 4, seed=0x16)
-        x0 = initial_guess(net)
-        z, _, _ = net.folds[0].flow.forward_batch(x0[None])
+        x0, _ = net.initial_guess()
+        z, _, _ = net.folds[0].flow.forward_batch(x0)
         assert np.max(np.abs(z)) < 1e-8
 
     def test_deterministic(self):
         net = _random_net((1, 8, 8), 2, 2, 2, 4, seed=0x17)
-        assert np.array_equal(initial_guess(net), initial_guess(net))
+        assert np.array_equal(net.initial_guess(2)[0], net.initial_guess(2)[0])
 
 
 class TestDcStep:
@@ -62,19 +52,20 @@ class TestDcStep:
         op = Identity((1, 4, 4))
         x = Prng(1).gauss_array((1, 4, 4))
         y = Prng(2).gauss_array((1, 4, 4))
-        assert np.array_equal(dc_step(x, y, op, 0.0), x)
+        assert np.array_equal(dc_step(x, y, op, 0.0)[0], x)
 
     def test_direct_substitution(self):
         op = Identity((1, 4, 4))
         y = np.full((1, 4, 4), 0.8)
-        out = dc_step(np.zeros((1, 4, 4)), y, op, 0.5)
+        out, atr = dc_step(np.zeros((1, 4, 4)), y, op, 0.5)
         assert np.max(np.abs(out - 0.4)) < 1e-15
+        assert np.array_equal(atr, y)
 
     def test_zero_residual_fixed_point(self):
         op = CenterMask((1, 8, 8), 3)
         x = Prng(3).gauss_array((1, 8, 8))
         y = op.apply(x)
-        assert np.array_equal(dc_step(x, y, op, 0.7), x)
+        assert np.array_equal(dc_step(x, y, op, 0.7)[0], x)
 
     def test_shape_mismatch(self):
         op = Identity((1, 4, 4))
@@ -162,16 +153,6 @@ class TestReconstruct:
         y = Prng(8).gauss_array((1, 8, 8))
         assert np.array_equal(reconstruct(net, y, op), reconstruct(net, y, op))
 
-    def test_trace_matches_reconstruct(self):
-        net = _random_net((1, 8, 8), 3, 2, 1, 4, seed=0x78)
-        op = Identity((1, 8, 8))
-        y = Prng(9).gauss_array((1, 8, 8))
-        x_hat, trace = reconstruct_trace(net, y, op)
-        assert len(trace) == 4  # x0 plus one estimate per fold
-        assert np.array_equal(trace[0], initial_guess(net))
-        assert np.array_equal(x_hat, reconstruct(net, y, op))
-        assert np.array_equal(trace[-1], x_hat)
-
     def test_untied_folds_independent(self):
         net = _random_net((1, 8, 8), 3, 2, 1, 4, seed=0x79)
         before = {
@@ -184,79 +165,42 @@ class TestReconstruct:
             assert np.array_equal(net.store[name].value, old), name
 
 
-class TestObjectives:
-    def test_map_objective_at_origin(self):
-        flow = FlowModel((3, 2, 2), 1, 2, 8, ParamStore())
-        op = Identity((3, 2, 2))
-        val = map_objective(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), op, 1.0, flow)
-        assert abs(val - 6.0 * np.log(2 * np.pi)) < 1e-12
+_OPS = {
+    "identity": lambda shape: Identity(shape),
+    "mask": lambda shape: CenterMask(shape, 3),
+    "blur": lambda shape: GaussianBlur(shape, 1.0, 2),
+}
 
-    def test_residual_term_quadratic(self):
-        flow = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
-        op = Identity((1, 4, 4))
-        y = Prng(10).gauss_array((1, 4, 4))
-        x = np.zeros((1, 4, 4))
-        const = map_objective(x, np.zeros_like(y), op, 0.5, flow)
-        v1 = map_objective(x, y, op, 0.5, flow) - const
-        v2 = map_objective(x, 2 * y, op, 0.5, flow) - const
-        assert abs(v2 - 4 * v1) < 1e-9
 
-    def test_map_objective_needs_positive_sigma(self):
-        flow = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
-        with pytest.raises(ConfigError):
-            map_objective(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), Identity((1, 4, 4)), 0.0, flow)
+class TestOneLoop:
+    """Both public reconstruction methods run the same fold loop."""
 
-    def test_per_fold_monitoring_finite(self):
-        net = _random_net((1, 8, 8), 3, 2, 1, 4, seed=0x7A)
-        op = CenterMask((1, 8, 8), 3)
-        rng = Prng(11)
-        y = make_measurement(op, rng.gauss_array((1, 8, 8)), 0.1, rng)
-        _, trace = reconstruct_trace(net, y, op)
-        vals = [
-            map_objective(x, y, op, 0.1, fold.flow)
-            for x, fold in zip(trace[1:], net.folds)
-        ]
-        assert all(np.isfinite(v) for v in vals)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind", sorted(_OPS))
+    def test_recording_and_plain_paths_agree_bitwise(self, kind, batch):
+        shape = (1, 8, 8)
+        net = _random_net(shape, 3, 2, 2, 4, seed=0x7F)
+        op = _OPS[kind](shape)
+        y = Prng(15).gauss_array((batch,) + shape)
+        x_hat, (_, _, steps) = net.reconstruct_batch_grad(y, op)
+        assert len(steps) == net.k
+        assert np.array_equal(x_hat, net.reconstruct_batch(y, op))
 
-    def test_latent_objective_zero_at_consistent_point(self):
-        flow = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
-        op = Identity((1, 4, 4))
-        x0, _ = flow.inverse_batch(np.zeros((1, 16)))
-        assert latent_objective(np.zeros(16), op.apply(x0[0]), op, flow, 0.3) == 0.0
-
-    def test_latent_penalty_term(self):
-        flow = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
-        op = Identity((1, 4, 4))
-        z = np.zeros(16)
-        z[0], z[5] = 2.0, 0.0  # ||z||^2 = 4
-        x, _ = flow.inverse_batch(z[None])
-        val = latent_objective(z, op.apply(x[0]), op, flow, 0.5)
-        assert abs(val - 2.0) < 1e-12
-
-    def test_latent_gradient_finite_difference(self):
-        flow = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
-        flow.randomize(Prng(0x7B), scale=0.1)
-        op = GaussianBlur((1, 4, 4), 1.0, 2)
-        rng = Prng(12)
-        y = rng.gauss_array((1, 4, 4))
-        wrap = ParamStore()
-        pz = wrap.add("z", rng.gauss_array(16))
-
-        def f(store):
-            val, gz = latent_objective_grad(pz.value, y, op, flow, 0.4)
-            pz.grad += gz
-            return val
-
-        assert grad_check(f, wrap, 30) < 1e-5
-
-    def test_latent_gradient_preserves_flow_grads(self):
-        flow = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
-        flow.randomize(Prng(0x7C), scale=0.1)
-        sentinel = next(iter(flow.store))
-        sentinel.grad[...] = 3.25
-        op = Identity((1, 4, 4))
-        latent_objective_grad(np.zeros(16), np.zeros((1, 4, 4)), op, flow, 0.1)
-        assert np.all(sentinel.grad == 3.25)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 8, 16)], ids=["1x8x8", "3x8x16"])
+    def test_identity_flows_match_landweber_across_shapes(self, shape, levels, batch):
+        rng = Prng(0x1A2C + 7 * levels + batch)
+        for kind in sorted(_OPS):
+            op = _OPS[kind](shape)
+            mus = [0.3 + 0.4 * rng.uniform() for _ in range(3)]
+            rhos = [-3.0 + 2.0 * rng.uniform() for _ in range(3)]
+            net = _identity_net(shape, 3, mus, rhos, levels=levels)
+            y = rng.gauss_array((batch,) + shape)
+            ref = _landweber(y, op, mus, [fold.lam for fold in net.folds])
+            plain = net.reconstruct_batch(y, op)
+            assert np.max(np.abs(plain - ref)) < 1e-10, kind
+            assert np.array_equal(net.reconstruct_batch_grad(y, op)[0], plain), kind
 
 
 class TestEndToEndGradients:
