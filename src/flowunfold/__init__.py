@@ -4,8 +4,9 @@ trainable invertible (normalizing-flow) prior.
 Modules, bottom-up: ``numerics`` (PRNG, circular convolution), ``diff``
 (parameter store, gradient checking), ``flow`` (the invertible model),
 ``operators`` (measurement operators), ``unfold`` (the K-fold network and
-its reverse sweep), ``train`` (the config, losses, Adam, both training
-loops) and ``cli`` (file formats and commands).
+its reverse sweep), ``train`` (the config, losses, Adam, the shared
+training loop), ``checks`` (the invariant checks that ``selftest`` and the
+acceptance gate run) and ``cli`` (file formats and commands).
 """
 
 from .errors import (
@@ -15,6 +16,7 @@ from .errors import (
     FlowUnfoldError,
     GradCheckError,
     ShapeError,
+    TrainingError,
 )
 from .flow import FlowModel
 from .numerics import Prng, derive_seed
@@ -31,6 +33,7 @@ __all__ = [
     "FlowUnfoldError",
     "GradCheckError",
     "ShapeError",
+    "TrainingError",
     "FlowModel",
     "Prng",
     "derive_seed",

@@ -25,7 +25,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .diff import ParamStore, grad_check
+from . import checks
+from .diff import ParamStore
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -34,16 +35,9 @@ from .errors import (
 )
 from .flow import FlowModel
 from .numerics import Prng, derive_seed
-from .operators import TASKS, Identity, make_measurement, operator_for_task
-from .train import (
-    AdamState,
-    TrainConfig,
-    adam_update,
-    psnr,
-    pretrain,
-    train_unrolled,
-)
-from .unfold import UnrolledNet, prox_shrink, reconstruct
+from .operators import TASKS, make_measurement, operator_for_task
+from .train import TrainConfig, psnr, pretrain, train_unrolled
+from .unfold import UnrolledNet, reconstruct
 
 __all__ = [
     "ImageSet",
@@ -378,13 +372,13 @@ def _operator(cfg: TrainConfig, shape):
 
 
 def cmd_synth_data(args) -> int:
+    h, w = args.size
+    shape = (args.channels, h, w)
+    cfg = TrainConfig(count=args.count, seed=args.seed).resolved(shape)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise DataError(f"{out} exists and is not empty (use --force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
-    h, w = args.size
-    shape = (args.channels, h, w)
-    cfg = TrainConfig(count=args.count, seed=args.seed).resolved(shape)
     images = synth_blobs(args.count, shape, args.seed)
     n_train, n_val, _ = split_counts(args.count)
     lines = []
@@ -398,45 +392,49 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _write_log(path, lines):
-    Path(path).write_text("".join(line + "\n" for line in lines))
+def _split(dataset: ImageSet, name: str, data) -> np.ndarray:
+    arr = getattr(dataset, name)
+    if arr.size == 0:
+        raise DataError(f"{data} has an empty {name} split")
+    return arr
+
+
+def _save_run(what: str, out, store: ParamStore, lines: list[str], cfg: TrainConfig) -> None:
+    """Write a trained model's checkpoint, its per-epoch log beside it and
+    the resolved config in the same directory."""
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out, store)
+    Path(str(out) + ".log").write_text("".join(line + "\n" for line in lines))
+    echo_config(cfg, out.parent)
+    print(f"{what} saved to {out} ({len(lines)} epochs)")
 
 
 def cmd_pretrain(args) -> int:
     dataset = load_dataset(args.data)
-    shape = dataset.train.shape[1:]
+    shape = _split(dataset, "train", args.data).shape[1:]
     cfg = parse_config(args.config).resolved(shape)
     lines: list[str] = []
     flow = pretrain(dataset, cfg, log=lines.append)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, flow.store)
-    _write_log(str(out) + ".log", lines)
-    echo_config(cfg, out.parent)
-    print(f"pretrained prior saved to {out} ({len(lines)} epochs)")
+    _save_run("pretrained prior", args.out, flow.store, lines, cfg)
     return 0
 
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
-    shape = dataset.train.shape[1:]
-    cfg = parse_config(args.config).resolved(shape, args.task).validate()
+    shape = _split(dataset, "train", args.data).shape[1:]
+    cfg = parse_config(args.config).resolved(shape, args.task)
     pretrained = None
     if args.pretrained is not None:
         pretrained = FlowModel(shape, cfg.L, cfg.D, cfg.hidden, ParamStore())
         _restore(pretrained.store, [pretrained], args.pretrained)
     lines: list[str] = []
     net = train_unrolled(dataset, cfg, pretrained, log=lines.append)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, net.store)
-    _write_log(str(out) + ".log", lines)
-    echo_config(cfg, out.parent)
-    print(f"unrolled net saved to {out} ({len(lines)} epochs)")
+    _save_run("unrolled net", args.out, net.store, lines, cfg)
     return 0
 
 
-def _check_image_shape(cfg: TrainConfig, shape, what: str) -> None:
+def _expect_shape(cfg: TrainConfig, shape, what: str) -> None:
     expected = (cfg.channels, cfg.height, cfg.width)
     if tuple(shape) != expected:
         raise DataError(
@@ -448,7 +446,7 @@ def _check_image_shape(cfg: TrainConfig, shape, what: str) -> None:
 def cmd_reconstruct(args) -> int:
     x_in = load_image(args.input)
     cfg = parse_config(args.config).resolved(task=args.task)
-    _check_image_shape(cfg, x_in.shape, f"input image {args.input}")
+    _expect_shape(cfg, x_in.shape, f"input image {args.input}")
     net = _load_net(cfg, x_in.shape, args.model)
     op = _operator(cfg, x_in.shape)
     if args.measure:
@@ -470,12 +468,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
-    if dataset.test.size == 0:
-        raise DataError(f"{args.data} has an empty test split")
-    test = dataset.test
+    test = _split(dataset, "test", args.data)
     shape = test.shape[1:]
     cfg = parse_config(args.config).resolved(task=args.task)
-    _check_image_shape(cfg, shape, f"test split of {args.data}")
+    _expect_shape(cfg, shape, f"test split of {args.data}")
     net = _load_net(cfg, shape, args.model)
     op = _operator(cfg, shape)
     ids = dataset.ids["test"] if dataset.ids else list(range(len(test)))
@@ -511,142 +507,20 @@ def cmd_eval(args) -> int:
 # -- self test ----------------------------------------------------------------------
 
 
-def _check_flow_round_trip(tol_inv):
-    model = FlowModel((1, 16, 16), 2, 4, 16, ParamStore())
-    model.randomize(Prng(0x5E1F01), scale=0.05)
-    rng = Prng(0x5E1F02)
-    x = rng.gauss_array((100, 1, 16, 16))
-    z, _, _ = model.forward_batch(x)
-    back, _ = model.inverse_batch(z)
-    err = float(np.max(np.abs(back - x)))
-    return err < tol_inv, f"max round-trip error {err:.3g}"
-
-
-def _check_logdet():
-    model = FlowModel((3, 2, 2), 1, 2, 8, ParamStore())
-    model.randomize(Prng(0x5E1F03), scale=0.1)
-    x = Prng(0x5E1F04).gauss_array((1, 3, 2, 2))
-    _, ld, _ = model.forward_batch(x)
-    h = 1e-5
-    flat = x.ravel()
-    cols = []
-    for j in range(12):
-        xp, xm = flat.copy(), flat.copy()
-        xp[j] += h
-        xm[j] -= h
-        zp, _, _ = model.forward_batch(xp.reshape(x.shape))
-        zm, _, _ = model.forward_batch(xm.reshape(x.shape))
-        cols.append((zp[0] - zm[0]) / (2 * h))
-    _, ld_num = np.linalg.slogdet(np.stack(cols, axis=1))
-    err = abs(float(ld[0]) - ld_num)
-    return err < 1e-6, f"analytic vs numeric log-det differ by {err:.3g}"
-
-
-def _check_adjoints():
-    shape = (1, 16, 16)
-    rng = Prng(0x5E1F05)
-    worst = 0.0
-    for op in (
-        Identity(shape),
-        operator_for_task("inpaint", shape),
-        operator_for_task("deblur", shape, sigma_b=1.0),
-    ):
-        for _ in range(50):
-            u = rng.gauss_array(shape)
-            v = rng.gauss_array(shape)
-            worst = max(worst, abs(float((op.apply(u) * v).sum()) - float((u * op.adjoint(v)).sum())))
-    return worst < 1e-8, f"worst adjoint dot-test error {worst:.3g}"
-
-
-def _check_prox():
-    z = np.array([1.3, -0.7])
-    lam = 0.7
-    grid = np.arange(-3.0, 3.0 + 1e-12, 0.01)
-    u0, u1 = np.meshgrid(grid, grid, indexing="ij")
-    obj = 0.5 * ((u0 - z[0]) ** 2 + (u1 - z[1]) ** 2) + 0.5 * lam * (u0**2 + u1**2)
-    i, j = np.unravel_index(np.argmin(obj), obj.shape)
-    err = float(np.max(np.abs(np.array([grid[i], grid[j]]) - prox_shrink(z, lam))))
-    return err <= 0.01, f"prox vs grid argmin differ by {err:.3g}"
-
-
-def _check_landweber():
-    shape = (1, 16, 16)
-    rng = Prng(0x5E1F06)
-    net = UnrolledNet(shape, 3, 2, 1, 4)
-    mus = [0.4, 0.6, 0.5]
-    rhos = [-2.0, -1.5, -2.5]
-    for fold, mu, rho in zip(net.folds, mus, rhos):
-        fold.mu.value[...] = mu
-        fold.rho.value[...] = rho
-    op = operator_for_task("inpaint", shape)
-    y = rng.gauss_array(shape)
-    x = np.zeros(shape)
-    lams = [fold.lam for fold in net.folds]
-    for k in range(3):
-        x = x + mus[k] * op.adjoint(y - op.apply(x))
-        if k < 2:
-            x = x / (1.0 + lams[k])
-    err = float(np.max(np.abs(reconstruct(net, y, op) - x)))
-    return err < 1e-10, f"identity-flow net vs Landweber differ by {err:.3g}"
-
-
-def _check_grad(tol_grad):
-    net = UnrolledNet((1, 8, 8), 2, 2, 1, 4)
-    rng = Prng(0x5E1F07)
-    for fold in net.folds:
-        fold.flow.randomize(rng, scale=0.05)
-    op = operator_for_task("inpaint", (1, 8, 8))
-    x_true = rng.gauss_array((2, 1, 8, 8)) * 0.3
-    y = op.apply(x_true) + 0.05 * rng.gauss_array((2, 1, 8, 8))
-
-    def f(store):
-        x_hat, pipe = net.reconstruct_batch_grad(y, op)
-        diff = x_hat - x_true
-        net.reconstruct_backward(pipe, 2.0 * diff / diff.size)
-        return float((diff * diff).mean())
-
-    # eps at the small end so the difference quotient carries its natural
-    # roundoff floor (~1e-11); tolerances below that floor must fail
-    err = grad_check(f, net.store, 64, eps=1e-7)
-    return err < tol_grad, f"max relative gradient error {err:.3g}"
-
-
-def _check_adam():
-    store = ParamStore()
-    p = store.add("w", np.array(1.0))
-    state = AdamState(store)
-    ours = []
-    for _ in range(3):
-        p.grad[...] = p.value  # gradient of 0.5 w^2
-        adam_update(store, state, {"*": 0.1})
-        ours.append(float(p.value))
-    # independent scalar recurrence
-    w, m, v = 1.0, 0.0, 0.0
-    expect = []
-    for t in range(1, 4):
-        g = w
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        w -= 0.1 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        expect.append(w)
-    err = max(abs(a - b) for a, b in zip(ours, expect))
-    return err < 1e-12, f"Adam sequence differs from recurrence by {err:.3g}"
-
-
 def cmd_selftest(args) -> int:
-    checks = [
-        ("flow-round-trip", lambda: _check_flow_round_trip(args.tol_inv)),
-        ("logdet-vs-jacobian", _check_logdet),
-        ("operator-adjoints", _check_adjoints),
-        ("prox-grid-oracle", _check_prox),
-        ("landweber-equivalence", _check_landweber),
-        ("end-to-end-gradients", lambda: _check_grad(args.tol_grad)),
-        ("adam-recurrence", _check_adam),
+    suite = [
+        ("flow-round-trip", lambda: checks.flow_round_trip(args.tol_inv)),
+        ("logdet-vs-jacobian", checks.logdet_vs_jacobian),
+        ("operator-adjoints", checks.operator_adjoints),
+        ("prox-grid-oracle", checks.prox_grid_oracle),
+        ("landweber-equivalence", checks.landweber_equivalence),
+        ("end-to-end-gradients", lambda: checks.gradients(args.tol_grad)),
+        ("adam-recurrence", checks.adam_recurrence),
     ]
     failed = []
-    for name, fn in checks:
+    for name, check in suite:
         t0 = time.monotonic()
-        ok, detail = fn()
+        ok, detail = check()
         status = "PASS" if ok else "FAIL"
         print(f"{status} {name}: {detail} ({time.monotonic() - t0:.2f}s)")
         if not ok:

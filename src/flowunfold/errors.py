@@ -31,3 +31,7 @@ class DataError(FlowUnfoldError):
 
 class GradCheckError(FlowUnfoldError):
     """Gradient checking hit a non-finite objective value."""
+
+
+class TrainingError(FlowUnfoldError):
+    """Training produced a non-finite loss."""

@@ -23,7 +23,6 @@ import numpy as np
 from .diff import ParamStore
 from .errors import ConfigError, ShapeError
 from .flow import FlowModel
-from .numerics import Prng
 from .operators import ForwardOp
 
 __all__ = ["Fold", "UnrolledNet", "dc_step", "prox_shrink", "reconstruct"]
@@ -43,10 +42,8 @@ def _sigmoid(x: float) -> float:
 class Fold:
     """One unrolled iteration: a flow prior plus (mu, rho) scalars."""
 
-    def __init__(self, shape, levels, depth, hidden, store, prefix, init, rng):
-        self.flow = FlowModel(
-            shape, levels, depth, hidden, store, prefix=prefix, init=init, rng=rng
-        )
+    def __init__(self, shape, levels, depth, hidden, store, prefix):
+        self.flow = FlowModel(shape, levels, depth, hidden, store, prefix=prefix)
         self.mu = store.add(prefix + ".mu", np.array(MU_INIT))
         self.rho = store.add(prefix + ".rho", np.array(math.log(math.expm1(LAMBDA_INIT))))
 
@@ -59,23 +56,14 @@ class UnrolledNet:
     """K folds of identical architecture with independent parameters."""
 
     def __init__(
-        self,
-        shape: tuple[int, int, int],
-        folds: int,
-        levels: int,
-        depth: int,
-        hidden: int,
-        store: ParamStore | None = None,
-        init: str = "identity",
-        rng: Prng | None = None,
+        self, shape: tuple[int, int, int], folds: int, levels: int, depth: int, hidden: int
     ):
         if folds < 1:
             raise ConfigError(f"need at least 1 fold, got {folds}")
         self.shape = tuple(shape)
-        self.store = store if store is not None else ParamStore()
+        self.store = ParamStore()
         self.folds = [
-            Fold(shape, levels, depth, hidden, self.store, f"fold{k}", init, rng)
-            for k in range(folds)
+            Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(folds)
         ]
 
     @property

