@@ -284,7 +284,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def restore_into(store: ParamStore, entries: dict[str, np.ndarray], origin="checkpoint") -> None:
-    """Copy loaded entries into a store; names and shapes must match exactly."""
+    """Copy loaded entries into a store; names and shapes must match exactly
+    and every value must be finite."""
     want = set(store.names())
     have = set(entries)
     if want != have:
@@ -294,12 +295,15 @@ def restore_into(store: ParamStore, entries: dict[str, np.ndarray], origin="chec
             f"{origin} does not match the model: missing {missing[:4]}, unexpected {extra[:4]}"
         )
     for name, value in entries.items():
-        p = store[name]
-        if p.value.shape != value.shape:
+        expected = store[name].value.shape
+        if value.shape != expected:
             raise CheckpointError(
-                f"{origin} entry {name}: shape {value.shape}, model expects {p.value.shape}"
+                f"{origin} entry {name}: shape {value.shape}, model expects {expected}"
             )
-        p.value[...] = value
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"{origin} entry {name}: holds non-finite values")
+    for name, value in entries.items():
+        store[name].value[...] = value
 
 
 # -- configuration ---------------------------------------------------------------

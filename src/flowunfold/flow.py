@@ -131,16 +131,28 @@ class ActNorm:
 
 class InvConv1x1:
     """Channel-mixing y = W x per pixel, a trainable generalization of a
-    channel permutation; inverted on demand via pivoted LU."""
+    channel permutation; inverted via pivoted LU once per weight value."""
 
     def __init__(self, channels: int, store: ParamStore, prefix: str):
         self.channels = channels
         self.weight = store.add(prefix + ".weight", np.eye(channels))
+        self._cached = None  # (weight copy, det, inverse)
+
+    def _det_inv(self):
+        """det and inverse of the current weight, recomputed only when its
+        value differs from the cached copy.  Comparing values, rather than
+        hooking each writer (Adam, restores, direct writes), stays right
+        whatever changes the weight; a singular weight raises before it is
+        cached, so it raises on every call."""
+        w = self.weight.value
+        if self._cached is None or not np.array_equal(self._cached[0], w):
+            det, inv = small_det_inv(w)
+            self._cached = (w.copy(), det, inv)
+        return self._cached[1], self._cached[2]
 
     def forward(self, x):
-        w = self.weight.value
-        det, inv = small_det_inv(w)
-        y = np.einsum("oi,bihw->bohw", w, x)
+        det, inv = self._det_inv()
+        y = np.einsum("oi,bihw->bohw", self.weight.value, x)
         hw = x.shape[2] * x.shape[3]
         ld = np.full(x.shape[0], hw * math.log(abs(det)))
         return y, ld, (x, inv, hw)
@@ -152,7 +164,7 @@ class InvConv1x1:
         return np.einsum("oi,bohw->bihw", self.weight.value, gy)
 
     def inverse(self, y):
-        _, inv = small_det_inv(self.weight.value)
+        _, inv = self._det_inv()
         x = np.einsum("io,bohw->bihw", inv, y)
         return x, (x, inv)
 

@@ -106,27 +106,28 @@ def derive_seed(base: int, *words: int) -> int:
 
 
 # Cache of wrap-around gather indices keyed by (H, W, kh, kw).
-_IDX_CACHE: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+_IDX_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
-def _circular_indices(h: int, w: int, kh: int, kw: int):
+def _circular_indices(h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """(kh*kw, H*W) flat offsets rows[dr, r]*W + cols[dc, c] of the wrapped
+    taps, ordered (dr, dc) by (r, c)."""
     key = (h, w, kh, kw)
-    cached = _IDX_CACHE.get(key)
-    if cached is None:
+    idx = _IDX_CACHE.get(key)
+    if idx is None:
         rows = (np.arange(h)[None, :] + np.arange(kh)[:, None] - kh // 2) % h
         cols = (np.arange(w)[None, :] + np.arange(kw)[:, None] - kw // 2) % w
-        cached = (rows, cols)
-        _IDX_CACHE[key] = cached
-    return cached
+        idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(kh * kw, h * w)
+        _IDX_CACHE[key] = idx
+    return idx
 
 
 def _gather_patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(B, Cin, H, W) -> (B, Cin*kh*kw, H*W) with circular boundary."""
     b, cin, h, w = x.shape
-    rows, cols = _circular_indices(h, w, kh, kw)
-    # (B, Cin, kh, H, kw, W) -> (B, Cin*kh*kw, H*W)
-    patches = x[:, :, rows[:, :, None, None], cols[None, None, :, :]]
-    return patches.transpose(0, 1, 2, 4, 3, 5).reshape(b, cin * kh * kw, h * w)
+    idx = _circular_indices(h, w, kh, kw)
+    patches = np.take(x.reshape(b, cin, h * w), idx, axis=2)  # (B, Cin, kh*kw, H*W)
+    return patches.reshape(b, cin * kh * kw, h * w)
 
 
 def conv2d_circular(
@@ -160,21 +161,17 @@ def conv2d_circular(
     return out[0] if squeeze else out
 
 
-def conv2d_circular_backward(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    gout: np.ndarray,
-    patches: np.ndarray | None = None,
-):
+def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray):
     """Reverse-mode rule for :func:`conv2d_circular` on batched input.
 
-    Returns (gx, gkernel, gbias) for cotangent ``gout`` of the output.
-    ``patches`` may pass the forward gather back in to avoid recomputing it.
+    Returns (gx, gkernel, gbias) for cotangent ``gout`` of the output.  The
+    input patches are gathered again rather than kept from the forward pass:
+    with the cached index the gather is cheap, and keeping them would hold
+    every coupling conv's im2col matrix in the reverse-sweep record.
     """
     b, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
-    if patches is None:
-        patches = _gather_patches(x, kh, kw)
+    patches = _gather_patches(x, kh, kw)
     gout_mat = gout.reshape(b, cout, h * w)
     gbias = gout_mat.sum(axis=(0, 2))
     gkernel = np.einsum("boq,bpq->op", gout_mat, patches).reshape(kernel.shape)
@@ -188,16 +185,17 @@ def conv2d_circular_backward(
 def small_det_inv(m: np.ndarray):
     """Determinant and inverse of a small square matrix via pivoted LU.
 
-    Raises :class:`SingularMatrixError` when |det| < 1e-12, which signals an
-    invalid flow state upstream.
+    Raises :class:`SingularMatrixError` when |det| < 1e-12 or det is not
+    finite, which signals an invalid flow state upstream.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"small_det_inv: expected square matrix, got {m.shape}")
     det = float(np.linalg.det(m))
-    if abs(det) < 1e-12:
+    if not math.isfinite(det) or abs(det) < 1e-12:
         raise SingularMatrixError(
-            f"matrix of size {m.shape[0]} is numerically singular (det={det:.3e})"
+            f"matrix of size {m.shape[0]} is numerically singular or not finite "
+            f"(det={det:.3e})"
         )
     inverse = np.linalg.inv(m)
     return det, inverse

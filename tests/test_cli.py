@@ -175,6 +175,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="shape"):
             restore_into(store, entries)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_restore_rejects_non_finite_values(self, bad):
+        store = _sample_store()
+        before = store.snapshot()
+        entries = {p.name: p.value + 1.0 for p in store}
+        entries["w.block"][1, 0, 0] = bad
+        with pytest.raises(CheckpointError, match="w.block"):
+            restore_into(store, entries)
+        for p in store:
+            assert np.array_equal(p.value, before[p.name])
+
 
 class TestConfig:
     def test_parse_values_and_comments(self, tmp_path):
@@ -454,6 +465,22 @@ class TestCommands:
                    "--report", str(pipeline.root / "padded" / "report.csv")])
         assert rc == 1
         assert "trailing bytes" in capsys.readouterr().err
+
+    def test_eval_rejects_a_nan_parameter(self, pipeline, capsys):
+        entries = load_checkpoint(pipeline.net)
+        entries["fold0.level0.step0.invconv.weight"][0, 0] = np.nan
+        store = ParamStore()
+        for name, value in entries.items():
+            store.add(name, value)
+        ckpt = pipeline.root / "nan.ckpt"
+        save_checkpoint(ckpt, store)
+        report = pipeline.root / "nan" / "report.csv"
+        rc = main(["eval", "--model", str(ckpt), "--data", str(pipeline.data),
+                   "--task", "denoise", "--config", str(pipeline.resolved),
+                   "--report", str(report)])
+        assert rc == 1
+        assert "fold0.level0.step0.invconv.weight" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_prior_of_another_shape_names_the_model_shape(self, pipeline, capsys):
         color = pipeline.root / "color"

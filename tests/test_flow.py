@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import flowunfold.flow
 from flowunfold.checks import numeric_logdet
+from flowunfold.cli import restore_into
 from flowunfold.diff import ParamStore, grad_check, zero_grads
 from flowunfold.errors import ConfigError, ShapeError, SingularMatrixError
 from flowunfold.flow import (
@@ -17,7 +19,10 @@ from flowunfold.flow import (
     squeeze,
     unsqueeze,
 )
-from flowunfold.numerics import Prng
+from flowunfold.numerics import Prng, small_det_inv
+from flowunfold.operators import GaussianBlur
+from flowunfold.train import AdamState, adam_update
+from flowunfold.unfold import UnrolledNet, reconstruct
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -415,3 +420,81 @@ class TestGradients:
         zero_grads(model.store)
         total = sum(float(np.abs(p.grad).sum()) for p in model.store)
         assert total == 0.0
+
+
+def _twin(model, rng):
+    """A randomized model of the same architecture."""
+    return _random_model(model.shape, model.levels, model.depth, model.hidden, rng.next_u64())
+
+
+def _adam_step(model, rng):
+    for p in model.store:
+        p.grad[...] = rng.gauss_array(p.value.shape)
+    adam_update(model.store, AdamState(model.store), {"*": 1e-2})
+
+
+def _direct_write(model, rng):
+    model._level_steps[0][0].invconv.weight.value[0, 1] += 0.25
+
+
+_WEIGHT_CHANGES = {
+    "adam_update": _adam_step,
+    "store.restore": lambda model, rng: model.store.restore(_twin(model, rng).store.snapshot()),
+    "restore_into": lambda model, rng: restore_into(
+        model.store, {p.name: p.value for p in _twin(model, rng).store}),
+    "copy_state_from": lambda model, rng: model.copy_state_from(_twin(model, rng)),
+    "randomize": lambda model, rng: model.randomize(rng),
+    "direct write": _direct_write,
+}
+
+
+class TestInvConvCache:
+    @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
+    def test_every_weight_change_is_seen(self, change):
+        model = _random_model((1, 4, 4), 1, 1, 4, seed=0x1C2)
+        layer = model._level_steps[0][0].invconv
+        rng = Prng(0x1C3)
+        x = rng.gauss_array((2, 4, 2, 2))
+        layer.forward(x)
+        layer.inverse(x)
+        before = layer.weight.value.copy()
+        _WEIGHT_CHANGES[change](model, rng)
+        assert not np.array_equal(before, layer.weight.value)
+        det, inv = small_det_inv(layer.weight.value)
+        _, ld, _ = layer.forward(x)
+        assert np.array_equal(ld, np.full(2, 4 * math.log(abs(det))))
+        back, _ = layer.inverse(x)
+        assert np.array_equal(back, np.einsum("io,bohw->bihw", inv, x))
+
+    def test_cached_weight_is_a_copy(self):
+        layer = InvConv1x1(3, ParamStore(), "iv")
+        layer.forward(np.zeros((1, 3, 2, 2)))
+        assert not np.shares_memory(layer._cached[0], layer.weight.value)
+
+    def test_singular_weight_raises_on_every_call(self):
+        layer = InvConv1x1(2, ParamStore(), "iv")
+        layer.weight.value[...] = [[1.0, 1.0], [1.0, 1.0]]
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                layer.forward(np.zeros((1, 2, 2, 2)))
+            with pytest.raises(SingularMatrixError):
+                layer.inverse(np.zeros((1, 2, 2, 2)))
+
+    def test_one_det_inverse_per_layer_with_fixed_weights(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return small_det_inv(m)
+
+        monkeypatch.setattr(flowunfold.flow, "small_det_inv", counted)
+        net = UnrolledNet((1, 16, 16), 3, 2, 4, 16)
+        for fold in net.folds:
+            fold.flow.randomize(Prng(0x1C4))
+        op = GaussianBlur((1, 16, 16), 1.0, 3)
+        y = Prng(0x1C5).gauss_array((1, 16, 16))
+        reconstruct(net, y, op)
+        assert len(calls) <= 3 * 2 * 4  # one per InvConv1x1 of K=3, L=2, D=4
+        first = len(calls)
+        reconstruct(net, y, op)
+        assert len(calls) == first

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowunfold.errors import ShapeError, SingularMatrixError
 from flowunfold.numerics import (
     Prng,
+    _gather_patches,
     conv2d_circular,
     conv2d_circular_backward,
     derive_seed,
@@ -152,6 +155,61 @@ class TestConv2dCircular:
                 assert abs(num - grad.reshape(-1)[idx]) < 1e-6
 
 
+def _fancy_index_gather(x, kh, kw):
+    """Reference im2col: one fancy index per (row, col) tap, then transpose."""
+    b, cin, h, w = x.shape
+    rows = (np.arange(h)[None, :] + np.arange(kh)[:, None] - kh // 2) % h
+    cols = (np.arange(w)[None, :] + np.arange(kw)[:, None] - kw // 2) % w
+    patches = x[:, :, rows[:, :, None, None], cols[None, None, :, :]]
+    return patches.transpose(0, 1, 2, 4, 3, 5).reshape(b, cin * kh * kw, h * w)
+
+
+def _roll_conv(x, kernel, bias):
+    """conv2d_circular's definition summed tap by tap over np.roll shifts."""
+    cout, _, kh, kw = kernel.shape
+    out = np.zeros((x.shape[0], cout) + x.shape[2:]) + bias[None, :, None, None]
+    for dr in range(-(kh // 2), kh // 2 + 1):
+        for dc in range(-(kw // 2), kw // 2 + 1):
+            shifted = np.roll(x, (-dr, -dc), axis=(2, 3))
+            tap = kernel[:, :, dr + kh // 2, dc + kw // 2]
+            out += np.einsum("oi,bihw->bohw", tap, shifted)
+    return out
+
+
+_gather_cases = given(
+    batch=st.sampled_from([1, 3]),
+    cin=st.sampled_from([1, 3]),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    k=st.sampled_from([3, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestGatherPatches:
+    # each test's examples put a 7x7 kernel on an image narrower than it,
+    # whose taps wrap around more than once
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @_gather_cases
+    @example(batch=1, cin=1, h=4, w=4, k=7, seed=1)
+    @example(batch=3, cin=3, h=2, w=6, k=7, seed=2)
+    def test_bitwise_equal_to_fancy_index_gather(self, batch, cin, h, w, k, seed):
+        x = Prng(seed).gauss_array((batch, cin, h, w))
+        assert np.array_equal(_gather_patches(x, k, k), _fancy_index_gather(x, k, k))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @_gather_cases
+    @example(batch=1, cin=1, h=4, w=4, k=7, seed=1)
+    @example(batch=3, cin=3, h=2, w=6, k=7, seed=2)
+    def test_conv_matches_roll_sum(self, batch, cin, h, w, k, seed):
+        rng = Prng(seed)
+        x = rng.gauss_array((batch, cin, h, w))
+        kernel = rng.gauss_array((2, cin, k, k))
+        bias = rng.gauss_array(2)
+        ref = _roll_conv(x, kernel, bias)
+        assert np.max(np.abs(conv2d_circular(x, kernel, bias) - ref)) < 1e-12
+
+
 class TestSmallDetInv:
     def test_identity(self):
         det, inv = small_det_inv(np.eye(3))
@@ -178,6 +236,14 @@ class TestSmallDetInv:
 
     def test_singular_raises(self):
         m = np.ones((3, 3))
+        with pytest.raises(SingularMatrixError):
+            small_det_inv(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_non_finite_raises(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
         with pytest.raises(SingularMatrixError):
             small_det_inv(m)
 
