@@ -283,22 +283,26 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return entries
 
 
-def restore_into(store: ParamStore, entries: dict[str, np.ndarray], origin="checkpoint") -> None:
+def restore_into(
+    store: ParamStore, entries: dict[str, np.ndarray], origin="checkpoint", hint=""
+) -> None:
     """Copy loaded entries into a store; names and shapes must match exactly
-    and every value must be finite."""
+    and every value must be finite.  ``hint`` is appended to a name or shape
+    mismatch, the one error a model built for other data explains."""
     want = set(store.names())
     have = set(entries)
     if want != have:
         missing = sorted(want - have)
         extra = sorted(have - want)
         raise CheckpointError(
-            f"{origin} does not match the model: missing {missing[:4]}, unexpected {extra[:4]}"
+            f"{origin} does not match the model: missing {missing[:4]}, "
+            f"unexpected {extra[:4]}{hint}"
         )
     for name, value in entries.items():
         expected = store[name].value.shape
         if value.shape != expected:
             raise CheckpointError(
-                f"{origin} entry {name}: shape {value.shape}, model expects {expected}"
+                f"{origin} entry {name}: shape {value.shape}, model expects {expected}{hint}"
             )
         if not np.isfinite(value).all():
             raise CheckpointError(f"{origin} entry {name}: holds non-finite values")
@@ -351,13 +355,9 @@ def echo_config(cfg: TrainConfig, dirpath) -> None:
 def _restore(store: ParamStore, flows, ckpt_path) -> None:
     """Load a checkpoint into a freshly built model whose flows are
     ``flows``, then mark their actnorms initialized."""
-    try:
-        restore_into(store, load_checkpoint(ckpt_path), origin=str(ckpt_path))
-    except CheckpointError as exc:
-        raise CheckpointError(
-            f"{exc} (model built for image shape {flows[0].shape}; "
-            f"check that the checkpoint was trained at this size)"
-        ) from None
+    hint = (f" (model built for image shape {flows[0].shape}; "
+            f"check that the checkpoint was trained at this size)")
+    restore_into(store, load_checkpoint(ckpt_path), origin=str(ckpt_path), hint=hint)
     for flow in flows:
         flow.mark_initialized()
 

@@ -129,6 +129,13 @@ class ActNorm:
         return gy
 
 
+def _channel_outer(gy, x):
+    """sum over batch and pixels of gy[b, o] x[b, i]: one batched matmul on
+    (B, C, H*W) views, which numpy hands to BLAS where einsum would not."""
+    b, c = x.shape[:2]
+    return np.matmul(gy.reshape(b, c, -1), x.reshape(b, c, -1).transpose(0, 2, 1)).sum(0)
+
+
 class InvConv1x1:
     """Channel-mixing y = W x per pixel, a trainable generalization of a
     channel permutation; inverted via pivoted LU once per weight value."""
@@ -159,7 +166,7 @@ class InvConv1x1:
 
     def backward(self, ctx, gy, gld):
         x, inv, hw = ctx
-        self.weight.grad += np.einsum("bohw,bihw->oi", gy, x)
+        self.weight.grad += _channel_outer(gy, x)
         self.weight.grad += hw * float(gld.sum()) * inv.T
         return np.einsum("oi,bohw->bihw", self.weight.value, gy)
 
@@ -171,7 +178,7 @@ class InvConv1x1:
     def inverse_backward(self, ctx, gx):
         x, inv = ctx
         gy = np.einsum("io,bihw->bohw", inv, gx)
-        self.weight.grad += -np.einsum("bohw,bihw->oi", gy, x)
+        self.weight.grad -= _channel_outer(gy, x)
         return gy
 
 

@@ -4,6 +4,16 @@ small-matrix linear algebra, Gaussian kernels.
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 and row-major
 layout throughout the package; signals are C x H x W, batches B x C x H x W.
 All operations here are pure functions of their inputs.
+
+The circular convolution is im2col: one ``np.take`` over a cached flat index
+gathers every wrapped tap of the input, and one matmul applies the kernel.
+Its reverse rule gathers only the thinner of its two sides, because the
+gather, not the matmul, is what costs: the output cotangent at the mirrored
+taps when it has at most twice the input's channels (a coupling's second
+conv, hidden -> C), otherwise the input as the forward pass does, with the
+input gradient put back by a col2im ``np.take`` (a coupling's first conv,
+C/2 -> hidden).  The forward pass keeps its own gather, so inference does the
+same arithmetic whichever side the reverse rule picks.
 """
 
 from __future__ import annotations
@@ -105,20 +115,33 @@ def derive_seed(base: int, *words: int) -> int:
     return int(h)
 
 
-# Cache of wrap-around gather indices keyed by (H, W, kh, kw).
-_IDX_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
+# Cache of wrap-around gather indices keyed by (H, W, kh, kw, direction):
+# direction 1 is the forward taps, -1 the mirrored taps, "col2im" the mirrored
+# taps offset into a tap-major (kh*kw*H*W) row.
+_IDX_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _circular_indices(h: int, w: int, kh: int, kw: int) -> np.ndarray:
+def _circular_indices(h: int, w: int, kh: int, kw: int, sign: int = 1) -> np.ndarray:
     """(kh*kw, H*W) flat offsets rows[dr, r]*W + cols[dc, c] of the wrapped
-    taps, ordered (dr, dc) by (r, c)."""
-    key = (h, w, kh, kw)
+    taps, ordered (dr, dc) by (r, c); ``sign=-1`` flips each tap offset."""
+    key = (h, w, kh, kw, sign)
     idx = _IDX_CACHE.get(key)
     if idx is None:
-        rows = (np.arange(h)[None, :] + np.arange(kh)[:, None] - kh // 2) % h
-        cols = (np.arange(w)[None, :] + np.arange(kw)[:, None] - kw // 2) % w
+        rows = (np.arange(h)[None, :] + sign * (np.arange(kh)[:, None] - kh // 2)) % h
+        cols = (np.arange(w)[None, :] + sign * (np.arange(kw)[:, None] - kw // 2)) % w
         idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(kh * kw, h * w)
         _IDX_CACHE[key] = idx
+    return idx
+
+
+def _col2im_indices(h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """(kh*kw, H*W) indices t*H*W + mirrored offset into a tap-major row, so
+    one ``np.take`` moves every tap's column back to the pixel it came from."""
+    key = (h, w, kh, kw, "col2im")
+    idx = _IDX_CACHE.get(key)
+    if idx is None:
+        taps = np.arange(kh * kw)[:, None] * (h * w)
+        idx = _IDX_CACHE[key] = taps + _circular_indices(h, w, kh, kw, -1)
     return idx
 
 
@@ -164,22 +187,42 @@ def conv2d_circular(
 def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray):
     """Reverse-mode rule for :func:`conv2d_circular` on batched input.
 
-    Returns (gx, gkernel, gbias) for cotangent ``gout`` of the output.  The
-    input patches are gathered again rather than kept from the forward pass:
-    with the cached index the gather is cheap, and keeping them would hold
-    every coupling conv's im2col matrix in the reverse-sweep record.
+    Returns (gx, gkernel, gbias) for cotangent ``gout`` of the output.  Each
+    call gathers only its thinner side, so it moves min(Cout, 2*Cin) * kh*kw
+    rows of H*W through ``np.take``, not the (Cin + Cout) * kh*kw of gathering
+    both sides:
+
+    * Cout <= 2*Cin: ``gout`` is gathered at the mirrored tap offsets into
+      G (B, Cout*kh*kw, H*W).  Then gx = K^T G, a plain matmul with the
+      kernel laid out (Cin, Cout*kh*kw), and gkernel = sum_b G_b x_b^T; x is
+      never gathered.
+    * otherwise: x is gathered as the forward pass does, into P, and
+      gkernel = sum_b gout_b P_b^T.  gx is col2im: Z = K^T gout has one
+      (Cin, tap) row per tap, and one ``np.take`` over a cached flat index
+      moves each tap's row back by its offset before the taps are summed.
+
+    The forward patches are not kept from the forward pass: with the cached
+    index the gather is cheap, and keeping them would hold every coupling
+    conv's im2col matrix in the reverse-sweep record.
     """
     b, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
-    patches = _gather_patches(x, kh, kw)
-    gout_mat = gout.reshape(b, cout, h * w)
+    taps, hw = kh * kw, h * w
+    gout_mat = gout.reshape(b, cout, hw)
     gbias = gout_mat.sum(axis=(0, 2))
-    gkernel = np.einsum("boq,bpq->op", gout_mat, patches).reshape(kernel.shape)
-    # Input gradient is a circular convolution with the channel-transposed,
-    # spatially flipped kernel (exact for odd kernel dims).
-    kt = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    gx = conv2d_circular(gout, np.ascontiguousarray(kt), np.zeros(cin))
-    return gx, gkernel, gbias
+    if cout <= 2 * cin:
+        g = np.take(gout_mat, _circular_indices(h, w, kh, kw, -1), axis=2)
+        g = g.reshape(b, cout * taps, hw)
+        gx = kernel.transpose(1, 0, 2, 3).reshape(cin, cout * taps) @ g
+        gk = np.matmul(g, x.reshape(b, cin, hw).transpose(0, 2, 1)).sum(0)
+        gkernel = gk.reshape(cout, taps, cin).transpose(0, 2, 1).reshape(kernel.shape)
+    else:
+        patches = _gather_patches(x, kh, kw)
+        gkernel = np.matmul(gout_mat, patches.transpose(0, 2, 1)).sum(0).reshape(kernel.shape)
+        z = kernel.reshape(cout, cin * taps).T @ gout_mat  # (B, Cin*kh*kw, H*W)
+        cols = np.take(z.reshape(b, cin, taps * hw), _col2im_indices(h, w, kh, kw), axis=2)
+        gx = cols.sum(axis=2)
+    return gx.reshape(b, cin, h, w), gkernel, gbias
 
 
 def small_det_inv(m: np.ndarray):

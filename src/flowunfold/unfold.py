@@ -78,10 +78,11 @@ class UnrolledNet:
 
     # -- forward --------------------------------------------------------------
 
-    def initial_guess(self, batch: int = 1):
+    def initial_guess(self):
         """The prior's most likely image, fold 0's inverse at the zero latent:
-        ``(x0, ctx)`` with x0 of shape (batch, C, H, W)."""
-        return self.folds[0].flow.inverse_batch(np.zeros((batch, self.folds[0].flow.n)))
+        ``(x0, ctx)`` with x0 of shape (1, C, H, W).  It is the same for every
+        measurement, so a batch broadcasts this one row."""
+        return self.folds[0].flow.inverse_batch(np.zeros((1, self.folds[0].flow.n)))
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
         """Pure batched reconstruction, (B, C, H, W) measurements in and out."""
@@ -98,7 +99,8 @@ class UnrolledNet:
         """The fold loop.  With a ``steps`` list each fold appends what the
         reverse sweep needs; with None every context is dropped as soon as
         its fold is done, so memory does not grow with the fold count."""
-        x, ctx_init = self.initial_guess(y.shape[0])
+        x0, ctx_init = self.initial_guess()
+        x = np.broadcast_to(x0, y.shape)
         if steps is None:
             ctx_init = None
         last = self.k - 1
@@ -137,9 +139,10 @@ class UnrolledNet:
             fold.mu.grad += float((g_xt * atr).sum())
             # d xt / d x_in = I - mu A^T A, symmetric
             g_x = g_xt - fold.mu.item() * op.adjoint(op.apply(g_xt))
-        # initial-guess path: x0 = g_0(0); gradient flows only into fold 0's
-        # flow parameters.
-        self.folds[0].flow.backward_inverse(ctx_init, g_x)
+        # initial-guess path: x0 = g_0(0), one row broadcast over the batch, so
+        # its cotangent is the batch sum; it flows only into fold 0's flow
+        # parameters.
+        self.folds[0].flow.backward_inverse(ctx_init, g_x.sum(axis=0, keepdims=True))
 
 
 # -- module-level operations ----------------------------------------------------

@@ -464,7 +464,8 @@ class TestCommands:
                    "--task", "denoise", "--config", str(pipeline.resolved),
                    "--report", str(pipeline.root / "padded" / "report.csv")])
         assert rc == 1
-        assert "trailing bytes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "trailing bytes" in err and "trained at this size" not in err
 
     def test_eval_rejects_a_nan_parameter(self, pipeline, capsys):
         entries = load_checkpoint(pipeline.net)
@@ -492,6 +493,28 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert "model built for image shape (3, 8, 8)" in err
+
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_size_hint_only_on_a_mismatch(self, pipeline, capsys, fault):
+        # a non-finite entry is a bad file, not a prior trained at another size
+        entries = load_checkpoint(pipeline.prior)
+        name = "level0.step0.invconv.weight"
+        if fault == "nan":
+            entries[name][0, 0] = np.nan
+        else:
+            entries[name] = np.eye(entries[name].shape[0] + 1)
+        store = ParamStore()
+        for key, value in entries.items():
+            store.add(key, value)
+        ckpt = pipeline.root / f"{fault}-prior.ckpt"
+        save_checkpoint(ckpt, store)
+        rc = main(["train", "--task", "denoise", "--data", str(pipeline.data),
+                   "--config", str(pipeline.cfg), "--pretrained", str(ckpt),
+                   "--out", str(pipeline.root / f"{fault}-net.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert name in err
+        assert ("check that the checkpoint was trained at this size" in err) == (fault == "shape")
 
     def test_eval_report_layout(self, pipeline, capsys):
         report = pipeline.root / "report.csv"

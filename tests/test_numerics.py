@@ -132,27 +132,29 @@ class TestConv2dCircular:
 
     def test_backward_matches_finite_differences(self):
         rng = Prng(5)
-        x = rng.gauss_array((2, 2, 4, 4))
-        k = rng.gauss_array((3, 2, 3, 3))
-        bias = rng.gauss_array(3)
-        w = rng.gauss_array((2, 3, 4, 4))  # random cotangent
+        # Cout <= 2*Cin gathers the cotangent, Cout > 2*Cin the input
+        for cin, cout in ((2, 3), (1, 3)):
+            x = rng.gauss_array((2, cin, 4, 4))
+            k = rng.gauss_array((cout, cin, 3, 3))
+            bias = rng.gauss_array(cout)
+            w = rng.gauss_array((2, cout, 4, 4))  # random cotangent
 
-        def loss(xv, kv, bv):
-            return float(np.sum(conv2d_circular(xv, kv, bv) * w))
+            def loss(xv, kv, bv):
+                return float(np.sum(conv2d_circular(xv, kv, bv) * w))
 
-        gx, gk, gb = conv2d_circular_backward(x, k, np.broadcast_to(w, (2, 3, 4, 4)) * 1.0)
-        eps = 1e-6
-        for arr, grad in ((x, gx), (k, gk), (bias, gb)):
-            flat = arr.reshape(-1)
-            for idx in [0, flat.size // 2, flat.size - 1]:
-                old = flat[idx]
-                flat[idx] = old + eps
-                up = loss(x, k, bias)
-                flat[idx] = old - eps
-                down = loss(x, k, bias)
-                flat[idx] = old
-                num = (up - down) / (2 * eps)
-                assert abs(num - grad.reshape(-1)[idx]) < 1e-6
+            gx, gk, gb = conv2d_circular_backward(x, k, np.broadcast_to(w, w.shape) * 1.0)
+            eps = 1e-6
+            for arr, grad in ((x, gx), (k, gk), (bias, gb)):
+                flat = arr.reshape(-1)
+                for idx in [0, flat.size // 2, flat.size - 1]:
+                    old = flat[idx]
+                    flat[idx] = old + eps
+                    up = loss(x, k, bias)
+                    flat[idx] = old - eps
+                    down = loss(x, k, bias)
+                    flat[idx] = old
+                    num = (up - down) / (2 * eps)
+                    assert abs(num - grad.reshape(-1)[idx]) < 1e-6
 
 
 def _fancy_index_gather(x, kh, kw):
@@ -174,6 +176,21 @@ def _roll_conv(x, kernel, bias):
             tap = kernel[:, :, dr + kh // 2, dc + kw // 2]
             out += np.einsum("oi,bihw->bohw", tap, shifted)
     return out
+
+
+def _roll_conv_adjoint(x, kernel, gout):
+    """(gx, gkernel, gbias) of _roll_conv for cotangent gout, tap by tap:
+    each tap's shift is undone by the opposite np.roll."""
+    _, _, kh, kw = kernel.shape
+    gx = np.zeros(x.shape)
+    gkernel = np.zeros(kernel.shape)
+    for dr in range(-(kh // 2), kh // 2 + 1):
+        for dc in range(-(kw // 2), kw // 2 + 1):
+            tap = kernel[:, :, dr + kh // 2, dc + kw // 2]
+            gx += np.einsum("oi,bohw->bihw", tap, np.roll(gout, (dr, dc), axis=(2, 3)))
+            shifted = np.roll(x, (-dr, -dc), axis=(2, 3))
+            gkernel[:, :, dr + kh // 2, dc + kw // 2] = np.einsum("bohw,bihw->oi", gout, shifted)
+    return gx, gkernel, gout.sum(axis=(0, 2, 3))
 
 
 _gather_cases = given(
@@ -208,6 +225,33 @@ class TestGatherPatches:
         bias = rng.gauss_array(2)
         ref = _roll_conv(x, kernel, bias)
         assert np.max(np.abs(conv2d_circular(x, kernel, bias) - ref)) < 1e-12
+
+
+class TestConvBackward:
+    # channel counts on both sides of Cout = 2*Cin, where the rule switches
+    # from gathering the input to gathering the cotangent
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        batch=st.sampled_from([1, 3]),
+        cin=st.sampled_from([1, 2, 3, 16]),
+        cout=st.sampled_from([1, 2, 3, 16]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.sampled_from([3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=3, cin=1, cout=16, h=4, w=4, k=7, seed=1)
+    @example(batch=3, cin=16, cout=2, h=2, w=6, k=7, seed=2)
+    def test_matches_roll_adjoint(self, batch, cin, cout, h, w, k, seed):
+        rng = Prng(seed)
+        x = rng.gauss_array((batch, cin, h, w))
+        kernel = rng.gauss_array((cout, cin, k, k))
+        gout = rng.gauss_array((batch, cout, h, w))
+        got = conv2d_circular_backward(x, kernel, gout)
+        refs = _roll_conv_adjoint(x, kernel, gout)
+        for name, g, ref in zip(("gx", "gkernel", "gbias"), got, refs):
+            assert g.shape == ref.shape, name
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestSmallDetInv:

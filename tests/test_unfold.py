@@ -45,7 +45,17 @@ class TestInitialGuess:
 
     def test_deterministic(self):
         net = _random_net((1, 8, 8), 2, 2, 2, 4, seed=0x17)
-        assert np.array_equal(net.initial_guess(2)[0], net.initial_guess(2)[0])
+        assert np.array_equal(net.initial_guess()[0], net.initial_guess()[0])
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (3, 8, 16)])
+    def test_one_row_equals_every_row_of_a_batch(self, shape):
+        # a batch broadcasts the batch-1 guess; inverting B zero latents
+        # would give the same rows bit for bit
+        net = _random_net(shape, 2, 2, 2, 4, seed=0x18)
+        x0, _ = net.initial_guess()
+        rows, _ = net.folds[0].flow.inverse_batch(np.zeros((16, net.folds[0].flow.n)))
+        assert x0.shape == (1,) + shape
+        assert all(np.array_equal(row, x0[0]) for row in rows)
 
 
 class TestDcStep:
