@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .diff import ParamStore
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, SingularMatrixError
 from .numerics import Prng, conv2d_circular, conv2d_circular_backward, small_det_inv
 
 __all__ = [
@@ -149,11 +149,14 @@ class InvConv1x1:
         """det and inverse of the current weight, recomputed only when its
         value differs from the cached copy.  Comparing values, rather than
         hooking each writer (Adam, restores, direct writes), stays right
-        whatever changes the weight; a singular weight raises before it is
-        cached, so it raises on every call."""
+        whatever changes the weight; a singular weight raises, naming the
+        weight, before it is cached, so it raises on every call."""
         w = self.weight.value
         if self._cached is None or not np.array_equal(self._cached[0], w):
-            det, inv = small_det_inv(w)
+            try:
+                det, inv = small_det_inv(w)
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(f"{self.weight.name}: {exc}") from exc
             self._cached = (w.copy(), det, inv)
         return self._cached[1], self._cached[2]
 

@@ -6,9 +6,15 @@ lambda = softplus(rho), so lambda stays positive with no projection step.
 One reconstruction runs
 
     x <- initial guess (fold 0's flow applied to the zero latent)
-    repeat for fold k:   xt = x + mu_k A^T (y - A x)
-                         zt = f_k(xt)
-                         x  = g_k(zt / (1 + lambda_k))   [last fold: no shrink]
+    folds 0..K-2:   xt = x + mu_k A^T (y - A x)
+                    zt = f_k(xt)
+                    x  = g_k(zt / (1 + lambda_k))
+    fold K-1:       x  = x + mu_K A^T (y - A x)
+
+The prior acts only through the shrink.  The last fold applies none, so its
+flow pass would compute g(f(xt)) = xt up to rounding: it runs the data step
+alone.  Its flow and rho stay in the parameter store, so checkpoints keep one
+layout; they get exactly zero gradient.
 
 The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 0.5 ||y - Ax||^2 for small mu.
@@ -97,22 +103,26 @@ class UnrolledNet:
 
     def _unroll(self, y, op, steps):
         """The fold loop.  With a ``steps`` list each fold appends what the
-        reverse sweep needs; with None every context is dropped as soon as
-        its fold is done, so memory does not grow with the fold count."""
+        reverse sweep needs: ``(atr, z, ctx_f, ctx_i)`` for the folds before
+        the last, ``atr`` alone for the last.  With None every context is
+        dropped as soon as its fold is done, so memory does not grow with the
+        fold count."""
         x0, ctx_init = self.initial_guess()
         x = np.broadcast_to(x0, y.shape)
         if steps is None:
             ctx_init = None
-        last = self.k - 1
-        for k, fold in enumerate(self.folds):
+        *body, last = self.folds
+        for fold in body:
             xt, atr = dc_step(x, y, op, fold.mu.item())
             z, _, ctx_f = fold.flow.forward_batch(xt)
-            if k < last:
-                z = prox_shrink(z, fold.lam)
+            z = prox_shrink(z, fold.lam)
             x, ctx_i = fold.flow.inverse_batch(z)
             if steps is not None:
                 steps.append((atr, z, ctx_f, ctx_i))
             del ctx_f, ctx_i
+        x, atr = dc_step(x, y, op, last.mu.item())
+        if steps is not None:
+            steps.append(atr)
         return x, ctx_init
 
     # -- reverse sweep ---------------------------------------------------------
@@ -120,25 +130,18 @@ class UnrolledNet:
     def reconstruct_backward(self, pipe, g_xhat: np.ndarray) -> None:
         """Accumulate d(scalar loss)/d(params) for every fold parameter,
         the scalars mu_k and rho_k included, given the loss cotangent of
-        the reconstruction."""
+        the reconstruction.  The last fold's flow and rho are not on the
+        path, so their gradients stay as they are."""
         op, ctx_init, steps = pipe
-        last = self.k - 1
-        g_x = g_xhat
-        for k in range(last, -1, -1):
-            fold = self.folds[k]
-            atr, zp, ctx_f, ctx_i = steps[k]
+        *body, last = self.folds
+        g_x = _dc_backward(last, steps[-1], g_xhat, op)
+        for fold, (atr, zp, ctx_f, ctx_i) in reversed(list(zip(body, steps))):
             g_zp = fold.flow.backward_inverse(ctx_i, g_x)
-            if k < last:
-                s = 1.0 / (1.0 + fold.lam)
-                g_z = g_zp * s
-                g_lam = -s * float((g_zp * zp).sum())
-                fold.rho.grad += g_lam * _sigmoid(fold.rho.item())
-            else:
-                g_z = g_zp
-            g_xt = fold.flow.backward_forward(ctx_f, g_z, None)
-            fold.mu.grad += float((g_xt * atr).sum())
-            # d xt / d x_in = I - mu A^T A, symmetric
-            g_x = g_xt - fold.mu.item() * op.adjoint(op.apply(g_xt))
+            s = 1.0 / (1.0 + fold.lam)
+            g_lam = -s * float((g_zp * zp).sum())
+            fold.rho.grad += g_lam * _sigmoid(fold.rho.item())
+            g_xt = fold.flow.backward_forward(ctx_f, g_zp * s, None)
+            g_x = _dc_backward(fold, atr, g_xt, op)
         # initial-guess path: x0 = g_0(0), one row broadcast over the batch, so
         # its cotangent is the batch sum; it flows only into fold 0's flow
         # parameters.
@@ -155,6 +158,13 @@ def dc_step(x: np.ndarray, y: np.ndarray, op: ForwardOp, mu: float):
         raise ShapeError.mismatch("dc_step measurement", y.shape, x.shape)
     atr = op.adjoint(y - op.apply(x))
     return x + mu * atr, atr
+
+
+def _dc_backward(fold: Fold, atr: np.ndarray, g_xt: np.ndarray, op: ForwardOp):
+    """Reverse rule of :func:`dc_step`: accumulate mu's gradient and return
+    the cotangent of its input x; d xt / d x = I - mu A^T A, symmetric."""
+    fold.mu.grad += float((g_xt * atr).sum())
+    return g_xt - fold.mu.item() * op.adjoint(op.apply(g_xt))
 
 
 def prox_shrink(z: np.ndarray, lam: float) -> np.ndarray:

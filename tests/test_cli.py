@@ -467,20 +467,36 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "trailing bytes" in err and "trained at this size" not in err
 
-    def test_eval_rejects_a_nan_parameter(self, pipeline, capsys):
+    @staticmethod
+    def _eval_with_weight(pipeline, tag, weight):
+        """Run ``eval`` on the trained net with fold 0's first 1x1 conv
+        weight replaced; returns (exit code, report path)."""
         entries = load_checkpoint(pipeline.net)
-        entries["fold0.level0.step0.invconv.weight"][0, 0] = np.nan
+        entries["fold0.level0.step0.invconv.weight"][...] = weight
         store = ParamStore()
         for name, value in entries.items():
             store.add(name, value)
-        ckpt = pipeline.root / "nan.ckpt"
+        ckpt = pipeline.root / f"{tag}.ckpt"
         save_checkpoint(ckpt, store)
-        report = pipeline.root / "nan" / "report.csv"
+        report = pipeline.root / tag / "report.csv"
         rc = main(["eval", "--model", str(ckpt), "--data", str(pipeline.data),
                    "--task", "denoise", "--config", str(pipeline.resolved),
                    "--report", str(report)])
+        return rc, report
+
+    def test_eval_rejects_a_nan_parameter(self, pipeline, capsys):
+        weight = load_checkpoint(pipeline.net)["fold0.level0.step0.invconv.weight"]
+        weight[0, 0] = np.nan
+        rc, report = self._eval_with_weight(pipeline, "nan", weight)
         assert rc == 1
         assert "fold0.level0.step0.invconv.weight" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_eval_names_a_singular_layer(self, pipeline, capsys):
+        rc, report = self._eval_with_weight(pipeline, "singular", 1.0)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "fold0.level0.step0.invconv.weight: matrix of size 4" in err
         assert not report.exists()
 
     def test_prior_of_another_shape_names_the_model_shape(self, pipeline, capsys):

@@ -474,10 +474,11 @@ class TestInvConvCache:
     def test_singular_weight_raises_on_every_call(self):
         layer = InvConv1x1(2, ParamStore(), "iv")
         layer.weight.value[...] = [[1.0, 1.0], [1.0, 1.0]]
+        named = r"^iv\.weight: matrix of size 2 is numerically singular"
         for _ in range(2):
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(SingularMatrixError, match=named):
                 layer.forward(np.zeros((1, 2, 2, 2)))
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(SingularMatrixError, match=named):
                 layer.inverse(np.zeros((1, 2, 2, 2)))
 
     def test_one_det_inverse_per_layer_with_fixed_weights(self, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowunfold.errors import ConfigError, ShapeError
-from flowunfold.numerics import Prng
+from flowunfold.numerics import Prng, conv2d_circular, gaussian_kernel
 from flowunfold.operators import (
     CenterMask,
     GaussianBlur,
@@ -39,6 +39,19 @@ class TestApply:
         op = GaussianBlur((1, 8, 8), 2.0, 5)
         y = op.apply(np.full((1, 8, 8), 0.37))
         assert np.max(np.abs(y - 0.37)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape, radius",
+        [((1, 8, 8), 5), ((1, 4, 6), 3), ((1, 5, 3), 3), ((1, 16, 16), 3), ((3, 64, 64), 3)],
+    )
+    def test_separable_blur_matches_the_2d_kernel(self, shape, radius):
+        # the reference is the one 2-D circular conv with the full tap grid;
+        # the row-then-column passes sum the same products in another order
+        op = GaussianBlur(shape, 1.0, radius)
+        x = Prng(0x5E9).gauss_array((2,) + shape)
+        kernel = gaussian_kernel(1.0, radius)[None, None]
+        ref = conv2d_circular(x.reshape(-1, 1, *shape[1:]), kernel).reshape(x.shape)
+        assert np.max(np.abs(op.apply(x) - ref)) < 1e-14
 
     def test_linearity(self):
         rng = Prng(0x11EA)

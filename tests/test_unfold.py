@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from flowunfold.checks import landweber
+from flowunfold.cli import ImageSet, synth_blobs
 from flowunfold.diff import grad_check, zero_grads
 from flowunfold.errors import ShapeError
 from flowunfold.numerics import Prng
 from flowunfold.operators import CenterMask, GaussianBlur, Identity, make_measurement
+from flowunfold.train import TrainConfig, pretrain, train_unrolled
 from flowunfold.unfold import UnrolledNet, dc_step, prox_shrink, reconstruct
 
 
@@ -188,6 +190,92 @@ class TestOneLoop:
             plain = net.reconstruct_batch(y, op)
             assert np.max(np.abs(plain - ref)) < 1e-10, kind
             assert np.array_equal(net.reconstruct_batch_grad(y, op)[0], plain), kind
+
+
+def _full_path(net, y, op):
+    """The fold loop as it was before the last fold became its data step
+    alone: every fold runs its flow pass, the last with no shrink, so the
+    last computes g(f(x_t))."""
+    x0, _ = net.initial_guess()
+    x = np.broadcast_to(x0, y.shape)
+    for k, fold in enumerate(net.folds):
+        xt, _ = dc_step(x, y, op, fold.mu.item())
+        z, _, _ = fold.flow.forward_batch(xt)
+        if k < net.k - 1:
+            z = prox_shrink(z, fold.lam)
+        x, _ = fold.flow.inverse_batch(z)
+    return x
+
+
+def _last_flow_names(net):
+    last = f"fold{net.k - 1}."
+    return [
+        n for n in net.store.names()
+        if n.startswith(last) and n not in (last + "mu", last + "rho")
+    ]
+
+
+class TestLastFoldIsTheDataStep:
+    """Fold K-1 applies no shrink, so its flow pass g(f(x_t)) = x_t is left
+    out: it runs x_t = x + mu A^T (y - A x) alone."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 8, 16)], ids=["1x8x8", "3x8x16"])
+    def test_matches_the_full_path(self, shape, k, batch):
+        net = _random_net(shape, k, 2, 2, 4, seed=0x80 + k)
+        y = Prng(0x81 + batch).gauss_array((batch,) + shape)
+        for kind in sorted(_OPS):
+            op = _OPS[kind](shape)
+            ref = _full_path(net, y, op)
+            assert np.max(np.abs(net.reconstruct_batch(y, op) - ref)) < 1e-12, kind
+            x_hat, (_, _, steps) = net.reconstruct_batch_grad(y, op)
+            assert np.max(np.abs(x_hat - ref)) < 1e-12, kind
+            assert isinstance(steps[-1], np.ndarray), kind  # atr alone
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_last_flow_and_rho_get_exactly_zero_gradient(self, k):
+        shape = (1, 8, 8)
+        net = _random_net(shape, k, 2, 2, 4, seed=0x82)
+        op = CenterMask(shape, 3)
+        y = Prng(0x83).gauss_array((3,) + shape)
+        zero_grads(net.store)
+        _, pipe = net.reconstruct_batch_grad(y, op)
+        net.reconstruct_backward(pipe, Prng(0x84).gauss_array((3,) + shape))
+        last = f"fold{k - 1}."
+        for name in _last_flow_names(net) + [last + "rho"]:
+            assert not np.any(net.store[name].grad), name
+        assert net.store[last + "mu"].grad != 0.0
+        assert np.any(net.store["fold0.level0.step0.invconv.weight"].grad)
+
+    def test_fine_tune_leaves_the_last_flow_at_the_prior(self):
+        imgs = synth_blobs(40, (1, 8, 8), 0x85)
+        data = ImageSet(imgs[:32], imgs[32:36], imgs[36:])
+        cfg = TrainConfig(task="inpaint", K=2, L=1, D=2, hidden=4, max_epochs=1,
+                          patience=1, seed=5)
+        prior = pretrain(data, cfg)
+        net = train_unrolled(data, cfg, prior)
+        names = _last_flow_names(net)
+        assert len(names) == len(prior.store)
+        for name in names:
+            own = name.split(".", 1)[1]
+            assert np.array_equal(net.store[name].value, prior.store[own].value), name
+        moved = net.store["fold0.level0.step0.invconv.weight"].value
+        assert not np.array_equal(moved, prior.store["level0.step0.invconv.weight"].value)
+
+    def test_store_layout_is_unchanged(self):
+        # checkpoints and the per-fold round-trip check rely on every fold,
+        # the last one included, keeping its whole flow in the store
+        net = UnrolledNet((1, 16, 16), 3, 2, 4, 16)
+        names = net.store.names()
+        assert len(names) == 174
+        per_fold = {k: [n for n in names if n.startswith(f"fold{k}.")] for k in range(3)}
+        assert all(len(v) == 58 for v in per_fold.values())
+        assert [n.split(".", 1)[1] for n in per_fold[2]] == [
+            n.split(".", 1)[1] for n in per_fold[0]
+        ]
+        assert "fold2.level1.step3.coupling.conv2.weight" in names
+        assert "fold2.rho" in names
 
 
 class TestEndToEndGradients:
