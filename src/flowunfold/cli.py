@@ -354,12 +354,15 @@ def echo_config(cfg: TrainConfig, dirpath) -> None:
 
 def _restore(store: ParamStore, flows, ckpt_path) -> None:
     """Load a checkpoint into a freshly built model whose flows are
-    ``flows``, then mark their actnorms initialized."""
+    ``flows``, mark their actnorms initialized and check every 1x1 conv,
+    those of flows no reconstruction runs included: a singular weight raises
+    SingularMatrixError naming it."""
     hint = (f" (model built for image shape {flows[0].shape}; "
             f"check that the checkpoint was trained at this size)")
     restore_into(store, load_checkpoint(ckpt_path), origin=str(ckpt_path), hint=hint)
     for flow in flows:
         flow.mark_initialized()
+        flow.check_invertible()
 
 
 def _load_net(cfg: TrainConfig, shape, ckpt_path) -> UnrolledNet:

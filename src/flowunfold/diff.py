@@ -68,9 +68,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._entries.keys())
 
-    def num_values(self) -> int:
-        return sum(p.value.size for p in self)
-
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of all values, keyed by name (for early-stopping restore)."""
         return {p.name: p.value.copy() for p in self}

@@ -150,15 +150,18 @@ class InvConv1x1:
         value differs from the cached copy.  Comparing values, rather than
         hooking each writer (Adam, restores, direct writes), stays right
         whatever changes the weight; a singular weight raises, naming the
-        weight, before it is cached, so it raises on every call."""
+        weight, before it is cached, so it raises on every call.  The cache
+        is read once into a local: tiles running on other threads may
+        replace it between two reads."""
         w = self.weight.value
-        if self._cached is None or not np.array_equal(self._cached[0], w):
+        cached = self._cached
+        if cached is None or not np.array_equal(cached[0], w):
             try:
                 det, inv = small_det_inv(w)
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"{self.weight.name}: {exc}") from exc
-            self._cached = (w.copy(), det, inv)
-        return self._cached[1], self._cached[2]
+            cached = self._cached = (w.copy(), det, inv)
+        return cached[1], cached[2]
 
     def forward(self, x):
         det, inv = self._det_inv()
@@ -398,6 +401,12 @@ class FlowModel:
     def mark_initialized(self) -> None:
         for step in self._steps():
             step.actnorm.initialized = True
+
+    def check_invertible(self) -> None:
+        """Compute and cache every 1x1 conv's det and inverse; a singular
+        weight raises SingularMatrixError naming it."""
+        for step in self._steps():
+            step.invconv._det_inv()
 
     @property
     def initialized(self) -> bool:

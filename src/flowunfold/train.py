@@ -18,7 +18,7 @@ from fnmatch import fnmatchcase
 import numpy as np
 
 from .diff import ParamStore, zero_grads
-from .errors import ConfigError, DataError, ShapeError, TrainingError
+from .errors import ConfigError, DataError, ShapeError, SingularMatrixError, TrainingError
 from .flow import LOG_2PI, FlowModel
 from .numerics import Prng, derive_seed
 from .operators import TASKS, default_geometry, make_measurement, operator_for_task
@@ -243,7 +243,13 @@ def _check_split(dataset, name: str) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def _finite(loss: float, epoch: int, phase: str) -> float:
+def _checked(loss_fn, epoch: int, phase: str) -> float:
+    """Run one train batch or val pass; a singular 1x1 conv weight or a
+    non-finite loss raises TrainingError naming the epoch."""
+    try:
+        loss = loss_fn()
+    except SingularMatrixError as exc:
+        raise TrainingError(f"epoch {epoch}: {phase} pass: {exc}") from exc
     if not math.isfinite(loss):
         raise TrainingError(f"epoch {epoch}: non-finite {phase} loss {loss}")
     return loss
@@ -253,7 +259,8 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
     """Train ``store`` with Adam over shuffled batches of the n_train
     training images, one step per ``batch_loss(epoch, indices)`` (which
     accumulates the gradients), stopping early on ``val_loss()`` and
-    restoring the best epoch.  A non-finite loss raises TrainingError."""
+    restoring the best epoch.  A non-finite loss or a singular 1x1 conv
+    weight raises TrainingError."""
     state = AdamState(store)
     lr_map = make_lr_map(cfg)
     stopper = EarlyStopper(store, cfg.patience)
@@ -263,10 +270,10 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
         total = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
-            loss = _finite(batch_loss(epoch, batch_idx), epoch, "train")
+            loss = _checked(lambda: batch_loss(epoch, batch_idx), epoch, "train")
             adam_update(store, state, lr_map, cfg.beta1, cfg.beta2, cfg.eps_adam)
             total += loss * len(batch_idx)
-        val = _finite(val_loss(), epoch, "val")
+        val = _checked(val_loss, epoch, "val")
         if log is not None:
             log(f"{epoch}\t{total / n_train:.6f}\t{val:.6f}\t{time.monotonic() - t0:.3f}")
         if stopper.update(epoch, val):

@@ -18,11 +18,19 @@ layout; they get exactly zero gradient.
 
 The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 0.5 ||y - Ax||^2 for small mu.
+
+Every image of a batch is reconstructed independently; only the initial
+guess is shared.  So a large batch runs as tiles of about TILE_VALUES pixel
+values, mapped over a thread pool with one worker per usable CPU: numpy
+releases the interpreter lock in the gathers and matmuls that take most of
+the time.  Each row's arithmetic does not depend on the rows beside
+it, so the output is bitwise the same however the batch is cut.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -35,6 +43,20 @@ __all__ = ["Fold", "UnrolledNet", "dc_step", "prox_shrink", "reconstruct"]
 
 MU_INIT = 0.5
 LAMBDA_INIT = 0.1
+
+# Pixel values per tile of a batched reconstruction.  At 64x64 a tile is 2
+# images, whose largest im2col matrix (a level-0 coupling's second conv at
+# K=3, L=2, D=4, hidden=16) is 2.4 MB, about one 2 MB L2.  Tiles of half
+# the batch, one per worker, were ~10 % faster on 2 cores but kept the
+# untiled peak RSS (README, "Where the time goes").
+TILE_VALUES = 8192
+
+# CPUs this process may run on: the pool's worker count.  A batch on a
+# 1-CPU host runs in the calling thread, untiled.
+if hasattr(os, "sched_getaffinity"):
+    CPUS = len(os.sched_getaffinity(0))
+else:
+    CPUS = os.cpu_count() or 1
 
 
 def _softplus(x: float) -> float:
@@ -71,6 +93,7 @@ class UnrolledNet:
         self.folds = [
             Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(folds)
         ]
+        self._pool = None  # tile workers, started by the first batch that needs them
 
     @property
     def k(self) -> int:
@@ -91,26 +114,40 @@ class UnrolledNet:
         return self.folds[0].flow.inverse_batch(np.zeros((1, self.folds[0].flow.n)))
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
-        """Pure batched reconstruction, (B, C, H, W) measurements in and out."""
-        return self._unroll(y, op, None)[0]
+        """Pure batched reconstruction, (B, C, H, W) measurements in and out.
+        A batch of more than one tile, on a host with more than one CPU, is
+        cut into tiles of ``max(1, TILE_VALUES // (C*H*W))`` rows that run on
+        the net's thread pool; the result is bitwise the same either way."""
+        x0, _ = self.initial_guess()
+        rows = max(1, TILE_VALUES // math.prod(y.shape[1:]))
+        if len(y) <= rows or CPUS == 1:
+            return self._unroll(x0, y, op, None)
+        if self._pool is None:
+            # imported here: concurrent.futures brings in logging, 0.6 MB of
+            # resident memory that a process which never tiles need not pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(CPUS, thread_name_prefix="flowunfold-tile")
+        tiles = [y[start : start + rows] for start in range(0, len(y), rows)]
+        outs = self._pool.map(lambda tile: self._unroll(x0, tile, op, None), tiles)
+        return np.concatenate(list(outs))
 
     def reconstruct_batch_grad(self, y: np.ndarray, op: ForwardOp):
-        """Like reconstruct_batch but records every intermediate needed by
-        :meth:`reconstruct_backward`.  Returns (x_hat, pipeline record)."""
+        """Like reconstruct_batch, untiled, but records every intermediate
+        needed by :meth:`reconstruct_backward`.  Returns (x_hat, pipeline
+        record)."""
         steps = []
-        x, ctx_init = self._unroll(y, op, steps)
-        return x, (op, ctx_init, steps)
+        x0, ctx_init = self.initial_guess()
+        return self._unroll(x0, y, op, steps), (op, ctx_init, steps)
 
-    def _unroll(self, y, op, steps):
-        """The fold loop.  With a ``steps`` list each fold appends what the
+    def _unroll(self, x0, y, op, steps):
+        """The fold loop from the initial guess ``x0`` (one row, broadcast
+        over the batch).  With a ``steps`` list each fold appends what the
         reverse sweep needs: ``(atr, z, ctx_f, ctx_i)`` for the folds before
         the last, ``atr`` alone for the last.  With None every context is
         dropped as soon as its fold is done, so memory does not grow with the
         fold count."""
-        x0, ctx_init = self.initial_guess()
         x = np.broadcast_to(x0, y.shape)
-        if steps is None:
-            ctx_init = None
         *body, last = self.folds
         for fold in body:
             xt, atr = dc_step(x, y, op, fold.mu.item())
@@ -123,7 +160,7 @@ class UnrolledNet:
         x, atr = dc_step(x, y, op, last.mu.item())
         if steps is not None:
             steps.append(atr)
-        return x, ctx_init
+        return x
 
     # -- reverse sweep ---------------------------------------------------------
 

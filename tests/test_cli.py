@@ -468,11 +468,11 @@ class TestCommands:
         assert "trailing bytes" in err and "trained at this size" not in err
 
     @staticmethod
-    def _eval_with_weight(pipeline, tag, weight):
-        """Run ``eval`` on the trained net with fold 0's first 1x1 conv
-        weight replaced; returns (exit code, report path)."""
+    def _eval_with_weight(pipeline, tag, weight, name="fold0.level0.step0.invconv.weight"):
+        """Run ``eval`` on the trained net with the 1x1 conv weight ``name``
+        replaced; returns (exit code, report path)."""
         entries = load_checkpoint(pipeline.net)
-        entries["fold0.level0.step0.invconv.weight"][...] = weight
+        entries[name][...] = weight
         store = ParamStore()
         for name, value in entries.items():
             store.add(name, value)
@@ -497,6 +497,15 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert "fold0.level0.step0.invconv.weight: matrix of size 4" in err
+        assert not report.exists()
+
+    def test_eval_names_a_singular_layer_of_the_unused_last_fold(self, pipeline, capsys):
+        # fold 1 is the K=2 net's last fold, whose flow no reconstruction
+        # runs; restoring checks its 1x1 convs all the same
+        name = "fold1.level0.step0.invconv.weight"
+        rc, report = self._eval_with_weight(pipeline, "singular-last", 1.0, name)
+        assert rc == 1
+        assert f"{name}: matrix of size 4" in capsys.readouterr().err
         assert not report.exists()
 
     def test_prior_of_another_shape_names_the_model_shape(self, pipeline, capsys):

@@ -1,6 +1,9 @@
 """Tests for the invertible model: layer algebra, bijectivity, log-density."""
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -480,6 +483,48 @@ class TestInvConvCache:
                 layer.forward(np.zeros((1, 2, 2, 2)))
             with pytest.raises(SingularMatrixError, match=named):
                 layer.inverse(np.zeros((1, 2, 2, 2)))
+
+    def test_cache_is_read_once_under_threads(self):
+        # tiles on other threads may replace the cache between two reads; a
+        # call must never pair the det of one cached weight with the inverse
+        # of another
+        layer = InvConv1x1(4, ParamStore(), "iv")
+        rng = Prng(0x1C6)
+        other = np.eye(4) + 0.3 * rng.gauss_array((4, 4))
+        layer.weight.value[...] = np.eye(4) + 0.3 * rng.gauss_array((4, 4))
+        fresh = (layer.weight.value.copy(), *small_det_inv(layer.weight.value))
+        stale = (other, *small_det_inv(other))
+        stop = threading.Event()
+        wrong = []
+
+        def replace():
+            for cached in itertools.cycle((stale, fresh)):
+                if stop.is_set():
+                    break
+                layer._cached = cached
+
+        def read():
+            for _ in range(10000):
+                det, inv = layer._det_inv()
+                if det != fresh[1] or not np.array_equal(inv, fresh[2]):
+                    wrong.append(det)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=replace)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            writer.start()
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            writer.join(timeout=60)
+            sys.setswitchinterval(old_interval)
+        assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+        assert not wrong, f"{len(wrong)} mixed det/inverse pairs"
 
     def test_one_det_inverse_per_layer_with_fixed_weights(self, monkeypatch):
         calls = []

@@ -7,13 +7,20 @@ import pytest
 
 from flowunfold.cli import ImageSet, synth_blobs
 from flowunfold.diff import ParamStore, grad_check
-from flowunfold.errors import ConfigError, DataError, ShapeError, TrainingError
+from flowunfold.errors import (
+    ConfigError,
+    DataError,
+    ShapeError,
+    SingularMatrixError,
+    TrainingError,
+)
 from flowunfold.flow import LOG_2PI, FlowModel
 from flowunfold.numerics import Prng
 from flowunfold.train import (
     AdamState,
     EarlyStopper,
     TrainConfig,
+    _fit,
     adam_update,
     make_lr_map,
     mse_loss,
@@ -355,3 +362,34 @@ class TestNonFiniteGuard:
         getattr(data, split)[1, 0, 2, 5] = np.nan
         with pytest.raises(TrainingError, match=f"epoch 1: non-finite {split} loss"):
             trainer(data, _small_cfg(max_epochs=2))
+
+
+class TestSingularWeightGuard:
+    def test_singular_prior_names_the_epoch_and_weight(self):
+        data = _blob_set(30, (1, 8, 8), seed=29)
+        cfg = _small_cfg(max_epochs=2)
+        prior = FlowModel((1, 8, 8), cfg.L, cfg.D, cfg.hidden, ParamStore())
+        prior.store["level0.step0.invconv.weight"].value[...] = 1.0
+        named = r"^epoch 1: train pass: fold0\.level0\.step0\.invconv\.weight: matrix of size"
+        with pytest.raises(TrainingError, match=named):
+            train_unrolled(data, cfg, prior)
+
+    @pytest.mark.parametrize("phase", ["train", "val"])
+    def test_either_pass_names_the_epoch(self, phase):
+        # a weight that turns singular in epoch 2's train batch or val pass
+        store = ParamStore()
+        store.add("w", np.zeros(1))
+        epochs = []
+
+        def check(now):
+            if epochs[-1] == 2 and now == phase:
+                raise SingularMatrixError("level0.step0.invconv.weight: matrix of size 4")
+            return 1.0 / epochs[-1]
+
+        def batch_loss(epoch, batch_idx):
+            epochs.append(epoch)
+            return check("train")
+
+        with pytest.raises(TrainingError, match=f"^epoch 2: {phase} pass: level0"):
+            _fit(store, _small_cfg(max_epochs=3, patience=5), 4, batch_loss,
+                 lambda: check("val"), None)
