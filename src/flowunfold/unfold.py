@@ -51,12 +51,13 @@ LAMBDA_INIT = 0.1
 # untiled peak RSS (README, "Where the time goes").
 TILE_VALUES = 8192
 
-# CPUs this process may run on: the pool's worker count.  A batch on a
-# 1-CPU host runs in the calling thread, untiled.
+# CPUs this process may run on: the pool's worker count.
 if hasattr(os, "sched_getaffinity"):
     CPUS = len(os.sched_getaffinity(0))
 else:
     CPUS = os.cpu_count() or 1
+
+_POOL = None  # the tile workers, one per process, started by the first batch of several tiles
 
 
 def _softplus(x: float) -> float:
@@ -93,7 +94,6 @@ class UnrolledNet:
         self.folds = [
             Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(folds)
         ]
-        self._pool = None  # tile workers, started by the first batch that needs them
 
     @property
     def k(self) -> int:
@@ -115,21 +115,22 @@ class UnrolledNet:
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
         """Pure batched reconstruction, (B, C, H, W) measurements in and out.
-        A batch of more than one tile, on a host with more than one CPU, is
-        cut into tiles of ``max(1, TILE_VALUES // (C*H*W))`` rows that run on
-        the net's thread pool; the result is bitwise the same either way."""
+        A batch of more than one tile is cut into tiles of
+        ``max(1, TILE_VALUES // (C*H*W))`` rows that run on the process's
+        thread pool; the result is bitwise the same either way."""
+        global _POOL
         x0, _ = self.initial_guess()
         rows = max(1, TILE_VALUES // math.prod(y.shape[1:]))
-        if len(y) <= rows or CPUS == 1:
+        if len(y) <= rows:
             return self._unroll(x0, y, op, None)
-        if self._pool is None:
+        if _POOL is None:
             # imported here: concurrent.futures brings in logging, 0.6 MB of
             # resident memory that a process which never tiles need not pay
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(CPUS, thread_name_prefix="flowunfold-tile")
+            _POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="flowunfold-tile")
         tiles = [y[start : start + rows] for start in range(0, len(y), rows)]
-        outs = self._pool.map(lambda tile: self._unroll(x0, tile, op, None), tiles)
+        outs = _POOL.map(lambda tile: self._unroll(x0, tile, op, None), tiles)
         return np.concatenate(list(outs))
 
     def reconstruct_batch_grad(self, y: np.ndarray, op: ForwardOp):

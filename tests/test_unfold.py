@@ -7,7 +7,7 @@ import pytest
 
 from flowunfold import unfold
 from flowunfold.checks import landweber
-from flowunfold.cli import ImageSet, main, save_checkpoint, synth_blobs
+from flowunfold.cli import ImageSet, synth_blobs
 from flowunfold.diff import grad_check, zero_grads
 from flowunfold.errors import ShapeError, SingularMatrixError
 from flowunfold.numerics import Prng
@@ -286,13 +286,18 @@ _SHAPE64 = (1, 64, 64)
 
 class TestTiledBatch:
     """A batch of more than TILE_VALUES pixel values runs as tiles on the
-    net's thread pool when more than one CPU is usable; every row stays
-    bitwise what a batch of one gives."""
+    process's thread pool, whatever the CPU count; every row stays bitwise
+    what a batch of one gives."""
 
     @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
     def cpus(self, request, monkeypatch):
+        """The pool's worker count forced to 1 or 2, with no pool started;
+        a pool the test starts is shut down after it."""
         monkeypatch.setattr(unfold, "CPUS", request.param)
-        return request.param
+        monkeypatch.setattr(unfold, "_POOL", None)
+        yield request.param
+        if unfold._POOL is not None:
+            unfold._POOL.shutdown()
 
     @pytest.fixture(scope="class")
     def net64(self):
@@ -302,9 +307,8 @@ class TestTiledBatch:
     def test_tiles_equal_single_rows_bitwise(self, net64, cpus, batch):
         op = GaussianBlur(_SHAPE64, 1.0, 3)
         y = Prng(0x91 + batch).gauss_array((batch,) + _SHAPE64)
-        net64._pool = None
         out = net64.reconstruct_batch(y, op)
-        assert (net64._pool is not None) == (cpus > 1)
+        assert unfold._POOL._max_workers == cpus
         rows = np.stack([reconstruct(net64, row, op) for row in y])
         assert np.array_equal(out, rows)
 
@@ -313,7 +317,7 @@ class TestTiledBatch:
         shape = (1, 16, 16)
         net = _random_net(shape, 3, 2, 2, 4, seed=0x92)
         net.reconstruct_batch(Prng(0x93).gauss_array((batch,) + shape), CenterMask(shape, 5))
-        assert net._pool is None
+        assert unfold._POOL is None
 
     def test_singular_weight_in_a_tile_is_named(self, cpus):
         net = _random_net(_SHAPE64, 3, 2, 2, 4, seed=0x94)
@@ -322,25 +326,6 @@ class TestTiledBatch:
         y = Prng(0x95).gauss_array((16,) + _SHAPE64)
         with pytest.raises(SingularMatrixError, match=re.escape(name + ": matrix of size 4")):
             net.reconstruct_batch(y, GaussianBlur(_SHAPE64, 1.0, 3))
-
-    def test_eval_of_a_singular_weight_exits_1(self, cpus, tmp_path, capsys):
-        data = tmp_path / "data"
-        assert main(["synth-data", "--out", str(data), "--count", "160",
-                     "--size", "64", "64", "--seed", "3"]) == 0
-        net = _random_net(_SHAPE64, 3, 2, 2, 4, seed=0x96)
-        name = "fold1.level0.step0.invconv.weight"
-        net.store[name].value[...] = 1.0
-        ckpt = tmp_path / "singular.ckpt"
-        save_checkpoint(ckpt, net.store)
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text("K = 3\nL = 2\nD = 2\nhidden = 4\nheight = 64\nwidth = 64\n"
-                       "batch_size = 16\n")
-        report = tmp_path / "out" / "report.csv"
-        rc = main(["eval", "--model", str(ckpt), "--data", str(data), "--task", "deblur",
-                   "--config", str(cfg), "--report", str(report)])
-        assert rc == 1
-        assert name + ": matrix of size 4" in capsys.readouterr().err
-        assert not report.exists()
 
 
 class TestEndToEndGradients:
