@@ -5,8 +5,9 @@ Modules, bottom-up: ``numerics`` (PRNG, circular convolution), ``diff``
 (parameter store, gradient checking), ``flow`` (the invertible model),
 ``operators`` (measurement operators), ``unfold`` (the K-fold network and
 its reverse sweep), ``train`` (the config, losses, Adam, the shared
-training loop), ``checks`` (the invariant checks that ``selftest`` and the
-acceptance gate run) and ``cli`` (file formats and commands).
+training loop), ``io`` (the image, dataset and checkpoint files),
+``checks`` (the invariant checks that ``selftest`` and the acceptance gate
+run) and ``cli`` (config files and commands).
 """
 
 from .errors import (

@@ -24,62 +24,42 @@ from .diff import ParamStore
 from .errors import ConfigError, ShapeError, SingularMatrixError
 from .numerics import Prng, conv2d_circular, conv2d_circular_backward, small_det_inv
 
-__all__ = [
-    "ActNorm",
-    "InvConv1x1",
-    "AffineCoupling",
-    "FlowModel",
-    "squeeze",
-    "unsqueeze",
-]
+__all__ = ["ActNorm", "InvConv1x1", "AffineCoupling", "FlowModel"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 SCALE_CLAMP = 5.0
 STD_FLOOR = 1e-6
 
 
-def squeeze(x: np.ndarray) -> np.ndarray:
-    """Space-to-depth, factor 2: (C, H, W) -> (4C, H/2, W/2).
-
-    Each 2x2 spatial block maps to 4 channels in row-major block order.
-    Accepts a leading batch axis.
-    """
-    return _squeeze_axes(x, 2, 2)
-
-
-def unsqueeze(x: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`squeeze`."""
-    return _unsqueeze_axes(x, 2, 2)
-
-
 def _squeeze_axes(x: np.ndarray, fh: int, fw: int) -> np.ndarray:
-    single = x.ndim == 3
-    if single:
-        x = x[None]
+    """Space-to-depth on a (B, C, H, W) batch: (B, C*fh*fw, H/fh, W/fw).
+    Each fh x fw spatial block maps to channels in row-major block order."""
     b, c, h, w = x.shape
     if h % fh or w % fw:
         raise ShapeError(f"squeeze: spatial dims {h}x{w} not divisible by {fh}x{fw}")
-    out = (
+    return (
         x.reshape(b, c, h // fh, fh, w // fw, fw)
         .transpose(0, 1, 3, 5, 2, 4)
         .reshape(b, c * fh * fw, h // fh, w // fw)
     )
-    return out[0] if single else out
 
 
 def _unsqueeze_axes(x: np.ndarray, fh: int, fw: int) -> np.ndarray:
-    single = x.ndim == 3
-    if single:
-        x = x[None]
+    """Exact inverse of :func:`_squeeze_axes`."""
     b, c, h, w = x.shape
     if c % (fh * fw):
         raise ShapeError(f"unsqueeze: channels {c} not divisible by {fh * fw}")
-    out = (
+    return (
         x.reshape(b, c // (fh * fw), fh, fw, h, w)
         .transpose(0, 1, 4, 2, 5, 3)
         .reshape(b, c // (fh * fw), h * fh, w * fw)
     )
-    return out[0] if single else out
+
+
+def _random_orthogonal(rng: Prng, c: int) -> np.ndarray:
+    """A c x c orthogonal matrix from the QR factors of a Gaussian draw."""
+    q, r = np.linalg.qr(rng.gauss_array((c, c)))
+    return q * np.sign(np.diag(r))[None, :]
 
 
 class ActNorm:
@@ -89,19 +69,15 @@ class ActNorm:
         self.channels = channels
         self.log_scale = store.add(prefix + ".log_scale", np.zeros(channels))
         self.bias = store.add(prefix + ".bias", np.zeros(channels))
-        self.initialized = False
 
     def data_init(self, x: np.ndarray) -> None:
         """Set parameters so the output of this batch has per-channel mean 0
         and variance 1.  Zero-variance channels get a std floor instead of
         an error."""
-        if self.initialized:
-            raise ConfigError(f"actnorm {self.log_scale.name} already initialized")
         mean = x.mean(axis=(0, 2, 3))
         std = np.maximum(x.std(axis=(0, 2, 3)), STD_FLOOR)
         self.log_scale.value[...] = -np.log(std)
         self.bias.value[...] = -mean / std
-        self.initialized = True
 
     def forward(self, x):
         s = np.exp(self.log_scale.value)[None, :, None, None]
@@ -272,6 +248,8 @@ class _FlowStep:
         self.invconv = InvConv1x1(channels, store, prefix + ".invconv")
         self.coupling = AffineCoupling(channels, hidden, store, prefix + ".coupling")
         self._layers = (self.actnorm, self.invconv, self.coupling)
+        an, iv, cp = self._layers
+        self.params = (an.log_scale, an.bias, iv.weight, cp.w1, cp.b1, cp.w2, cp.b2)
 
     def forward(self, x):
         ld = np.zeros(x.shape[0])
@@ -301,7 +279,8 @@ class _FlowStep:
 
 
 class FlowModel:
-    """Multi-scale stack of invertible steps.
+    """Multi-scale stack of invertible steps, built as the identity flow:
+    zero actnorms and couplings, identity 1x1 convs.
 
     A squeeze precedes each level; after every non-final level the first half
     of the channels splits off and is carried straight into the flat latent.
@@ -319,8 +298,6 @@ class FlowModel:
         hidden: int,
         store: ParamStore,
         prefix: str = "",
-        init: str = "identity",
-        rng: Prng | None = None,
     ):
         if levels < 1 or depth < 1:
             raise ConfigError(f"need levels >= 1 and depth >= 1, got {levels}, {depth}")
@@ -356,26 +333,18 @@ class FlowModel:
         self._final_shape = (c, h, w)
         self.n = int(np.prod(shape))
 
-        if init == "identity":
-            self.mark_initialized()
-        elif init == "random":
-            self._random_init(rng if rng is not None else Prng(0))
-        else:
-            raise ConfigError(f"unknown init style: {init}")
-
-    # -- construction helpers -------------------------------------------------
+    # -- parameter fills ----------------------------------------------------------
 
     def _steps(self):
         for steps in self._level_steps:
             yield from steps
 
-    def _random_init(self, rng: Prng) -> None:
-        """Rotation 1x1 convs, He-scaled first coupling conv, zero final conv.
-        Actnorms stay at zero awaiting data-dependent initialization."""
+    def random_init(self, rng: Prng) -> None:
+        """Pretraining's starting point: rotation 1x1 convs (det +1),
+        He-scaled first coupling convs; the final convs stay zero and the
+        actnorms await :meth:`data_init`."""
         for step in self._steps():
-            c = step.invconv.channels
-            q, r = np.linalg.qr(rng.gauss_array((c, c)))
-            q = q * np.sign(np.diag(r))[None, :]
+            q = _random_orthogonal(rng, step.invconv.channels)
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
             step.invconv.weight.value[...] = q
@@ -391,16 +360,14 @@ class FlowModel:
             an.log_scale.value[...] = scale * rng.gauss_array(an.channels)
             an.bias.value[...] = scale * rng.gauss_array(an.channels)
             c = iv.channels
-            q, r = np.linalg.qr(rng.gauss_array((c, c)))
-            q = q * np.sign(np.diag(r))[None, :]
-            iv.weight.value[...] = q @ (np.eye(c) + scale * rng.gauss_array((c, c)))
+            iv.weight.value[...] = _random_orthogonal(rng, c) @ (
+                np.eye(c) + scale * rng.gauss_array((c, c)))
             for p in (cp.w1, cp.b1, cp.w2, cp.b2):
                 p.value[...] = scale * rng.gauss_array(p.value.shape)
-        self.mark_initialized()
 
     def mark_initialized(self) -> None:
-        for step in self._steps():
-            step.actnorm.initialized = True
+        """Does nothing: a model is a valid flow from construction on.  Kept
+        only because perfbench's workloads call it after a restore."""
 
     def check_invertible(self) -> None:
         """Compute and cache every 1x1 conv's det and inverse; a singular
@@ -408,27 +375,17 @@ class FlowModel:
         for step in self._steps():
             step.invconv._det_inv()
 
-    @property
-    def initialized(self) -> bool:
-        return all(step.actnorm.initialized for step in self._steps())
-
     def arch(self) -> tuple:
         return (self.shape, self.levels, self.depth, self.hidden)
 
     def copy_state_from(self, src: "FlowModel") -> None:
-        """Copy parameter values and init flags from a model of identical
-        architecture (weight untying: values copied, storage independent)."""
+        """Copy parameter values from a model of identical architecture
+        (weight untying: values copied, storage independent)."""
         if self.arch() != src.arch():
             raise ConfigError(f"architecture mismatch: {self.arch()} vs {src.arch()}")
         for dst_step, src_step in zip(self._steps(), src._steps()):
-            dst_step.actnorm.log_scale.value[...] = src_step.actnorm.log_scale.value
-            dst_step.actnorm.bias.value[...] = src_step.actnorm.bias.value
-            dst_step.actnorm.initialized = src_step.actnorm.initialized
-            dst_step.invconv.weight.value[...] = src_step.invconv.weight.value
-            for name in ("w1", "b1", "w2", "b2"):
-                getattr(dst_step.coupling, name).value[...] = getattr(
-                    src_step.coupling, name
-                ).value
+            for dst, value in zip(dst_step.params, src_step.params):
+                dst.value[...] = value.value
 
     # -- data-dependent initialization ----------------------------------------
 
@@ -437,8 +394,6 @@ class FlowModel:
         standardized on this batch, walking the model in composition order."""
         if batch.ndim != 4 or batch.shape[0] < 2:
             raise ConfigError("data_init needs a batch of at least 2 samples")
-        if any(step.actnorm.initialized for step in self._steps()):
-            raise ConfigError("model already initialized")
         x = batch
         for lvl in range(self.levels):
             x = _squeeze_axes(x, *self._factors[lvl])
@@ -452,12 +407,6 @@ class FlowModel:
 
     # -- forward / inverse ----------------------------------------------------
 
-    def _check_input(self, x):
-        if x.shape[1:] != self.shape:
-            raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
-        if not self.initialized:
-            raise ConfigError("actnorms not initialized; run data_init first")
-
     def forward_batch(self, x: np.ndarray):
         """Map (B, C, H, W) images to latents.
 
@@ -465,7 +414,8 @@ class FlowModel:
         the concatenation, in level order, of each level's split-off half
         (flattened C-major row-major) followed by the final level's output.
         """
-        self._check_input(x)
+        if x.shape[1:] != self.shape:
+            raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
         b = x.shape[0]
         ld = np.zeros(b)
         parts = []
@@ -506,8 +456,6 @@ class FlowModel:
         """Map (B, n) latents back to images; exact layer-by-layer inverse."""
         if z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
-        if not self.initialized:
-            raise ConfigError("actnorms not initialized; run data_init first")
         b = z.shape[0]
         parts = self._slice_latent(z)
         x = parts[-1].reshape((b,) + self._final_shape)

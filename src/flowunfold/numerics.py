@@ -161,12 +161,9 @@ def conv2d_circular(
     out(o, r, c) = bias(o) + sum_i,dr,dc x(i, (r+dr) mod H, (c+dc) mod W)
                    * kernel(o, i, dr+kh//2, dc+kw//2)
 
-    Accepts x as (Cin, H, W) or batched (B, Cin, H, W); kernel is
-    (Cout, Cin, kh, kw) with odd kh, kw; bias is (Cout,) or None for no bias.
+    x is a (B, Cin, H, W) batch; kernel is (Cout, Cin, kh, kw) with odd kh,
+    kw; bias is (Cout,) or None for no bias.
     """
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
     b, cin, h, w = x.shape
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
@@ -181,7 +178,7 @@ def conv2d_circular(
     out = out.reshape(b, cout, h, w)
     if bias is not None:
         out += bias[None, :, None, None]
-    return out[0] if squeeze else out
+    return out
 
 
 def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray):

@@ -114,13 +114,10 @@ class GaussianBlur(ForwardOp):
 
     def apply(self, x):
         self._check(x)
-        single = x.ndim == 3
-        b = x[None] if single else x
-        n, c, h, w = b.shape
-        flat = b.reshape(n * c, 1, h, w)
+        # every channel of every image blurs as one single-channel image
+        flat = x.reshape((-1, 1) + x.shape[-2:])
         rows = conv2d_circular(flat, self.row_kernel)
-        out = conv2d_circular(rows, self.col_kernel).reshape(b.shape)
-        return out[0] if single else out
+        return conv2d_circular(rows, self.col_kernel).reshape(x.shape)
 
     adjoint = apply
 
@@ -154,12 +151,11 @@ def operator_for_task(
     task: str,
     shape: tuple[int, int, int],
     mask_w: int = 0,
-    sigma_b: float = 0.0,
+    sigma_b: float = 1.0,
     blur_radius: int = 0,
 ) -> ForwardOp:
-    """Build the operator a task name calls for; zeros mean library defaults
-    (sigma_b = 1, and :func:`default_geometry` for the rest)."""
-    sigma_b = sigma_b or 1.0
+    """Build the operator a task name calls for; a zero mask width or blur
+    radius means its :func:`default_geometry` value."""
     mask_w, blur_radius = default_geometry(shape, mask_w, sigma_b, blur_radius)
     if task == "denoise":
         return Identity(shape)

@@ -20,6 +20,7 @@ import numpy as np
 from .diff import ParamStore, zero_grads
 from .errors import ConfigError, DataError, ShapeError, SingularMatrixError, TrainingError
 from .flow import LOG_2PI, FlowModel
+from .io import nonempty_split
 from .numerics import Prng, derive_seed
 from .operators import TASKS, default_geometry, make_measurement, operator_for_task
 from .unfold import UnrolledNet
@@ -93,6 +94,9 @@ class TrainConfig:
         return cfg
 
     def validate(self) -> "TrainConfig":
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.lr < 0 or self.scalar_lr <= 0:
@@ -105,6 +109,8 @@ class TrainConfig:
             raise ConfigError("Adam betas must lie in (0, 1)")
         if self.eps_adam <= 0:
             raise ConfigError("eps_adam must be > 0")
+        if self.sigma_b <= 0:
+            raise ConfigError(f"sigma_b must be > 0, got {self.sigma_b}")
         for field in ("K", "L", "D", "hidden", "batch_size", "max_epochs",
                       "height", "width", "channels", "count"):
             if getattr(self, field) < 1:
@@ -236,13 +242,6 @@ def _shuffled_indices(n: int, seed: int, epoch: int) -> np.ndarray:
     return np.argsort(rng.uniform_array(n), kind="stable")
 
 
-def _check_split(dataset, name: str) -> np.ndarray:
-    arr = getattr(dataset, name)
-    if arr is None or len(arr) == 0:
-        raise DataError(f"dataset has an empty {name} split")
-    return np.asarray(arr, dtype=float)
-
-
 def _checked(loss_fn, epoch: int, phase: str) -> float:
     """Run one train batch or val pass; a singular 1x1 conv weight or a
     non-finite loss raises TrainingError naming the epoch."""
@@ -291,21 +290,14 @@ def pretrain(dataset, cfg: TrainConfig, log=None) -> FlowModel:
     nats/dim with early stopping on validation NLL.  Returns the
     best-validation model.
     """
-    train = _check_split(dataset, "train")
-    val = _check_split(dataset, "val")
+    train = nonempty_split(dataset, "train")
+    val = nonempty_split(dataset, "val")
     shape = train.shape[1:]
     cfg = cfg.resolved(shape)
 
     store = ParamStore()
-    flow = FlowModel(
-        shape,
-        cfg.L,
-        cfg.D,
-        cfg.hidden,
-        store,
-        init="random",
-        rng=Prng(derive_seed(cfg.seed, _TAG_INIT)),
-    )
+    flow = FlowModel(shape, cfg.L, cfg.D, cfg.hidden, store)
+    flow.random_init(Prng(derive_seed(cfg.seed, _TAG_INIT)))
     first = train[_shuffled_indices(len(train), cfg.seed, 0)[: cfg.batch_size]]
     if len(first) < 2:
         raise DataError("pretraining needs at least 2 training images")
@@ -340,8 +332,8 @@ def train_unrolled(
     measurements reuse fixed per-sample sub-seeds so early stopping sees a
     stable metric.
     """
-    train = _check_split(dataset, "train")
-    val = _check_split(dataset, "val")
+    train = nonempty_split(dataset, "train")
+    val = nonempty_split(dataset, "val")
     shape = train.shape[1:]
     cfg = cfg.resolved(shape)
 

@@ -14,13 +14,8 @@ import numpy as np
 import pytest
 
 from flowunfold import checks
-from flowunfold.cli import (
-    load_checkpoint,
-    load_dataset,
-    main,
-    restore_into,
-    save_checkpoint,
-)
+from flowunfold.cli import main
+from flowunfold.io import load_checkpoint, load_dataset, restore_into, save_checkpoint
 from flowunfold.operators import operator_for_task
 from flowunfold.unfold import UnrolledNet
 
@@ -175,8 +170,6 @@ class TestCriterion7ToyInpainting:
         ds = load_dataset(corpus)
         net = UnrolledNet(SHAPE, **ARCH)
         restore_into(net.store, load_checkpoint(inpaint_arm.ckpt))
-        for fold in net.folds:
-            fold.flow.mark_initialized()
         op = operator_for_task("inpaint", SHAPE)  # default 5x5 center mask
         hole = op.apply(np.ones(SHAPE)) == 0
         assert int(hole.sum()) == 25

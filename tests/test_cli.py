@@ -6,22 +6,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flowunfold.cli import (
-    ImageSet,
-    echo_config,
+from flowunfold.cli import echo_config, main, parse_config
+from flowunfold.diff import ParamStore
+from flowunfold.errors import CheckpointError, ConfigError, DataError
+from flowunfold.io import (
     load_checkpoint,
     load_dataset,
     load_image,
-    main,
-    parse_config,
     restore_into,
     save_checkpoint,
     save_image,
     split_counts,
     synth_blobs,
 )
-from flowunfold.diff import ParamStore
-from flowunfold.errors import CheckpointError, ConfigError, DataError
 from flowunfold.numerics import Prng
 from flowunfold.train import TrainConfig
 from flowunfold.unfold import UnrolledNet
@@ -140,6 +137,24 @@ class TestCheckpoint:
         (tmp_path / "t.ckpt").write_bytes(p.read_bytes()[:-4])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "t.ckpt")
+
+    @pytest.mark.parametrize("size", [6, 12])
+    def test_rejects_a_short_header(self, tmp_path, size):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _sample_store())
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
+    def test_rejects_a_repeated_entry(self, tmp_path):
+        store = ParamStore()
+        for name in "abc":
+            store.add(name, np.array(1.0))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, store)
+        p.write_bytes(p.read_bytes().replace(b"\x01\x00\x00\x00c", b"\x01\x00\x00\x00a"))
+        with pytest.raises(CheckpointError, match="entry a appears twice"):
+            load_checkpoint(p)
 
     def test_rejects_trailing_bytes(self, tmp_path):
         store = _sample_store()
@@ -559,7 +574,20 @@ class TestCommands:
         assert main(args) == 0
         assert report.read_bytes() == first
 
-    @pytest.mark.parametrize("line", ["batch_size = -3", "batch_size = 0", "sigma_n = -0.5"])
+    @pytest.mark.parametrize("size", [6, 12])
+    def test_eval_rejects_a_short_header(self, pipeline, capsys, size):
+        ckpt = pipeline.root / f"short{size}.ckpt"
+        ckpt.write_bytes(pipeline.net.read_bytes()[:size])
+        rc = main(["eval", "--model", str(ckpt), "--data", str(pipeline.data),
+                   "--task", "denoise", "--config", str(pipeline.resolved),
+                   "--report", str(pipeline.root / "short" / "report.csv")])
+        assert rc == 1
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "batch_size = -3", "batch_size = 0", "sigma_n = -0.5", "sigma_b = nan",
+        "sigma_b = inf", "sigma_b = -inf", "sigma_b = 0", "sigma_n = nan", "lr = inf",
+        "scalar_lr = nan", "eps_adam = nan"])
     def test_eval_rejects_an_invalid_config(self, pipeline, line):
         # a later line overrides the resolved value of the same key
         cfg = pipeline.root / "invalid.cfg"

@@ -10,7 +10,6 @@ import pytest
 
 import flowunfold.flow
 from flowunfold.checks import numeric_logdet
-from flowunfold.cli import restore_into
 from flowunfold.diff import ParamStore, grad_check, zero_grads
 from flowunfold.errors import ConfigError, ShapeError, SingularMatrixError
 from flowunfold.flow import (
@@ -19,9 +18,10 @@ from flowunfold.flow import (
     AffineCoupling,
     FlowModel,
     InvConv1x1,
-    squeeze,
-    unsqueeze,
+    _squeeze_axes,
+    _unsqueeze_axes,
 )
+from flowunfold.io import restore_into
 from flowunfold.numerics import Prng, small_det_inv
 from flowunfold.operators import GaussianBlur
 from flowunfold.train import AdamState, adam_update
@@ -31,38 +31,43 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _random_model(shape, levels, depth, hidden, seed, scale=0.1):
-    model = FlowModel(shape, levels, depth, hidden, ParamStore(), init="identity")
+    model = FlowModel(shape, levels, depth, hidden, ParamStore())
     model.randomize(Prng(seed), scale=scale)
     return model
 
 
+def squeeze(x):
+    return _squeeze_axes(x, 2, 2)
+
+
 class TestSqueeze:
     def test_documented_block_order(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # [[a,b],[c,d]]
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])  # [[a,b],[c,d]]
         y = squeeze(x)
-        assert y.shape == (4, 1, 1)
+        assert y.shape == (1, 4, 1, 1)
         assert y.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_round_trip_bitwise(self):
         rng = Prng(0x51EE2E)
-        x = rng.gauss_array((3, 6, 4))
-        assert np.array_equal(unsqueeze(squeeze(x)), x)
+        x = rng.gauss_array((2, 3, 6, 4))
+        assert np.array_equal(_unsqueeze_axes(squeeze(x), 2, 2), x)
 
     def test_volume_preserved(self):
-        x = Prng(1).gauss_array((2, 8, 10))
+        x = Prng(1).gauss_array((1, 2, 8, 10))
         assert squeeze(x).size == x.size
 
     def test_odd_dims_error(self):
         with pytest.raises(ShapeError):
-            squeeze(np.zeros((1, 3, 4)))
+            squeeze(np.zeros((1, 1, 3, 4)))
         with pytest.raises(ShapeError):
-            unsqueeze(np.zeros((3, 2, 2)))
+            _unsqueeze_axes(np.zeros((1, 3, 2, 2)), 2, 2)
 
     def test_batched_matches_single(self):
+        # each row squeezes as it would in a batch of one
         rng = Prng(0xBA7C)
         x = rng.gauss_array((5, 2, 4, 4))
         batched = squeeze(x)
-        assert np.array_equal(batched[3], squeeze(x[3]))
+        assert np.array_equal(batched[3], squeeze(x[3:4])[0])
 
 
 class TestLayerAlgebra:
@@ -129,10 +134,10 @@ class TestLayerAlgebra:
 class TestIdentityModel:
     def test_latent_is_documented_permutation(self):
         model = FlowModel((1, 16, 16), 2, 3, 8, ParamStore())
-        x = Prng(0x1D).gauss_array((1, 16, 16))
-        z, ld, _ = model.forward_batch(x[None])
-        s0 = squeeze(x)  # (4, 8, 8)
-        expect = np.concatenate([s0[:2].ravel(), squeeze(s0[2:]).ravel()])
+        x = Prng(0x1D).gauss_array((1, 1, 16, 16))
+        z, ld, _ = model.forward_batch(x)
+        s0 = squeeze(x)  # (1, 4, 8, 8)
+        expect = np.concatenate([s0[:, :2].ravel(), squeeze(s0[:, 2:]).ravel()])
         assert np.array_equal(z[0], expect)
         assert ld[0] == 0.0
 
@@ -223,7 +228,8 @@ class TestQuadrature:
 class TestDataInit:
     def test_first_actnorm_standardizes_batch(self):
         store = ParamStore()
-        model = FlowModel((1, 8, 8), 1, 2, 8, store, init="random", rng=Prng(0xDA7A))
+        model = FlowModel((1, 8, 8), 1, 2, 8, store)
+        model.random_init(Prng(0xDA7A))
         batch = 3.0 * Prng(0xBEEF).gauss_array((32, 1, 8, 8)) + 1.5
         model.data_init(batch)
         first = model._level_steps[0][0].actnorm
@@ -233,31 +239,19 @@ class TestDataInit:
         assert np.max(np.abs(mean)) < 1e-8
         assert np.all(std > 1 - 1e-6) and np.all(std < 1 + 1e-6)
 
-    def test_double_init_errors(self):
-        store = ParamStore()
-        model = FlowModel((1, 4, 4), 1, 1, 4, store, init="random", rng=Prng(2))
-        batch = Prng(3).gauss_array((4, 1, 4, 4))
-        model.data_init(batch)
-        with pytest.raises(ConfigError):
-            model.data_init(batch)
-
     def test_small_batch_errors(self):
-        model = FlowModel((1, 4, 4), 1, 1, 4, ParamStore(), init="random", rng=Prng(2))
+        model = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())
         with pytest.raises(ConfigError):
             model.data_init(np.zeros((1, 1, 4, 4)))
 
     def test_zero_variance_channel_uses_floor(self):
         store = ParamStore()
-        model = FlowModel((1, 4, 4), 1, 1, 4, store, init="random", rng=Prng(5))
+        model = FlowModel((1, 4, 4), 1, 1, 4, store)
+        model.random_init(Prng(5))
         batch = np.zeros((4, 1, 4, 4))  # all channels constant
         model.data_init(batch)  # must not raise
         ls = model._level_steps[0][0].actnorm.log_scale.value
         assert np.all(np.isfinite(ls))
-
-    def test_uninitialized_forward_errors(self):
-        model = FlowModel((1, 4, 4), 1, 1, 4, ParamStore(), init="random", rng=Prng(7))
-        with pytest.raises(ConfigError):
-            model.forward_batch(np.zeros((1, 1, 4, 4)))
 
 
 class TestConstruction:
@@ -273,8 +267,6 @@ class TestConstruction:
     def test_bad_args(self):
         with pytest.raises(ConfigError):
             FlowModel((1, 4, 4), 0, 2, 8, ParamStore())
-        with pytest.raises(ConfigError):
-            FlowModel((1, 4, 4), 1, 2, 8, ParamStore(), init="bogus")
 
     def test_wrong_input_shape(self):
         model = FlowModel((1, 4, 4), 1, 1, 4, ParamStore())

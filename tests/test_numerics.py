@@ -85,7 +85,7 @@ class TestPrng:
 
 class TestConv2dCircular:
     def test_identity_kernel(self):
-        x = Prng(1).gauss_array((3, 5, 7))
+        x = Prng(1).gauss_array((1, 3, 5, 7))
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
@@ -93,21 +93,21 @@ class TestConv2dCircular:
         assert np.array_equal(out, x)
 
     def test_column_shift(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = np.array([[[[0.0, 0.0, 1.0]]]])
         out = conv2d_circular(x, k, np.zeros(1))
-        assert np.array_equal(out, np.array([[[2.0, 1.0], [4.0, 3.0]]]))
+        assert np.array_equal(out, np.array([[[[2.0, 1.0], [4.0, 3.0]]]]))
 
     def test_averaging_preserves_mean(self):
-        x = Prng(2).gauss_array((1, 6, 6))
+        x = Prng(2).gauss_array((1, 1, 6, 6))
         k = np.full((1, 1, 3, 5), 1.0 / 15.0)
         out = conv2d_circular(x, k, np.zeros(1))
         assert abs(out.mean() - x.mean()) < 1e-12
 
     def test_linearity(self):
         rng = Prng(3)
-        u = rng.gauss_array((2, 4, 4))
-        v = rng.gauss_array((2, 4, 4))
+        u = rng.gauss_array((1, 2, 4, 4))
+        v = rng.gauss_array((1, 2, 4, 4))
         k = rng.gauss_array((3, 2, 3, 3))
         bias = np.zeros(3)
         a, b = 1.7, -0.3
@@ -116,16 +116,17 @@ class TestConv2dCircular:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_batched_matches_single(self):
+        # each row convolves as it would in a batch of one
         rng = Prng(4)
         x = rng.gauss_array((5, 2, 4, 4))
         k = rng.gauss_array((3, 2, 3, 3))
         bias = rng.gauss_array(3)
         batched = conv2d_circular(x, k, bias)
         for i in range(5):
-            assert np.array_equal(batched[i], conv2d_circular(x[i], k, bias))
+            assert np.array_equal(batched[i], conv2d_circular(x[i : i + 1], k, bias)[0])
 
     def test_channel_mismatch_raises(self):
-        x = np.zeros((2, 4, 4))
+        x = np.zeros((1, 2, 4, 4))
         k = np.zeros((1, 3, 3, 3))
         with pytest.raises(ShapeError, match="channels"):
             conv2d_circular(x, k, np.zeros(1))

@@ -1,9 +1,12 @@
 """The benchmark's tracer wraps program functions by name; every name it
-lists must exist, or the traced benchmark run stops."""
+lists must exist, or the traced benchmark run stops.  The benchmark also
+makes some calls outside its tracer; those are pinned here too."""
 
 import inspect
 import types
 from pathlib import Path
+
+import numpy as np
 
 import flowunfold
 import flowunfold.cli  # noqa: F401  (traced_targets reads every submodule)
@@ -28,3 +31,27 @@ def test_conv_backward_takes_x_kernel_gout_first():
     # the benchmark's conv-backward counter reads args[0] and args[1] by position
     params = list(inspect.signature(flowunfold.numerics.conv2d_circular_backward).parameters)
     assert params[:3] == ["x", "kernel", "gout"]
+
+
+def test_untraced_calls_restore_a_prior_and_a_net(tmp_path):
+    # the calls of perfbench/workloads.py, argument lists included
+    fu, cli = flowunfold, flowunfold.cli
+    shape, arch = (1, 8, 8), (2, 2, 4)  # levels, depth, hidden
+    prior = fu.FlowModel(shape, *arch, fu.diff.ParamStore())
+    prior.randomize(fu.Prng(1), scale=0.05)
+    net = fu.UnrolledNet(shape, 2, *arch)
+    net.load_pretrained_prior(prior)
+    cli.save_checkpoint(tmp_path / "prior.ckpt", prior.store)
+    cli.save_checkpoint(tmp_path / "net.ckpt", net.store)
+
+    flow = fu.FlowModel(shape, *arch, fu.diff.ParamStore())
+    cli.restore_into(flow.store, cli.load_checkpoint(tmp_path / "prior.ckpt"))
+    flow.mark_initialized()
+    restored = fu.UnrolledNet(shape, 2, *arch)
+    cli.restore_into(restored.store, cli.load_checkpoint(tmp_path / "net.ckpt"))
+    for fold in restored.folds:
+        fold.flow.mark_initialized()
+    assert all(np.array_equal(p.value, prior.store[p.name].value) for p in flow.store)
+    op = fu.operator_for_task("inpaint", shape)
+    y = op.apply(fu.Prng(2).gauss_array(shape))
+    assert np.array_equal(fu.reconstruct(restored, y, op), fu.reconstruct(net, y, op))

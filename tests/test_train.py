@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from flowunfold.cli import ImageSet, synth_blobs
+from flowunfold.io import ImageSet, synth_blobs
 from flowunfold.diff import ParamStore, grad_check
 from flowunfold.errors import (
     ConfigError,
@@ -235,11 +235,6 @@ class TestPretrain:
         flow = pretrain(data, cfg)
         baseline = 0.5 * LOG_2PI + 0.5 * float((data.val**2).mean())
         assert nll_loss(data.val, flow) < baseline
-
-    def test_returned_model_is_initialized(self):
-        data = _blob_set(30, (1, 8, 8), seed=12)
-        flow = pretrain(data, _small_cfg(max_epochs=1))
-        assert flow.initialized
 
     def test_bitwise_deterministic(self):
         data = _blob_set(30, (1, 8, 8), seed=13)

@@ -7,7 +7,7 @@ import pytest
 
 from flowunfold import unfold
 from flowunfold.checks import landweber
-from flowunfold.cli import ImageSet, synth_blobs
+from flowunfold.io import ImageSet, synth_blobs
 from flowunfold.diff import grad_check, zero_grads
 from flowunfold.errors import ShapeError, SingularMatrixError
 from flowunfold.numerics import Prng
