@@ -7,9 +7,17 @@ Every trainable layer follows the same hand-written reverse-mode contract:
 returning the input cotangent and accumulating (+=) parameter gradients into
 the store.  There is no tape; each layer's rule is explicit and individually
 checkable against central differences.
+
+A store keeps every value in one contiguous float64 buffer and every
+gradient in a second, in insertion order; each parameter's ``value`` and
+``grad`` are views into them.  So whole-store work (the Adam step, zeroing
+gradients, a finiteness check) is a few vector operations, and a model whose
+parameters were added in one run owns one contiguous slice.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -18,16 +26,19 @@ from .numerics import Prng
 
 __all__ = ["Parameter", "ParamStore", "zero_grads", "grad_check"]
 
+_MIN_CAPACITY = 4096  # values; an add that outgrows the buffers at least doubles them
+
 
 class Parameter:
-    """A named value/grad pair; grad always mirrors the value's shape."""
+    """A named value/grad pair; grad always mirrors the value's shape.  In a
+    store both are views into the store's buffers."""
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.value = value
+        self.grad = grad
 
     def item(self) -> float:
         return float(self.value)
@@ -37,21 +48,65 @@ class Parameter:
 
 
 class ParamStore:
-    """Ordered map from hierarchical names to parameters.
+    """Ordered map from hierarchical names to parameters, backed by two flat
+    buffers: ``values`` and ``grads``, each as long as all parameters
+    together.
 
     Iteration order is insertion order, which makes checkpoints, optimizer
-    sweeps, and gradient probes deterministic.
+    sweeps, and gradient probes deterministic.  When :meth:`add` outgrows the
+    buffers it moves them and rebinds every parameter's views, so a value
+    array read before a later ``add`` may be stale: read ``p.value`` through
+    the parameter, not a saved array.
     """
 
     def __init__(self):
         self._entries: dict[str, Parameter] = {}
+        self._starts: list[int] = []  # each parameter's offset, insertion order
+        self.size = 0  # scalar values over all parameters
+        self._value_buf = np.zeros(0)
+        self._grad_buf = np.zeros(0)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every parameter value, flat, in insertion order (a view)."""
+        return self._value_buf[: self.size]
+
+    @property
+    def grads(self) -> np.ndarray:
+        """Every gradient, laid out like :attr:`values` (a view)."""
+        return self._grad_buf[: self.size]
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
-        p = Parameter(name, value)
+        value = np.asarray(value, dtype=np.float64)
+        start = self.size
+        if start + value.size > len(self._value_buf):
+            self.reserve(max(start + value.size, 2 * len(self._value_buf), _MIN_CAPACITY))
+        p = Parameter(name, *self._views(start, value.size, value.shape))
+        p.value[...] = value
+        self.size += value.size
         self._entries[name] = p
+        self._starts.append(start)
         return p
+
+    def _views(self, start: int, size: int, shape) -> tuple[np.ndarray, np.ndarray]:
+        return (self._value_buf[start : start + size].reshape(shape),
+                self._grad_buf[start : start + size].reshape(shape))
+
+    def reserve(self, capacity: int) -> None:
+        """Make the buffers hold ``capacity`` values in all.  Moving them
+        rebinds every parameter's views; capacity that is never filled still
+        costs resident memory, so a caller that knows its final size
+        reserves exactly that."""
+        if capacity <= len(self._value_buf):
+            return
+        values, grads = np.zeros(capacity), np.zeros(capacity)
+        values[: self.size] = self.values
+        grads[: self.size] = self.grads
+        self._value_buf, self._grad_buf = values, grads
+        for p, start in zip(self._entries.values(), self._starts):
+            p.value, p.grad = self._views(start, p.value.size, p.value.shape)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._entries[name]
@@ -68,6 +123,14 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._entries.keys())
 
+    def locate(self, index: int) -> tuple[Parameter, int]:
+        """The parameter whose values hold flat position ``index``, and the
+        position within it."""
+        if not 0 <= index < self.size:
+            raise IndexError(f"flat index {index} outside a store of {self.size} values")
+        k = bisect.bisect_right(self._starts, index) - 1
+        return list(self._entries.values())[k], index - self._starts[k]
+
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of all values, keyed by name (for early-stopping restore)."""
         return {p.name: p.value.copy() for p in self}
@@ -79,8 +142,7 @@ class ParamStore:
 
 def zero_grads(store: ParamStore) -> None:
     """Reset every gradient accumulator to zero; values untouched."""
-    for p in store:
-        p.grad[...] = 0.0
+    store.grads.fill(0.0)
 
 
 _PROBE_SEED = 0x5DEECE66D
@@ -107,40 +169,33 @@ def grad_check(
     if rng is None:
         rng = Prng(_PROBE_SEED)
 
-    params = list(store)
-    sizes = np.array([p.value.size for p in params])
-    total = int(sizes.sum())
+    total = store.size
     if total == 0:
         raise ValueError("grad_check: store has no parameters")
-    offsets = np.cumsum(sizes)
 
     zero_grads(store)
     base = float(f(store))
     if not np.isfinite(base):
         raise GradCheckError("objective is non-finite at the unperturbed point")
-    analytic = [p.grad.copy() for p in params]
+    analytic = store.grads.copy()
 
+    values = store.values
     max_rel = 0.0
     for _ in range(probes):
-        flat_idx = int(rng.uniform() * total)
-        pi = int(np.searchsorted(offsets, flat_idx, side="right"))
-        inner = flat_idx - (0 if pi == 0 else int(offsets[pi - 1]))
-        p = params[pi]
-        view = p.value.reshape(-1)
-        old = view[inner]
+        i = int(rng.uniform() * total)
+        old = values[i]
 
-        view[inner] = old + eps
+        values[i] = old + eps
         up = float(f(store))
-        view[inner] = old - eps
+        values[i] = old - eps
         down = float(f(store))
-        view[inner] = old
+        values[i] = old
 
         if not (np.isfinite(up) and np.isfinite(down)):
-            raise GradCheckError(
-                f"objective non-finite while probing {p.name}[{inner}]"
-            )
+            p, inner = store.locate(i)
+            raise GradCheckError(f"objective non-finite while probing {p.name}[{inner}]")
         numeric = (up - down) / (2.0 * eps)
-        a = analytic[pi].reshape(-1)[inner]
+        a = analytic[i]
         rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
         max_rel = max(max_rel, rel)
 

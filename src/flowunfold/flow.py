@@ -307,6 +307,7 @@ class FlowModel:
         self.hidden = hidden
         self.store = store
 
+        first = store.size
         c, h, w = shape
         self._factors: list[tuple[int, int]] = []
         self._level_steps: list[list[_FlowStep]] = []
@@ -332,6 +333,8 @@ class FlowModel:
                 c -= c // 2
         self._final_shape = (c, h, w)
         self.n = int(np.prod(shape))
+        # this model's parameters, added in one run: their slice of store.values
+        self.span = slice(first, store.size)
 
     # -- parameter fills ----------------------------------------------------------
 

@@ -133,7 +133,8 @@ def load_dataset(dirpath) -> ImageSet:
     """Load a dataset directory.
 
     With manifest.txt (lines `index<TAB>split`), images load into the listed
-    splits; without one, every image file becomes test data.
+    splits, each index at most once; without one, every image file becomes
+    test data.
     """
     dirpath = Path(dirpath)
     if not dirpath.is_dir():
@@ -142,6 +143,7 @@ def load_dataset(dirpath) -> ImageSet:
     splits: dict[str, list] = {"train": [], "val": [], "test": []}
     ids: dict[str, list] = {"train": [], "val": [], "test": []}
     if manifest.exists():
+        listed: dict[int, int] = {}  # index -> the manifest line that lists it
         for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
             line = line.strip()
             if not line:
@@ -153,6 +155,11 @@ def load_dataset(dirpath) -> ImageSet:
                 raise DataError(f"{manifest}:{lineno}: malformed line {line!r}") from exc
             if split not in splits:
                 raise DataError(f"{manifest}:{lineno}: unknown split {split!r}")
+            if idx in listed:
+                raise DataError(
+                    f"{manifest}:{lineno}: index {idx} is already listed on line {listed[idx]}"
+                )
+            listed[idx] = lineno
             for channels in (1, 3):
                 p = _image_path(dirpath, idx, channels)
                 if p.exists():

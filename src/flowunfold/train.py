@@ -157,12 +157,17 @@ def psnr(x_hat: np.ndarray, x_true: np.ndarray, peak: float = 1.0) -> float:
 
 
 class AdamState:
-    """First/second moment buffers mirroring a ParamStore, plus step count."""
+    """Flat first/second moment buffers over a ParamStore's values, the step
+    count and one scratch buffer of the same length.  The per-value learning
+    rates are built from the first ``lr_map`` :func:`adam_update` is given
+    and kept for as long as that map does not change."""
 
     def __init__(self, store: ParamStore):
-        self.m = {p.name: np.zeros_like(p.value) for p in store}
-        self.v = {p.name: np.zeros_like(p.value) for p in store}
+        self.m = np.zeros(store.size)
+        self.v = np.zeros(store.size)
         self.t = 0
+        self._lr = None  # (lr_map items, per-value learning rates)
+        self._scratch = np.empty(store.size)
 
 
 def make_lr_map(cfg: TrainConfig) -> dict[str, float]:
@@ -177,6 +182,15 @@ def _lr_for(name: str, lr_map: dict[str, float]) -> float:
     raise ConfigError(f"no learning-rate pattern matches parameter {name!r}")
 
 
+def _lr_values(store: ParamStore, state: AdamState, lr_map: dict[str, float]) -> np.ndarray:
+    """Each value's learning rate, laid out like ``store.values``."""
+    key = tuple(lr_map.items())
+    if state._lr is None or state._lr[0] != key:
+        lr = np.concatenate([np.full(p.value.size, _lr_for(p.name, lr_map)) for p in store])
+        state._lr = (key, lr)
+    return state._lr[1]
+
+
 def adam_update(
     store: ParamStore,
     state: AdamState,
@@ -185,20 +199,25 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam step on every parameter; zeroes gradients."""
+    """One bias-corrected Adam step on every parameter; zeroes gradients.
+
+    Runs over the store's flat buffers in place, with the state's scratch
+    buffer and, once the moments are updated, the gradient buffer holding
+    the intermediates.  Each value sees the operations of the scalar
+    recurrence in the same order, so the result is bitwise that of a
+    per-parameter loop."""
+    lr = _lr_values(store, state, lr_map)
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for p in store:
-        g = p.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        step = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.value -= _lr_for(p.name, lr_map) * step
+    values, g, m, v, tmp = store.values, store.grads, state.m, state.v, state._scratch
+    m *= beta1
+    m += np.multiply(1.0 - beta1, g, out=tmp)
+    v *= beta2
+    v += np.multiply(np.multiply(1.0 - beta2, g, out=tmp), g, out=tmp)
+    denom = np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+    step = np.divide(np.divide(m, bc1, out=g), denom, out=g)
+    values -= np.multiply(lr, step, out=g)
     zero_grads(store)
 
 
@@ -258,8 +277,8 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
     """Train ``store`` with Adam over shuffled batches of the n_train
     training images, one step per ``batch_loss(epoch, indices)`` (which
     accumulates the gradients), stopping early on ``val_loss()`` and
-    restoring the best epoch.  A non-finite loss or a singular 1x1 conv
-    weight raises TrainingError."""
+    restoring the best epoch.  A non-finite loss, a singular 1x1 conv weight
+    or a non-finite parameter after an Adam step raises TrainingError."""
     state = AdamState(store)
     lr_map = make_lr_map(cfg)
     stopper = EarlyStopper(store, cfg.patience)
@@ -267,10 +286,14 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
     for epoch in range(1, cfg.max_epochs + 1):
         order = _shuffled_indices(n_train, cfg.seed, epoch - 1)
         total = 0.0
-        for start in range(0, n_train, cfg.batch_size):
+        for batch, start in enumerate(range(0, n_train, cfg.batch_size), 1):
             batch_idx = order[start : start + cfg.batch_size]
             loss = _checked(lambda: batch_loss(epoch, batch_idx), epoch, "train")
             adam_update(store, state, lr_map, cfg.beta1, cfg.beta2, cfg.eps_adam)
+            finite = np.isfinite(store.values)
+            if not finite.all():
+                bad, _ = store.locate(int(np.argmin(finite)))  # the first False
+                raise TrainingError(f"epoch {epoch}, batch {batch}: {bad.name} is non-finite")
             total += loss * len(batch_idx)
         val = _checked(val_loss, epoch, "val")
         if log is not None:

@@ -20,11 +20,16 @@ The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 0.5 ||y - Ax||^2 for small mu.
 
 Every image of a batch is reconstructed independently; only the initial
-guess is shared.  So a large batch runs as tiles of about TILE_VALUES pixel
-values, mapped over a thread pool with one worker per usable CPU: numpy
-releases the interpreter lock in the gathers and matmuls that take most of
-the time.  Each row's arithmetic does not depend on the rows beside
-it, so the output is bitwise the same however the batch is cut.
+guess is shared, and it is shared across calls too: it depends only on fold
+0's flow weights, so the net keeps the last one it computed with a copy of
+those weights, and computes it again only when one comparison over fold 0's
+contiguous slice of the parameter store finds them changed.
+
+So a large batch runs as tiles of about TILE_VALUES pixel values, mapped
+over a thread pool with one worker per usable CPU: numpy releases the
+interpreter lock in the gathers and matmuls that take most of the time.
+Each row's arithmetic does not depend on the rows beside it, so the output
+is bitwise the same however the batch is cut.
 """
 
 from __future__ import annotations
@@ -91,9 +96,12 @@ class UnrolledNet:
             raise ConfigError(f"need at least 1 fold, got {folds}")
         self.shape = tuple(shape)
         self.store = ParamStore()
-        self.folds = [
-            Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(folds)
+        self.folds = [Fold(shape, levels, depth, hidden, self.store, "fold0")]
+        self.store.reserve(folds * self.store.size)  # every fold has fold 0's layout
+        self.folds += [
+            Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(1, folds)
         ]
+        self._init_cache = None  # (fold 0's flow weights, x0, ctx)
 
     @property
     def k(self) -> int:
@@ -109,9 +117,23 @@ class UnrolledNet:
 
     def initial_guess(self):
         """The prior's most likely image, fold 0's inverse at the zero latent:
-        ``(x0, ctx)`` with x0 of shape (1, C, H, W).  It is the same for every
-        measurement, so a batch broadcasts this one row."""
-        return self.folds[0].flow.inverse_batch(np.zeros((1, self.folds[0].flow.n)))
+        ``(x0, ctx)`` with x0 of shape (1, C, H, W), read-only.  It is the
+        same for every measurement, so a batch broadcasts this one row.
+
+        The result is cached with a copy of fold 0's flow weights and reused
+        while they are equal.  Comparing values, rather than hooking each
+        writer (Adam, restores, direct writes), stays right whatever changes
+        the weights.  The cache is read once into a local: tiles on other
+        threads may replace it between two reads."""
+        flow = self.folds[0].flow
+        weights = self.store.values[flow.span]
+        cached = self._init_cache
+        if cached is None or not np.array_equal(cached[0], weights):
+            weights = weights.copy()
+            x0, ctx = flow.inverse_batch(np.zeros((1, flow.n)))
+            x0.flags.writeable = False
+            cached = self._init_cache = (weights, x0, ctx)
+        return cached[1], cached[2]
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
         """Pure batched reconstruction, (B, C, H, W) measurements in and out.

@@ -335,10 +335,18 @@ class TestDatasetDir:
         assert ds.test.shape == (3, 1, 4, 4)
 
     def test_manifest_errors(self, tmp_path):
-        save_image(tmp_path / "00000.pgm", np.zeros((1, 4, 4)))
-        for bad in ("what is this", "0\tfuture", "7\ttrain"):
+        for i in range(3):
+            save_image(tmp_path / f"{i:05d}.pgm", np.zeros((1, 4, 4)))
+        cases = {
+            "what is this": "malformed line",
+            "0\tfuture": "unknown split",
+            "7\ttrain": "no image file for index 7",
+            # one image in two splits would leak test data into training
+            "0\ttrain\n1\ttrain\n0\ttest\n2\tval": r":3: index 0 is already listed on line 1$",
+        }
+        for bad, named in cases.items():
             (tmp_path / "manifest.txt").write_text(bad + "\n")
-            with pytest.raises(DataError):
+            with pytest.raises(DataError, match=named):
                 load_dataset(tmp_path)
 
     def test_mixed_shapes_are_an_error(self, tmp_path):

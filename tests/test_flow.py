@@ -422,6 +422,16 @@ def _twin(model, rng):
     return _random_model(model.shape, model.levels, model.depth, model.hidden, rng.next_u64())
 
 
+def _twin_entries(model, rng):
+    """Every entry of the model's store, the model's own parameters taken
+    from a randomized twin (the store may hold other models too)."""
+    entries = model.store.snapshot()
+    for step, twin_step in zip(model._steps(), _twin(model, rng)._steps()):
+        for p, q in zip(step.params, twin_step.params):
+            entries[p.name] = q.value
+    return entries
+
+
 def _adam_step(model, rng):
     for p in model.store:
         p.grad[...] = rng.gauss_array(p.value.shape)
@@ -434,9 +444,8 @@ def _direct_write(model, rng):
 
 _WEIGHT_CHANGES = {
     "adam_update": _adam_step,
-    "store.restore": lambda model, rng: model.store.restore(_twin(model, rng).store.snapshot()),
-    "restore_into": lambda model, rng: restore_into(
-        model.store, {p.name: p.value for p in _twin(model, rng).store}),
+    "store.restore": lambda model, rng: model.store.restore(_twin_entries(model, rng)),
+    "restore_into": lambda model, rng: restore_into(model.store, _twin_entries(model, rng)),
     "copy_state_from": lambda model, rng: model.copy_state_from(_twin(model, rng)),
     "randomize": lambda model, rng: model.randomize(rng),
     "direct write": _direct_write,
@@ -536,3 +545,44 @@ class TestInvConvCache:
         first = len(calls)
         reconstruct(net, y, op)
         assert len(calls) == first
+
+
+def _random_net(k, seed):
+    net = UnrolledNet((1, 8, 8), k, 2, 1, 4)
+    rng = Prng(seed)
+    for fold in net.folds:
+        fold.flow.randomize(rng)
+    return net
+
+
+class TestInitialGuessCache:
+    """UnrolledNet.initial_guess keeps (fold 0's flow weights, x0, ctx) and
+    computes x0 again only when those weights changed."""
+
+    @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
+    def test_every_fold0_change_is_seen(self, change):
+        net = _random_net(2, 0x1D0)
+        cached, _ = net.initial_guess()
+        _WEIGHT_CHANGES[change](net.folds[0].flow, Prng(0x1D1))
+        x0, _ = net.initial_guess()
+        fresh, _ = net.folds[0].flow.inverse_batch(np.zeros((1, net.folds[0].flow.n)))
+        assert x0 is not cached
+        assert not np.array_equal(x0, cached)
+        assert np.array_equal(x0, fresh)
+
+    def test_fold1_and_scalar_writes_keep_it(self):
+        net = _random_net(2, 0x1D2)
+        x0, ctx = net.initial_guess()
+        net.folds[1].flow._level_steps[0][0].invconv.weight.value[0, 1] += 0.25
+        net.folds[1].flow.randomize(Prng(0x1D3))
+        net.folds[0].mu.value[...] = 0.3
+        net.folds[0].rho.value[...] = -1.0
+        again, ctx_again = net.initial_guess()
+        assert again is x0 and ctx_again is ctx
+
+    def test_returned_x0_is_read_only(self):
+        net = _random_net(2, 0x1D4)
+        x0, _ = net.initial_guess()
+        with pytest.raises(ValueError, match="read-only"):
+            x0[...] = 0.0
+        assert np.array_equal(net.initial_guess()[0], x0)

@@ -16,11 +16,13 @@ from flowunfold.errors import (
 )
 from flowunfold.flow import LOG_2PI, FlowModel
 from flowunfold.numerics import Prng
+from flowunfold.operators import CenterMask
 from flowunfold.train import (
     AdamState,
     EarlyStopper,
     TrainConfig,
     _fit,
+    _lr_for,
     adam_update,
     make_lr_map,
     mse_loss,
@@ -30,6 +32,7 @@ from flowunfold.train import (
     psnr,
     train_unrolled,
 )
+from flowunfold.unfold import UnrolledNet
 
 _LOG_LINE = re.compile(r"^\d+\t-?\d+\.\d{6}\t-?\d+\.\d{6}\t\d+\.\d{3}$")
 
@@ -145,6 +148,66 @@ class TestAdam:
         p.grad[...] = 1.0
         with pytest.raises(ConfigError):
             adam_update(store, AdamState(store), {"*.mu": 0.1})
+
+
+def _reference_adam(store, m, v, t, lr_map, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t as a per-parameter loop over name-keyed moments."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p in store:
+        g = p.grad
+        m[p.name] = beta1 * m[p.name] + (1.0 - beta1) * g
+        v[p.name] = beta2 * v[p.name] + (1.0 - beta2) * g * g
+        step = (m[p.name] / bc1) / (np.sqrt(v[p.name] / bc2) + eps)
+        p.value[...] = p.value - _lr_for(p.name, lr_map) * step
+        p.grad[...] = 0.0
+
+
+class TestWholeStoreAdam:
+    def test_three_steps_match_a_per_parameter_loop_bitwise(self):
+        shape = (1, 8, 8)
+        nets = [UnrolledNet(shape, 2, 2, 2, 4) for _ in range(2)]
+        for net in nets:
+            rng = Prng(0xADA)
+            for fold in net.folds:
+                fold.flow.randomize(rng)
+        flat, ref = nets
+        op = CenterMask(shape, 3)
+        lr_map = make_lr_map(TrainConfig(lr=1e-3, scalar_lr=1e-2))
+        state = AdamState(flat.store)
+        m = {p.name: np.zeros_like(p.value) for p in ref.store}
+        v = {p.name: np.zeros_like(p.value) for p in ref.store}
+        start = flat.store.snapshot()
+        for t in range(1, 4):
+            y = Prng(0xADB + t).gauss_array((3,) + shape)
+            g_out = Prng(0xADC + t).gauss_array((3,) + shape)
+            for net in nets:
+                _, pipe = net.reconstruct_batch_grad(y, op)
+                net.reconstruct_backward(pipe, g_out)
+            assert np.array_equal(flat.store.grads,
+                                  np.concatenate([p.grad.ravel() for p in ref.store]))
+            last = [p.name for p in flat.store
+                    if p.name.startswith("fold1.") and p.name != "fold1.mu"]
+            assert last and not any(np.any(flat.store[n].grad) for n in last)
+            adam_update(flat.store, state, lr_map)
+            _reference_adam(ref.store, m, v, t, lr_map)
+            for p in ref.store:
+                assert np.array_equal(flat.store[p.name].value, p.value), (t, p.name)
+            assert not np.any(flat.store.grads)
+        for name in last:  # the last fold's flow and rho: zero gradient, no move
+            assert np.array_equal(flat.store[name].value, start[name]), name
+        assert not np.array_equal(flat.store["fold0.mu"].value, start["fold0.mu"])
+        assert not np.array_equal(flat.store["fold1.mu"].value, start["fold1.mu"])
+
+    def test_a_changed_lr_map_is_honoured(self):
+        store = ParamStore()
+        p = store.add("w", np.array(1.0))
+        state = AdamState(store)
+        for lr in (0.1, 0.2):
+            p.grad[...] = 1.0
+            before = float(p.value)
+            adam_update(store, state, {"*": lr})
+            assert abs(before - float(p.value) - lr) < 1e-6
 
 
 class TestEarlyStopper:
@@ -357,6 +420,33 @@ class TestNonFiniteGuard:
         getattr(data, split)[1, 0, 2, 5] = np.nan
         with pytest.raises(TrainingError, match=f"epoch 1: non-finite {split} loss"):
             trainer(data, _small_cfg(max_epochs=2))
+
+
+class TestNonFiniteParameterGuard:
+    def test_names_the_epoch_batch_and_parameter(self):
+        # an inf gradient makes Adam's step inf/inf = nan: the guard stops
+        # training before the val pass, so nothing is snapshotted
+        store = ParamStore()
+        store.add("a", np.zeros(3))
+        store.add("b", np.zeros((2, 2)))
+        batches, vals = [], []
+
+        def batch_loss(epoch, batch_idx):
+            batches.append(epoch)
+            if len(batches) == 2:
+                store["b"].grad[1, 0] = np.inf
+            return 1.0
+
+        def val_loss():
+            vals.append(1)
+            return 1.0
+
+        cfg = _small_cfg(batch_size=2, max_epochs=2)
+        named = r"^epoch 1, batch 2: b is non-finite$"
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match=named):
+            _fit(store, cfg, 6, batch_loss, val_loss, None)
+        assert batches == [1, 1] and not vals
+        assert np.all(np.isfinite(store["a"].value))
 
 
 class TestSingularWeightGuard:
