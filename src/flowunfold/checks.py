@@ -195,11 +195,11 @@ def adam_recurrence():
     """Three adam_update steps on 0.5 w^2 follow the scalar Adam recurrence."""
     store = ParamStore()
     p = store.add("w", np.array(1.0))
-    state = AdamState(store)
+    state = AdamState(store, {"*": 0.1})
     ours = []
     for _ in range(3):
         p.grad[...] = p.value  # gradient of 0.5 w^2
-        adam_update(store, state, {"*": 0.1})
+        adam_update(store, state)
         ours.append(float(p.value))
     w, m, v = 1.0, 0.0, 0.0
     expect = []

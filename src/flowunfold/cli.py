@@ -191,7 +191,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("test",))
     test = nonempty_split(dataset, "test")
     shape = test.shape[1:]
     cfg = parse_config(args.config).resolved(task=args.task)

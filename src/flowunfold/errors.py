@@ -34,4 +34,5 @@ class GradCheckError(FlowUnfoldError):
 
 
 class TrainingError(FlowUnfoldError):
-    """Training produced a non-finite loss."""
+    """Training cannot go on: a train or val loss is non-finite, a 1x1 conv
+    weight is singular, or a parameter is non-finite after an Adam step."""

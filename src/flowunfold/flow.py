@@ -10,13 +10,16 @@ Every layer exposes four procedures operating on batched (B, C, H, W) arrays:
 * ``inverse(y) -> (x, ctx)`` the exact algebraic inverse,
 * ``inverse_backward(ctx, gx) -> gy`` accumulating parameter gradients.
 
-The latent layout of the composed model is documented on
-:meth:`FlowModel.forward_batch`.
+:class:`FlowModel` composes them from a table with one row per level.  Each
+pass is one of two walks over it, down (squeeze, steps, split off) or up
+(join, steps reversed, unsqueeze), and records one flat list of layer
+contexts, which its reverse rule reads backwards and leaves intact.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,9 +178,7 @@ class AffineCoupling:
     def __init__(self, channels: int, hidden: int, store: ParamStore, prefix: str):
         if channels % 2:
             raise ConfigError(f"coupling needs an even channel count, got {channels}")
-        self.channels = channels
         self.half = channels // 2
-        self.hidden = hidden
         self.w1 = store.add(prefix + ".conv1.weight", np.zeros((hidden, self.half, 3, 3)))
         self.b1 = store.add(prefix + ".conv1.bias", np.zeros(hidden))
         self.w2 = store.add(prefix + ".conv2.weight", np.zeros((channels, hidden, 3, 3)))
@@ -240,65 +241,31 @@ class AffineCoupling:
         return np.concatenate([gya, gyb], axis=1)
 
 
-class _FlowStep:
-    """One (actnorm, 1x1 conv, affine coupling) triple."""
+class _Level(NamedTuple):
+    """One row of :class:`FlowModel`'s level table."""
 
-    def __init__(self, channels, hidden, store, prefix):
-        self.actnorm = ActNorm(channels, store, prefix + ".actnorm")
-        self.invconv = InvConv1x1(channels, store, prefix + ".invconv")
-        self.coupling = AffineCoupling(channels, hidden, store, prefix + ".coupling")
-        self._layers = (self.actnorm, self.invconv, self.coupling)
-        an, iv, cp = self._layers
-        self.params = (an.log_scale, an.bias, iv.weight, cp.w1, cp.b1, cp.w2, cp.b2)
-
-    def forward(self, x):
-        ld = np.zeros(x.shape[0])
-        ctxs = []
-        for layer in self._layers:
-            x, l, c = layer.forward(x)
-            ld += l
-            ctxs.append(c)
-        return x, ld, ctxs
-
-    def backward(self, ctxs, gy, gld):
-        for layer, ctx in zip(reversed(self._layers), reversed(ctxs)):
-            gy = layer.backward(ctx, gy, gld)
-        return gy
-
-    def inverse(self, y):
-        ctxs = []
-        for layer in reversed(self._layers):
-            y, c = layer.inverse(y)
-            ctxs.append(c)
-        return y, ctxs
-
-    def inverse_backward(self, ctxs, gx):
-        for layer, ctx in zip(self._layers, reversed(ctxs)):
-            gx = layer.inverse_backward(ctx, gx)
-        return gx
+    factors: tuple[int, int]  # squeeze factors (fh, fw)
+    steps: list  # (actnorm, invconv, coupling) per step, in composition order
+    shape: tuple[int, int, int]  # the squeezed (C, H, W) the steps act on
+    out: int  # leading channels written to the latent: C at the last level, else C // 2
 
 
 class FlowModel:
     """Multi-scale stack of invertible steps, built as the identity flow:
     zero actnorms and couplings, identity 1x1 convs.
 
-    A squeeze precedes each level; after every non-final level the first half
-    of the channels splits off and is carried straight into the flat latent.
-    The squeeze factor is 2 along every even spatial axis (both axes on the
-    standard even-sized inputs; degenerate shapes such as 1x1x2 squeeze only
-    the even axis).  Construction fails when some level cannot squeeze at
-    all, which covers spatial dims not divisible by 2^levels.
+    One row per level (:class:`_Level`): going down, each level squeezes,
+    runs its (actnorm, 1x1 conv, coupling) steps, then writes its first
+    ``out`` channels into the flat latent and passes the rest on; the last
+    level writes all of its channels.  The squeeze factor is 2 along every
+    even spatial axis (both axes on the standard even-sized inputs;
+    degenerate shapes such as 1x1x2 squeeze only the even axis).
+    Construction fails when some level cannot squeeze at all, which covers
+    spatial dims not divisible by 2^levels.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int, int],
-        levels: int,
-        depth: int,
-        hidden: int,
-        store: ParamStore,
-        prefix: str = "",
-    ):
+    def __init__(self, shape: tuple[int, int, int], levels: int, depth: int, hidden: int,
+                 store: ParamStore, prefix: str = ""):
         if levels < 1 or depth < 1:
             raise ConfigError(f"need levels >= 1 and depth >= 1, got {levels}, {depth}")
         self.shape = tuple(shape)
@@ -309,9 +276,7 @@ class FlowModel:
 
         first = store.size
         c, h, w = shape
-        self._factors: list[tuple[int, int]] = []
-        self._level_steps: list[list[_FlowStep]] = []
-        self._split_shapes: list[tuple[int, int, int]] = []
+        self._levels: list[_Level] = []
         dot = prefix + "." if prefix else ""
         for lvl in range(levels):
             fh = 2 if h % 2 == 0 else 1
@@ -322,44 +287,69 @@ class FlowModel:
                     f"(input {self.shape} with {levels} levels)"
                 )
             c, h, w = c * fh * fw, h // fh, w // fw
-            self._factors.append((fh, fw))
-            steps = [
-                _FlowStep(c, hidden, store, f"{dot}level{lvl}.step{d}")
-                for d in range(depth)
-            ]
-            self._level_steps.append(steps)
-            if lvl < levels - 1:
-                self._split_shapes.append((c // 2, h, w))
-                c -= c // 2
-        self._final_shape = (c, h, w)
+            steps = []
+            for d in range(depth):
+                name = f"{dot}level{lvl}.step{d}"
+                steps.append((ActNorm(c, store, name + ".actnorm"),
+                              InvConv1x1(c, store, name + ".invconv"),
+                              AffineCoupling(c, hidden, store, name + ".coupling")))
+            out = c if lvl == levels - 1 else c // 2
+            self._levels.append(_Level((fh, fw), steps, (c, h, w), out))
+            c -= out
         self.n = int(np.prod(shape))
         # this model's parameters, added in one run: their slice of store.values
         self.span = slice(first, store.size)
 
-    # -- parameter fills ----------------------------------------------------------
-
     def _steps(self):
-        for steps in self._level_steps:
-            yield from steps
+        return [step for level in self._levels for step in level.steps]
+
+    def _down(self, x: np.ndarray, step) -> np.ndarray:
+        """Images (B, C, H, W) to a flat (B, n) array: per level, squeeze,
+        ``x = step(layers, x)`` per step, split off ``out`` channels."""
+        b = x.shape[0]
+        parts = []
+        for level in self._levels:
+            x = _squeeze_axes(x, *level.factors)
+            for layers in level.steps:
+                x = step(layers, x)
+            parts.append(x[:, : level.out].reshape(b, -1))
+            x = x[:, level.out :]
+        return np.concatenate(parts, axis=1)
+
+    def _up(self, z: np.ndarray, step) -> np.ndarray:
+        """The reverse of :meth:`_down`: per level from the last, put the
+        level's ``out`` channels of z before what the levels below returned,
+        ``x = step(layers, x)`` per step in reverse, unsqueeze."""
+        b, end = z.shape[0], self.n
+        x = np.empty((b, 0) + self._levels[-1].shape[1:])  # nothing below the last level
+        for level in reversed(self._levels):
+            _, h, w = level.shape
+            start = end - level.out * h * w
+            x = np.concatenate([z[:, start:end].reshape(b, level.out, h, w), x], axis=1)
+            end = start
+            for layers in reversed(level.steps):
+                x = step(layers, x)
+            x = _unsqueeze_axes(x, *level.factors)
+        return x
+
+    # -- parameter fills ----------------------------------------------------------
 
     def random_init(self, rng: Prng) -> None:
         """Pretraining's starting point: rotation 1x1 convs (det +1),
         He-scaled first coupling convs; the final convs stay zero and the
         actnorms await :meth:`data_init`."""
-        for step in self._steps():
-            q = _random_orthogonal(rng, step.invconv.channels)
+        for _, iv, cp in self._steps():
+            q = _random_orthogonal(rng, iv.channels)
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
-            step.invconv.weight.value[...] = q
-            cp = step.coupling
+            iv.weight.value[...] = q
             fan_in = cp.half * 9
             cp.w1.value[...] = rng.gauss_array(cp.w1.value.shape) * math.sqrt(2.0 / fan_in)
 
     def randomize(self, rng: Prng, scale: float = 0.1) -> None:
         """Fill every parameter with small random values (test/self-check
         helper; keeps the 1x1 convs well away from singular)."""
-        for step in self._steps():
-            an, iv, cp = step.actnorm, step.invconv, step.coupling
+        for an, iv, cp in self._steps():
             an.log_scale.value[...] = scale * rng.gauss_array(an.channels)
             an.bias.value[...] = scale * rng.gauss_array(an.channels)
             c = iv.channels
@@ -375,20 +365,18 @@ class FlowModel:
     def check_invertible(self) -> None:
         """Compute and cache every 1x1 conv's det and inverse; a singular
         weight raises SingularMatrixError naming it."""
-        for step in self._steps():
-            step.invconv._det_inv()
-
-    def arch(self) -> tuple:
-        return (self.shape, self.levels, self.depth, self.hidden)
+        for _, iv, _ in self._steps():
+            iv._det_inv()
 
     def copy_state_from(self, src: "FlowModel") -> None:
         """Copy parameter values from a model of identical architecture
-        (weight untying: values copied, storage independent)."""
-        if self.arch() != src.arch():
-            raise ConfigError(f"architecture mismatch: {self.arch()} vs {src.arch()}")
-        for dst_step, src_step in zip(self._steps(), src._steps()):
-            for dst, value in zip(dst_step.params, src_step.params):
-                dst.value[...] = value.value
+        (weight untying: values copied, storage independent): one copy
+        between the two spans, which equal architectures lay out alike."""
+        mine = (self.shape, self.levels, self.depth, self.hidden)
+        theirs = (src.shape, src.levels, src.depth, src.hidden)
+        if mine != theirs:
+            raise ConfigError(f"architecture mismatch: {mine} vs {theirs}")
+        self.store.values[self.span] = src.store.values[src.span]
 
     # -- data-dependent initialization ----------------------------------------
 
@@ -397,16 +385,14 @@ class FlowModel:
         standardized on this batch, walking the model in composition order."""
         if batch.ndim != 4 or batch.shape[0] < 2:
             raise ConfigError("data_init needs a batch of at least 2 samples")
-        x = batch
-        for lvl in range(self.levels):
-            x = _squeeze_axes(x, *self._factors[lvl])
-            for step in self._level_steps[lvl]:
-                step.actnorm.data_init(x)
-                x, _, _ = step.actnorm.forward(x)
-                x, _, _ = step.invconv.forward(x)
-                x, _, _ = step.coupling.forward(x)
-            if lvl < self.levels - 1:
-                x = x[:, self._split_shapes[lvl][0] :]
+
+        def step(layers, x):
+            layers[0].data_init(x)
+            for layer in layers:
+                x, _, _ = layer.forward(x)
+            return x
+
+        self._down(batch, step)
 
     # -- forward / inverse ----------------------------------------------------
 
@@ -414,91 +400,62 @@ class FlowModel:
         """Map (B, C, H, W) images to latents.
 
         Returns ``(z, logdet, ctx)`` where z has shape (B, n).  The latent is
-        the concatenation, in level order, of each level's split-off half
-        (flattened C-major row-major) followed by the final level's output.
+        the concatenation, in level order, of each level's ``out`` leading
+        channels (flattened C-major row-major): half of every level's
+        channels, then all of the last level's.
         """
         if x.shape[1:] != self.shape:
             raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
-        b = x.shape[0]
-        ld = np.zeros(b)
-        parts = []
-        step_ctxs = []
-        for lvl in range(self.levels):
-            x = _squeeze_axes(x, *self._factors[lvl])
-            lvl_ctxs = []
-            for step in self._level_steps[lvl]:
-                x, l, c = step.forward(x)
-                ld += l
-                lvl_ctxs.append(c)
-            step_ctxs.append(lvl_ctxs)
-            if lvl < self.levels - 1:
-                half = self._split_shapes[lvl][0]
-                parts.append(x[:, :half].reshape(b, -1))
-                x = x[:, half:]
-        parts.append(x.reshape(b, -1))
-        return np.concatenate(parts, axis=1), ld, step_ctxs
+        ld = np.zeros(x.shape[0])
+        ctx = []
+
+        def step(layers, x):
+            lds = []
+            for layer in layers:
+                x, l, c = layer.forward(x)
+                lds.append(l)
+                ctx.append(c)
+            ld[...] += (lds[0] + lds[1]) + lds[2]  # one step's log-det, then the total
+            return x
+
+        return self._down(x, step), ld, ctx
 
     def backward_forward(self, ctx, gz: np.ndarray, glogdet: np.ndarray | None):
         """Cotangent of :meth:`forward_batch`: (gz, glogdet) -> gx."""
-        b = gz.shape[0]
-        gld = np.zeros(b) if glogdet is None else glogdet
-        g_parts = self._slice_latent(gz)
-        g = g_parts[-1].reshape((b,) + self._final_shape)
-        for lvl in range(self.levels - 1, -1, -1):
-            if lvl < self.levels - 1:
-                split = g_parts[lvl].reshape((b,) + self._split_shapes[lvl])
-                g = np.concatenate([split, g], axis=1)
-            for step, c in zip(
-                reversed(self._level_steps[lvl]), reversed(ctx[lvl])
-            ):
-                g = step.backward(c, g, gld)
-            g = _unsqueeze_axes(g, *self._factors[lvl])
-        return g
+        gld = np.zeros(gz.shape[0]) if glogdet is None else glogdet
+        record = reversed(ctx)
+
+        def step(layers, g):
+            for layer in reversed(layers):
+                g = layer.backward(next(record), g, gld)
+            return g
+
+        return self._up(gz, step)
 
     def inverse_batch(self, z: np.ndarray):
         """Map (B, n) latents back to images; exact layer-by-layer inverse."""
         if z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
-        b = z.shape[0]
-        parts = self._slice_latent(z)
-        x = parts[-1].reshape((b,) + self._final_shape)
-        step_ctxs: list[list] = [None] * self.levels
-        for lvl in range(self.levels - 1, -1, -1):
-            if lvl < self.levels - 1:
-                split = parts[lvl].reshape((b,) + self._split_shapes[lvl])
-                x = np.concatenate([split, x], axis=1)
-            lvl_ctxs = []
-            for step in reversed(self._level_steps[lvl]):
-                x, c = step.inverse(x)
-                lvl_ctxs.append(c)
-            step_ctxs[lvl] = lvl_ctxs[::-1]  # stored in forward step order
-            x = _unsqueeze_axes(x, *self._factors[lvl])
-        return x, step_ctxs
+        ctx = []
+
+        def step(layers, x):
+            for layer in reversed(layers):
+                x, c = layer.inverse(x)
+                ctx.append(c)
+            return x
+
+        return self._up(z, step), ctx
 
     def backward_inverse(self, ctx, gx: np.ndarray):
         """Cotangent of :meth:`inverse_batch`: gx -> gz."""
-        b = gx.shape[0]
-        g = gx
-        g_parts = []
-        for lvl in range(self.levels):
-            g = _squeeze_axes(g, *self._factors[lvl])
-            for step, c in zip(self._level_steps[lvl], ctx[lvl]):
-                g = step.inverse_backward(c, g)
-            if lvl < self.levels - 1:
-                half = self._split_shapes[lvl][0]
-                g_parts.append(g[:, :half].reshape(b, -1))
-                g = g[:, half:]
-        g_parts.append(g.reshape(b, -1))
-        return np.concatenate(g_parts, axis=1)
+        record = reversed(ctx)
 
-    def _slice_latent(self, z):
-        parts = []
-        offset = 0
-        for shape in self._split_shapes + [self._final_shape]:
-            size = int(np.prod(shape))
-            parts.append(z[:, offset : offset + size])
-            offset += size
-        return parts
+        def step(layers, g):
+            for layer in layers:
+                g = layer.inverse_backward(next(record), g)
+            return g
+
+        return self._down(gx, step)
 
     # -- densities -------------------------------------------------------------
 

@@ -129,18 +129,19 @@ def save_dataset(dirpath, images: np.ndarray) -> None:
     (dirpath / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def load_dataset(dirpath) -> ImageSet:
-    """Load a dataset directory.
+def load_dataset(dirpath, splits=("train", "val", "test")) -> ImageSet:
+    """Load a dataset directory; only the named ``splits`` read their image
+    files, the others come back empty.
 
     With manifest.txt (lines `index<TAB>split`), images load into the listed
-    splits, each index at most once; without one, every image file becomes
-    test data.
+    splits, each index at most once, and every line is checked whatever
+    splits load; without one, every image file becomes test data.
     """
     dirpath = Path(dirpath)
     if not dirpath.is_dir():
         raise DataError(f"dataset directory {dirpath} does not exist")
     manifest = dirpath / "manifest.txt"
-    splits: dict[str, list] = {"train": [], "val": [], "test": []}
+    images: dict[str, list] = {"train": [], "val": [], "test": []}
     ids: dict[str, list] = {"train": [], "val": [], "test": []}
     if manifest.exists():
         listed: dict[int, int] = {}  # index -> the manifest line that lists it
@@ -153,7 +154,7 @@ def load_dataset(dirpath) -> ImageSet:
                 idx = int(idx_str)
             except ValueError as exc:
                 raise DataError(f"{manifest}:{lineno}: malformed line {line!r}") from exc
-            if split not in splits:
+            if split not in images:
                 raise DataError(f"{manifest}:{lineno}: unknown split {split!r}")
             if idx in listed:
                 raise DataError(
@@ -163,8 +164,9 @@ def load_dataset(dirpath) -> ImageSet:
             for channels in (1, 3):
                 p = _image_path(dirpath, idx, channels)
                 if p.exists():
-                    splits[split].append(load_image(p))
-                    ids[split].append(idx)
+                    if split in splits:
+                        images[split].append(load_image(p))
+                        ids[split].append(idx)
                     break
             else:
                 raise DataError(f"{manifest}:{lineno}: no image file for index {idx}")
@@ -173,11 +175,11 @@ def load_dataset(dirpath) -> ImageSet:
         if not files:
             raise DataError(f"{dirpath} holds no .pgm/.ppm images")
         for i, p in enumerate(files):
-            splits["test"].append(load_image(p))
+            images["test"].append(load_image(p))
             ids["test"].append(i)
 
     def stack(name):
-        imgs = splits[name]
+        imgs = images[name]
         if not imgs:
             return np.zeros((0, 0, 0, 0))
         shapes = {im.shape for im in imgs}

@@ -158,15 +158,17 @@ def psnr(x_hat: np.ndarray, x_true: np.ndarray, peak: float = 1.0) -> float:
 
 class AdamState:
     """Flat first/second moment buffers over a ParamStore's values, the step
-    count and one scratch buffer of the same length.  The per-value learning
-    rates are built from the first ``lr_map`` :func:`adam_update` is given
-    and kept for as long as that map does not change."""
+    count, one scratch buffer of the same length, and each value's learning
+    rate, fixed here from ``lr_map``: a parameter takes the rate of the
+    first pattern its name matches, and a name no pattern matches raises
+    ConfigError."""
 
-    def __init__(self, store: ParamStore):
+    def __init__(self, store: ParamStore, lr_map: dict[str, float]):
+        self.lr = np.repeat([_lr_for(p.name, lr_map) for p in store],
+                            [p.value.size for p in store])
         self.m = np.zeros(store.size)
         self.v = np.zeros(store.size)
         self.t = 0
-        self._lr = None  # (lr_map items, per-value learning rates)
         self._scratch = np.empty(store.size)
 
 
@@ -182,19 +184,9 @@ def _lr_for(name: str, lr_map: dict[str, float]) -> float:
     raise ConfigError(f"no learning-rate pattern matches parameter {name!r}")
 
 
-def _lr_values(store: ParamStore, state: AdamState, lr_map: dict[str, float]) -> np.ndarray:
-    """Each value's learning rate, laid out like ``store.values``."""
-    key = tuple(lr_map.items())
-    if state._lr is None or state._lr[0] != key:
-        lr = np.concatenate([np.full(p.value.size, _lr_for(p.name, lr_map)) for p in store])
-        state._lr = (key, lr)
-    return state._lr[1]
-
-
 def adam_update(
     store: ParamStore,
     state: AdamState,
-    lr_map: dict[str, float],
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
@@ -206,7 +198,6 @@ def adam_update(
     the intermediates.  Each value sees the operations of the scalar
     recurrence in the same order, so the result is bitwise that of a
     per-parameter loop."""
-    lr = _lr_values(store, state, lr_map)
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -217,7 +208,7 @@ def adam_update(
     v += np.multiply(np.multiply(1.0 - beta2, g, out=tmp), g, out=tmp)
     denom = np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
     step = np.divide(np.divide(m, bc1, out=g), denom, out=g)
-    values -= np.multiply(lr, step, out=g)
+    values -= np.multiply(state.lr, step, out=g)
     zero_grads(store)
 
 
@@ -279,8 +270,7 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
     accumulates the gradients), stopping early on ``val_loss()`` and
     restoring the best epoch.  A non-finite loss, a singular 1x1 conv weight
     or a non-finite parameter after an Adam step raises TrainingError."""
-    state = AdamState(store)
-    lr_map = make_lr_map(cfg)
+    state = AdamState(store, make_lr_map(cfg))
     stopper = EarlyStopper(store, cfg.patience)
     t0 = time.monotonic()
     for epoch in range(1, cfg.max_epochs + 1):
@@ -289,7 +279,7 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
         for batch, start in enumerate(range(0, n_train, cfg.batch_size), 1):
             batch_idx = order[start : start + cfg.batch_size]
             loss = _checked(lambda: batch_loss(epoch, batch_idx), epoch, "train")
-            adam_update(store, state, lr_map, cfg.beta1, cfg.beta2, cfg.eps_adam)
+            adam_update(store, state, cfg.beta1, cfg.beta2, cfg.eps_adam)
             finite = np.isfinite(store.values)
             if not finite.all():
                 bad, _ = store.locate(int(np.argmin(finite)))  # the first False

@@ -1,11 +1,13 @@
 """File formats, config grammar, and the command-line pipeline."""
 
+import shutil
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flowunfold.io
 from flowunfold.cli import echo_config, main, parse_config
 from flowunfold.diff import ParamStore
 from flowunfold.errors import CheckpointError, ConfigError, DataError
@@ -479,6 +481,31 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert "(4, 2, 3, 3)" in err and "(6, 2, 3, 3)" in err
+
+    def _eval(self, pipeline, data, tag):
+        return main(["eval", "--model", str(pipeline.net), "--data", str(data),
+                     "--task", "denoise", "--config", str(pipeline.resolved),
+                     "--report", str(pipeline.root / tag / "report.csv")])
+
+    def test_eval_reads_only_the_test_images(self, pipeline, monkeypatch):
+        read = []
+        monkeypatch.setattr(flowunfold.io, "load_image",
+                            lambda path: read.append(path.name) or load_image(path))
+        assert self._eval(pipeline, pipeline.data, "test-only") == 0
+        lines = (pipeline.data / "manifest.txt").read_text().splitlines()
+        test = [f"{int(line.split()[0]):05d}.pgm" for line in lines if line.endswith("\ttest")]
+        assert test and read == test
+
+    @pytest.mark.parametrize("line", ["0\ttrain", "99\ttrain", "1\tfuture"])
+    def test_eval_still_checks_every_manifest_line(self, pipeline, capsys, line):
+        # a repeated index, a missing file and an unknown split, none of them
+        # on a test line
+        data = pipeline.root / f"bad-manifest-{line.split()[0]}"
+        shutil.copytree(pipeline.data, data)
+        with open(data / "manifest.txt", "a") as fh:
+            fh.write(line + "\n")
+        assert self._eval(pipeline, data, f"bad-{line.split()[0]}") == 1
+        assert "manifest.txt" in capsys.readouterr().err
 
     def test_eval_rejects_trailing_bytes(self, pipeline, capsys):
         ckpt = pipeline.root / "padded.ckpt"

@@ -72,7 +72,7 @@ class TestFlatBuffers:
         assert [s.start for s in spans[1:]] == [s.stop + 2 for s in spans[:-1]]
         for fold, span in zip(net.folds, spans):
             assert net.store.locate(span.start) == (
-                fold.flow._level_steps[0][0].actnorm.log_scale, 0)
+                fold.flow._levels[0].steps[0][0].log_scale, 0)
             assert net.store.locate(span.stop) == (fold.mu, 0)
 
     def test_growth_rebinds_earlier_parameters(self):

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flowunfold.flow
 from flowunfold.checks import numeric_logdet
@@ -232,7 +234,7 @@ class TestDataInit:
         model.random_init(Prng(0xDA7A))
         batch = 3.0 * Prng(0xBEEF).gauss_array((32, 1, 8, 8)) + 1.5
         model.data_init(batch)
-        first = model._level_steps[0][0].actnorm
+        first = model._levels[0].steps[0][0]
         out, _, _ = first.forward(squeeze(batch))
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
@@ -250,7 +252,7 @@ class TestDataInit:
         model.random_init(Prng(5))
         batch = np.zeros((4, 1, 4, 4))  # all channels constant
         model.data_init(batch)  # must not raise
-        ls = model._level_steps[0][0].actnorm.log_scale.value
+        ls = model._levels[0].steps[0][0].log_scale.value
         assert np.all(np.isfinite(ls))
 
 
@@ -288,7 +290,7 @@ class TestConstruction:
         z_src, _, _ = src.forward_batch(xb)
         z_dst, _, _ = dst.forward_batch(xb)
         assert np.array_equal(z_src, z_dst)
-        src._level_steps[0][0].actnorm.bias.value[...] += 1.0
+        src._levels[0].steps[0][0].bias.value[...] += 1.0
         z_dst2, _, _ = dst.forward_batch(xb)
         assert np.array_equal(z_dst, z_dst2)
 
@@ -410,11 +412,62 @@ class TestGradients:
     def test_grads_zeroed_between_checks(self):
         model = _random_model((1, 4, 4), 1, 1, 4, seed=0x7001)
         x = Prng(0x7002).gauss_array((2, 1, 4, 4))
-        f = _forward_objective(model._level_steps[0][0].actnorm, x, 0x7003)
+        f = _forward_objective(model._levels[0].steps[0][0], x, 0x7003)
         grad_check(f, model.store, 5)
         zero_grads(model.store)
         total = sum(float(np.abs(p.grad).sum()) for p in model.store)
         assert total == 0.0
+
+
+class TestAcrossShapes:
+    """The walks over the level table on shapes beyond the square 1-channel
+    case: 1 or 3 channels, 1-3 levels, non-square sizes, levels that squeeze
+    one axis only, batches of 1 and 2."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        channels=st.sampled_from([1, 3]),
+        levels=st.integers(1, 3),
+        # one axis is 2^levels, the other odd * 2^short: every level
+        # squeezes the first, and the second only while it is even
+        short=st.integers(0, 3),
+        odd=st.sampled_from([1, 3]),
+        swap=st.booleans(),
+        batch=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=1, levels=1, short=0, odd=1, swap=True, batch=1, seed=1)  # 1x1x2
+    @example(channels=3, levels=3, short=1, odd=3, swap=False, batch=2, seed=2)  # 3x8x6
+    def test_walks(self, channels, levels, short, odd, swap, batch, seed):
+        h, w = 2**levels, odd * 2 ** min(short, levels)
+        shape = (channels, w, h) if swap else (channels, h, w)
+        model = _random_model(shape, levels, 1, 4, seed, scale=0.1)
+        rng = Prng(seed ^ 0x5A)
+        x = rng.gauss_array((batch,) + shape)
+        z = rng.gauss_array((batch, model.n))
+
+        fz, ld, _ = model.forward_batch(x)
+        assert np.max(np.abs(model.inverse_batch(fz)[0] - x)) < 1e-8
+        gz, _ = model.inverse_batch(z)
+        assert np.max(np.abs(model.forward_batch(gz)[0] - z)) < 1e-8
+        if model.n <= 48:
+            assert abs(ld[0] - numeric_logdet(model, x[:1])) < 1e-6
+
+        # both reverse walks at once: parameter cotangents, then the
+        # cotangents of each walk's input
+        cz, cld, cx = (rng.gauss_array(a.shape) for a in (z, ld, x))
+        inputs = ParamStore()
+        px, pz = inputs.add("x", x), inputs.add("z", z)
+
+        def f(store):
+            fz, ld, ctx_f = model.forward_batch(px.value)
+            px.grad += model.backward_forward(ctx_f, cz, cld)
+            gz, ctx_i = model.inverse_batch(pz.value)
+            pz.grad += model.backward_inverse(ctx_i, cx)
+            return float((fz * cz).sum() + (ld * cld).sum() + (gz * cx).sum())
+
+        assert grad_check(f, model.store, 12) < 1e-5
+        assert grad_check(f, inputs, 12) < 1e-5
 
 
 def _twin(model, rng):
@@ -426,20 +479,21 @@ def _twin_entries(model, rng):
     """Every entry of the model's store, the model's own parameters taken
     from a randomized twin (the store may hold other models too)."""
     entries = model.store.snapshot()
-    for step, twin_step in zip(model._steps(), _twin(model, rng)._steps()):
-        for p, q in zip(step.params, twin_step.params):
-            entries[p.name] = q.value
+    names = model.store.names()
+    first = names.index(model.store.locate(model.span.start)[0].name)
+    for name, q in zip(names[first:], _twin(model, rng).store):
+        entries[name] = q.value
     return entries
 
 
 def _adam_step(model, rng):
     for p in model.store:
         p.grad[...] = rng.gauss_array(p.value.shape)
-    adam_update(model.store, AdamState(model.store), {"*": 1e-2})
+    adam_update(model.store, AdamState(model.store, {"*": 1e-2}))
 
 
 def _direct_write(model, rng):
-    model._level_steps[0][0].invconv.weight.value[0, 1] += 0.25
+    model._levels[0].steps[0][1].weight.value[0, 1] += 0.25
 
 
 _WEIGHT_CHANGES = {
@@ -456,7 +510,7 @@ class TestInvConvCache:
     @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
     def test_every_weight_change_is_seen(self, change):
         model = _random_model((1, 4, 4), 1, 1, 4, seed=0x1C2)
-        layer = model._level_steps[0][0].invconv
+        layer = model._levels[0].steps[0][1]
         rng = Prng(0x1C3)
         x = rng.gauss_array((2, 4, 2, 2))
         layer.forward(x)
@@ -573,7 +627,7 @@ class TestInitialGuessCache:
     def test_fold1_and_scalar_writes_keep_it(self):
         net = _random_net(2, 0x1D2)
         x0, ctx = net.initial_guess()
-        net.folds[1].flow._level_steps[0][0].invconv.weight.value[0, 1] += 0.25
+        net.folds[1].flow._levels[0].steps[0][1].weight.value[0, 1] += 0.25
         net.folds[1].flow.randomize(Prng(0x1D3))
         net.folds[0].mu.value[...] = 0.3
         net.folds[0].rho.value[...] = -1.0

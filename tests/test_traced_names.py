@@ -55,3 +55,41 @@ def test_untraced_calls_restore_a_prior_and_a_net(tmp_path):
     op = fu.operator_for_task("inpaint", shape)
     y = op.apply(fu.Prng(2).gauss_array(shape))
     assert np.array_equal(fu.reconstruct(restored, y, op), fu.reconstruct(net, y, op))
+
+
+def _deep_held_bytes(obj) -> int:
+    """Bytes of the distinct buffers the arrays reachable from ``obj`` keep
+    alive, through tuples, lists, dicts and object attributes alike."""
+    buffers, seen, stack = {}, set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)) or callable(item):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+        elif isinstance(item, (tuple, list, set, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        else:
+            stack.extend(getattr(item, "__dict__", {}).values())
+            stack.extend(getattr(item, slot) for slot in getattr(type(item), "__slots__", ())
+                         if hasattr(item, slot))
+    return sum(buffers.values())
+
+
+def test_record_counter_sees_the_whole_record():
+    # unfold.reconstruct_batch_grad.record_mb walks only tuples and lists: a
+    # record that hid arrays in any other container would read low
+    shape = (1, 8, 8)
+    net = flowunfold.UnrolledNet(shape, 3, 2, 2, 4)
+    for fold in net.folds:
+        fold.flow.randomize(flowunfold.Prng(3))
+    op = flowunfold.operator_for_task("inpaint", shape)
+    _, record = net.reconstruct_batch_grad(flowunfold.Prng(4).gauss_array((2,) + shape), op)
+    held = _load_spans()._held_bytes(record)
+    assert held > 0 and held == _deep_held_bytes(record)
+    assert _deep_held_bytes({"hidden": types.SimpleNamespace(record=record)}) == held
