@@ -195,7 +195,7 @@ def adam_recurrence():
     """Three adam_update steps on 0.5 w^2 follow the scalar Adam recurrence."""
     store = ParamStore()
     p = store.add("w", np.array(1.0))
-    state = AdamState(store, {"*": 0.1})
+    state = AdamState(store, 0.1, 0.1)
     ours = []
     for _ in range(3):
         p.grad[...] = p.value  # gradient of 0.5 w^2

@@ -135,7 +135,7 @@ def _save_run(what: str, out, store: ParamStore, lines: list[str], cfg: TrainCon
 
 
 def cmd_pretrain(args) -> int:
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("train", "val"))
     shape = nonempty_split(dataset, "train").shape[1:]
     cfg = parse_config(args.config).resolved(shape)
     lines: list[str] = []
@@ -145,7 +145,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("train", "val"))
     shape = nonempty_split(dataset, "train").shape[1:]
     cfg = parse_config(args.config).resolved(shape, args.task)
     pretrained = None
@@ -204,10 +204,7 @@ def cmd_eval(args) -> int:
     for i, image_id in enumerate(ids):
         rng = Prng(derive_seed(cfg.seed, _TAG_EVAL, int(image_id)))
         y[i] = make_measurement(op, test[i], cfg.sigma_n, rng)
-    x_hat = np.empty_like(test)
-    bs = cfg.batch_size
-    for start in range(0, len(test), bs):
-        x_hat[start : start + bs] = net.reconstruct_batch(y[start : start + bs], op)
+    x_hat = net.reconstruct_batch(y, op)
 
     rows = ["image_id,task,psnr_input,psnr_output"]
     p_in, p_out = [], []

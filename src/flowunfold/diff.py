@@ -17,8 +17,6 @@ parameters were added in one run owns one contiguous slice.
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from .errors import GradCheckError
@@ -61,7 +59,6 @@ class ParamStore:
 
     def __init__(self):
         self._entries: dict[str, Parameter] = {}
-        self._starts: list[int] = []  # each parameter's offset, insertion order
         self.size = 0  # scalar values over all parameters
         self._value_buf = np.zeros(0)
         self._grad_buf = np.zeros(0)
@@ -87,7 +84,6 @@ class ParamStore:
         p.value[...] = value
         self.size += value.size
         self._entries[name] = p
-        self._starts.append(start)
         return p
 
     def _views(self, start: int, size: int, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +101,10 @@ class ParamStore:
         values[: self.size] = self.values
         grads[: self.size] = self.grads
         self._value_buf, self._grad_buf = values, grads
-        for p, start in zip(self._entries.values(), self._starts):
+        start = 0
+        for p in self:
             p.value, p.grad = self._views(start, p.value.size, p.value.shape)
+            start += p.value.size
 
     def __getitem__(self, name: str) -> Parameter:
         return self._entries[name]
@@ -128,16 +126,18 @@ class ParamStore:
         position within it."""
         if not 0 <= index < self.size:
             raise IndexError(f"flat index {index} outside a store of {self.size} values")
-        k = bisect.bisect_right(self._starts, index) - 1
-        return list(self._entries.values())[k], index - self._starts[k]
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all values, keyed by name (for early-stopping restore)."""
-        return {p.name: p.value.copy() for p in self}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
         for p in self:
-            p.value[...] = snap[p.name]
+            if index < p.value.size:
+                return p, index
+            index -= p.value.size
+
+    def snapshot(self) -> np.ndarray:
+        """A copy of :attr:`values` (for early-stopping restore)."""
+        return self.values.copy()
+
+    def restore(self, snap: np.ndarray) -> None:
+        """Write back a :meth:`snapshot` of this store."""
+        self.values[...] = snap
 
 
 def zero_grads(store: ParamStore) -> None:

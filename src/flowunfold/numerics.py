@@ -52,10 +52,10 @@ class Prng:
     The state advances by the 64-bit golden-ratio constant per draw and the
     new state is passed through the SplitMix64 mixing function.  Uniform
     doubles take the top 53 bits of the mixed output, giving values in
-    [0, 1).  Each Gaussian draw consumes exactly two consecutive uniforms
-    (u1, u2) and returns sqrt(-2 ln(1 - u1)) * cos(2 pi u2); array draws of
-    n Gaussians consume 2n uniforms (pairs yield cos/sin companions
-    interleaved, a trailing odd sample discards its sin companion).  The
+    [0, 1).  Gaussians come from pairs of consecutive uniforms (u1, u2),
+    each pair giving sqrt(-2 ln(1 - u1)) * cos(2 pi u2) and its sin
+    companion, interleaved; a draw of n Gaussians consumes 2 ceil(n / 2)
+    uniforms, and a trailing odd sample discards its sin companion.  The
     integer and uniform streams are bit-for-bit reproducible for a given
     seed.
     """
@@ -84,11 +84,6 @@ class Prng:
         n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)
         bits = self._u64_array(n) >> np.uint64(11)
         return (bits.astype(np.float64) * _U64_SCALE).reshape(shape)
-
-    def gauss(self) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
 
     def gauss_array(self, shape) -> np.ndarray:
         n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from fnmatch import fnmatchcase
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "mse_loss",
     "psnr",
     "adam_update",
-    "make_lr_map",
     "pretrain",
     "train_unrolled",
 ]
@@ -145,12 +143,13 @@ def mse_loss(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     return float((d * d).mean())
 
 
-def psnr(x_hat: np.ndarray, x_true: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / mse) in dB, capped at 99.0 for near-zero error."""
+def psnr(x_hat: np.ndarray, x_true: np.ndarray) -> float:
+    """10 log10(1 / mse) in dB (peak 1, the width of the [-0.5, 0.5] pixel
+    range), capped at 99.0 for near-zero error."""
     mse = mse_loss(x_hat, x_true)
     if mse < 1e-12:
         return 99.0
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 # -- optimizer --------------------------------------------------------------------
@@ -159,29 +158,17 @@ def psnr(x_hat: np.ndarray, x_true: np.ndarray, peak: float = 1.0) -> float:
 class AdamState:
     """Flat first/second moment buffers over a ParamStore's values, the step
     count, one scratch buffer of the same length, and each value's learning
-    rate, fixed here from ``lr_map``: a parameter takes the rate of the
-    first pattern its name matches, and a name no pattern matches raises
-    ConfigError."""
+    rate, fixed here by one rule: ``scalar_lr`` for a parameter whose name
+    ends in ``.mu`` or ``.rho`` (a fold's step size and shrinkage), ``lr``
+    for every other one."""
 
-    def __init__(self, store: ParamStore, lr_map: dict[str, float]):
-        self.lr = np.repeat([_lr_for(p.name, lr_map) for p in store],
-                            [p.value.size for p in store])
+    def __init__(self, store: ParamStore, lr: float, scalar_lr: float):
+        self.lr = np.repeat([scalar_lr if p.name.endswith((".mu", ".rho")) else lr
+                             for p in store], [p.value.size for p in store])
         self.m = np.zeros(store.size)
         self.v = np.zeros(store.size)
         self.t = 0
         self._scratch = np.empty(store.size)
-
-
-def make_lr_map(cfg: TrainConfig) -> dict[str, float]:
-    """Scalar step/shrinkage parameters train faster than flow weights."""
-    return {"*.mu": cfg.scalar_lr, "*.rho": cfg.scalar_lr, "*": cfg.lr}
-
-
-def _lr_for(name: str, lr_map: dict[str, float]) -> float:
-    for pattern, lr in lr_map.items():
-        if fnmatchcase(name, pattern):
-            return lr
-    raise ConfigError(f"no learning-rate pattern matches parameter {name!r}")
 
 
 def adam_update(
@@ -270,7 +257,7 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
     accumulates the gradients), stopping early on ``val_loss()`` and
     restoring the best epoch.  A non-finite loss, a singular 1x1 conv weight
     or a non-finite parameter after an Adam step raises TrainingError."""
-    state = AdamState(store, make_lr_map(cfg))
+    state = AdamState(store, cfg.lr, cfg.scalar_lr)
     stopper = EarlyStopper(store, cfg.patience)
     t0 = time.monotonic()
     for epoch in range(1, cfg.max_epochs + 1):

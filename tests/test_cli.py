@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import flowunfold.cli
 import flowunfold.io
+import flowunfold.unfold
 from flowunfold.cli import echo_config, main, parse_config
 from flowunfold.diff import ParamStore
 from flowunfold.errors import CheckpointError, ConfigError, DataError
@@ -21,9 +23,11 @@ from flowunfold.io import (
     split_counts,
     synth_blobs,
 )
-from flowunfold.numerics import Prng
-from flowunfold.train import TrainConfig
-from flowunfold.unfold import UnrolledNet
+from flowunfold.flow import FlowModel
+from flowunfold.numerics import Prng, derive_seed
+from flowunfold.operators import make_measurement, operator_for_task
+from flowunfold.train import TrainConfig, psnr
+from flowunfold.unfold import UnrolledNet, reconstruct
 
 
 class TestImageFiles:
@@ -200,8 +204,7 @@ class TestCheckpoint:
         entries["w.block"][1, 0, 0] = bad
         with pytest.raises(CheckpointError, match="w.block"):
             restore_into(store, entries)
-        for p in store:
-            assert np.array_equal(p.value, before[p.name])
+        assert np.array_equal(store.values, before)
 
 
 class TestConfig:
@@ -649,6 +652,84 @@ class TestCommands:
                              "--out", str(tmp_path / "out" / "m.ckpt")])
         assert rc == 1
         assert "empty train split" in capsys.readouterr().err
+
+
+def _corpus(root, count=160):
+    data = root / "data"
+    assert main(["synth-data", "--out", str(data), "--count", str(count),
+                 "--size", "16", "16", "--seed", "1"]) == 0
+    return data
+
+
+class TestTrainingReads:
+    _COMMANDS = [["pretrain"], ["train", "--task", "inpaint", "--no-pretrain"]]
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_training_reads_only_train_and_val_images(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        data = _corpus(tmp_path)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("max_epochs = 1\nK = 2\nL = 1\nD = 1\nhidden = 4\nbatch_size = 64\n")
+        read = []
+        monkeypatch.setattr(flowunfold.io, "load_image",
+                            lambda path: read.append(path.name) or load_image(path))
+        args = command + ["--data", str(data), "--config", str(cfg)]
+        assert main(args + ["--out", str(tmp_path / "m.ckpt")]) == 0
+        n_train, n_val, n_test = split_counts(160)
+        assert (n_train, n_val, n_test) == (128, 16, 16)
+        assert read == [f"{i:05d}.pgm" for i in range(n_train + n_val)]
+        # the test split's manifest lines are still checked
+        with open(data / "manifest.txt", "a") as fh:
+            fh.write("160 test\n")  # a space, not a tab
+        assert main(args + ["--out", str(tmp_path / "bad.ckpt")]) == 1
+        assert "manifest.txt:161: malformed line" in capsys.readouterr().err
+
+
+class TestEvalBatching:
+    def test_tiled_eval_matches_per_image_reconstructs(self, tmp_path, monkeypatch):
+        # 48 test images at batch_size 16: one reconstruct_batch call that
+        # runs in more than one tile, each image's PSNR bitwise that of its
+        # own reconstruct call
+        data = _corpus(tmp_path, 48)
+        (data / "manifest.txt").write_text("".join(f"{i}\ttest\n" for i in range(48)))
+        shape, arch = (1, 16, 16), (2, 4, 16)
+        prior = FlowModel(shape, *arch, ParamStore())
+        prior.randomize(Prng(0xE7A), scale=0.05)
+        net = UnrolledNet(shape, 3, *arch)
+        net.load_pretrained_prior(prior)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(ckpt, net.store)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("task = deblur\nbatch_size = 16\nheight = 16\nwidth = 16\n")
+        batches, tiles, scores = [], [], []
+        batch, unroll = UnrolledNet.reconstruct_batch, UnrolledNet._unroll
+        monkeypatch.setattr(flowunfold.cli, "psnr",
+                            lambda a, b: scores.append(psnr(a, b)) or scores[-1])
+        monkeypatch.setattr(UnrolledNet, "reconstruct_batch",
+                            lambda self, y, op: batches.append(len(y)) or batch(self, y, op))
+        monkeypatch.setattr(UnrolledNet, "_unroll",
+                            lambda self, x0, y, op, rec: tiles.append(len(y))
+                            or unroll(self, x0, y, op, rec))
+        report = tmp_path / "r.csv"
+        assert main(["eval", "--model", str(ckpt), "--data", str(data), "--task", "deblur",
+                     "--config", str(cfg), "--report", str(report)]) == 0
+        assert batches == [48]
+        rows = max(1, flowunfold.unfold.TILE_VALUES // 256)
+        assert len(tiles) == -(-48 // rows) > 1 and sum(tiles) == 48
+        monkeypatch.undo()
+
+        resolved = parse_config(tmp_path / "resolved.cfg")
+        op = operator_for_task("deblur", shape, resolved.mask_w, resolved.sigma_b,
+                               resolved.blur_radius)
+        test = load_dataset(data, splits=("test",)).test
+        lines = report.read_text().splitlines()[1:-1]
+        assert len(lines) == 48
+        for i, line in enumerate(lines):
+            rng = Prng(derive_seed(resolved.seed, flowunfold.cli._TAG_EVAL, i))
+            y = make_measurement(op, test[i], resolved.sigma_n, rng)
+            expect = psnr(reconstruct(net, y, op), test[i])
+            assert scores[2 * i + 1] == expect  # bitwise, not to the report's 6 places
+            assert line == f"{i},deblur,{psnr(y, test[i]):.6f},{expect:.6f}"
 
 
 class TestNoiseFloor:

@@ -39,10 +39,13 @@ class TestParamStore:
     def test_snapshot_restore(self):
         s = ParamStore()
         p = s.add("w", np.arange(4.0))
+        q = s.add("b", np.array(2.5))
         snap = s.snapshot()
         p.value[...] = -1.0
+        q.value[...] = 0.0
         s.restore(snap)
         assert np.array_equal(p.value, np.arange(4.0))
+        assert float(q.value) == 2.5
 
 
 def _assert_flat(store):
@@ -116,9 +119,9 @@ class TestFlatBuffers:
         s = ParamStore()
         p = s.add("w", np.arange(4.0))
         snap = s.snapshot()
-        assert not np.shares_memory(snap["w"], s.values)
+        assert not np.shares_memory(snap, s.values)
         p.value[...] = 0.0
-        assert np.array_equal(snap["w"], np.arange(4.0))
+        assert np.array_equal(snap, np.arange(4.0))
 
 
 class TestZeroGrads:

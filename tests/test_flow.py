@@ -475,21 +475,25 @@ def _twin(model, rng):
     return _random_model(model.shape, model.levels, model.depth, model.hidden, rng.next_u64())
 
 
+def _twin_values(model, rng):
+    """The store's flat values, the model's own span taken from a randomized
+    twin (the store may hold other models too)."""
+    values = model.store.snapshot()
+    values[model.span] = _twin(model, rng).store.values
+    return values
+
+
 def _twin_entries(model, rng):
-    """Every entry of the model's store, the model's own parameters taken
-    from a randomized twin (the store may hold other models too)."""
-    entries = model.store.snapshot()
-    names = model.store.names()
-    first = names.index(model.store.locate(model.span.start)[0].name)
-    for name, q in zip(names[first:], _twin(model, rng).store):
-        entries[name] = q.value
-    return entries
+    """:func:`_twin_values` keyed by name, as a checkpoint holds them."""
+    store = model.store
+    parts = np.split(_twin_values(model, rng), np.cumsum([p.value.size for p in store])[:-1])
+    return {p.name: part.reshape(p.value.shape) for p, part in zip(store, parts)}
 
 
 def _adam_step(model, rng):
     for p in model.store:
         p.grad[...] = rng.gauss_array(p.value.shape)
-    adam_update(model.store, AdamState(model.store, {"*": 1e-2}))
+    adam_update(model.store, AdamState(model.store, 1e-2, 1e-2))
 
 
 def _direct_write(model, rng):
@@ -498,7 +502,7 @@ def _direct_write(model, rng):
 
 _WEIGHT_CHANGES = {
     "adam_update": _adam_step,
-    "store.restore": lambda model, rng: model.store.restore(_twin_entries(model, rng)),
+    "store.restore": lambda model, rng: model.store.restore(_twin_values(model, rng)),
     "restore_into": lambda model, rng: restore_into(model.store, _twin_entries(model, rng)),
     "copy_state_from": lambda model, rng: model.copy_state_from(_twin(model, rng)),
     "randomize": lambda model, rng: model.randomize(rng),

@@ -68,16 +68,6 @@ class TestPrng:
         assert abs(g.mean()) < 0.01
         assert abs(g.std() - 1.0) < 0.01
 
-    def test_gauss_scalar_consumes_pairs(self):
-        rng = Prng(42)
-        first = rng.gauss()
-        # two uniforms consumed per scalar draw
-        rng2 = Prng(42)
-        rng2.uniform()
-        rng2.uniform()
-        assert rng.uniform() == rng2.uniform()
-        assert first == Prng(42).gauss_array(1)[0]
-
     def test_derive_seed_order_sensitive(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

@@ -22,9 +22,7 @@ from flowunfold.train import (
     EarlyStopper,
     TrainConfig,
     _fit,
-    _lr_for,
     adam_update,
-    make_lr_map,
     mse_loss,
     nll_loss,
     nll_loss_grad,
@@ -110,13 +108,13 @@ class TestAdam:
         store = ParamStore()
         p = store.add("w", np.array(1.0))
         p.grad[...] = 7.3
-        adam_update(store, AdamState(store, {"*": 0.1}))
+        adam_update(store, AdamState(store, 0.1, 0.1))
         assert abs(float(p.value) - 0.9) < 1e-8
 
     def test_zero_gradient_is_a_no_op(self):
         store = ParamStore()
         p = store.add("w", np.array(2.5))
-        state = AdamState(store, {"*": 0.1})
+        state = AdamState(store, 0.1, 0.1)
         adam_update(store, state)
         assert float(p.value) == 2.5
         assert state.t == 1
@@ -125,31 +123,43 @@ class TestAdam:
         store = ParamStore()
         p = store.add("w", np.array(1.0))
         p.grad[...] = 1.0
-        adam_update(store, AdamState(store, {"*": 0.1}))
+        adam_update(store, AdamState(store, 0.1, 0.1))
         assert float(p.grad) == 0.0
 
-    def test_lr_map_routes_scalars_separately(self):
+    def test_mu_and_rho_take_the_scalar_rate(self):
         store = ParamStore()
         mu = store.add("fold0.mu", np.array(0.5))
         rho = store.add("fold0.rho", np.array(-2.0))
         w = store.add("fold0.level0.step0.actnorm.bias", np.array(0.0))
         for p in store:
             p.grad[...] = 1.0
-        lr_map = make_lr_map(TrainConfig(lr=1e-5, scalar_lr=1e-2))
-        adam_update(store, AdamState(store, lr_map))
+        adam_update(store, AdamState(store, 1e-5, 1e-2))
         # first step moves each parameter by ~ its own learning rate
         assert abs(float(mu.value) - (0.5 - 1e-2)) < 1e-9
         assert abs(float(rho.value) - (-2.0 - 1e-2)) < 1e-9
         assert abs(float(w.value) - (0.0 - 1e-5)) < 1e-12
 
-    def test_unmatched_parameter_is_an_error(self):
-        store = ParamStore()
-        store.add("oddball", np.array(1.0))
-        with pytest.raises(ConfigError):
-            AdamState(store, {"*.mu": 0.1})
+    def test_rate_vector_of_an_unrolled_net(self):
+        store = UnrolledNet((1, 16, 16), 3, 2, 4, 16).store
+        lr = AdamState(store, 1e-4, 1e-2).lr
+        scalar = np.concatenate([np.full(p.value.size, p.name.endswith((".mu", ".rho")))
+                                 for p in store])
+        names = [p.name for p in store if p.name.endswith((".mu", ".rho"))]
+        assert names == [f"fold{k}.{s}" for k in range(3) for s in ("mu", "rho")]
+        assert lr.shape == (store.size,)
+        assert np.count_nonzero(scalar) == 6 and np.count_nonzero(~scalar) == 32880
+        assert np.all(lr[scalar] == 1e-2) and np.all(lr[~scalar] == 1e-4)
+
+    def test_rate_vector_of_a_prior(self):
+        prior = FlowModel((1, 16, 16), 2, 4, 16, ParamStore())
+        assert np.all(AdamState(prior.store, 1e-4, 1e-2).lr == 1e-4)
 
 
-def _reference_adam(store, m, v, t, lr_map, beta1=0.9, beta2=0.999, eps=1e-8):
+def _rule_lr(name, lr, scalar_lr):
+    return scalar_lr if name.endswith((".mu", ".rho")) else lr
+
+
+def _reference_adam(store, m, v, t, lr, scalar_lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam step t as a per-parameter loop over name-keyed moments."""
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
@@ -158,7 +168,7 @@ def _reference_adam(store, m, v, t, lr_map, beta1=0.9, beta2=0.999, eps=1e-8):
         m[p.name] = beta1 * m[p.name] + (1.0 - beta1) * g
         v[p.name] = beta2 * v[p.name] + (1.0 - beta2) * g * g
         step = (m[p.name] / bc1) / (np.sqrt(v[p.name] / bc2) + eps)
-        p.value[...] = p.value - _lr_for(p.name, lr_map) * step
+        p.value[...] = p.value - _rule_lr(p.name, lr, scalar_lr) * step
         p.grad[...] = 0.0
 
 
@@ -172,11 +182,10 @@ class TestWholeStoreAdam:
                 fold.flow.randomize(rng)
         flat, ref = nets
         op = CenterMask(shape, 3)
-        lr_map = make_lr_map(TrainConfig(lr=1e-3, scalar_lr=1e-2))
-        state = AdamState(flat.store, lr_map)
+        state = AdamState(flat.store, 1e-3, 1e-2)
         m = {p.name: np.zeros_like(p.value) for p in ref.store}
         v = {p.name: np.zeros_like(p.value) for p in ref.store}
-        start = flat.store.snapshot()
+        start = {p.name: p.value.copy() for p in flat.store}
         for t in range(1, 4):
             y = Prng(0xADB + t).gauss_array((3,) + shape)
             g_out = Prng(0xADC + t).gauss_array((3,) + shape)
@@ -189,7 +198,7 @@ class TestWholeStoreAdam:
                     if p.name.startswith("fold1.") and p.name != "fold1.mu"]
             assert last and not any(np.any(flat.store[n].grad) for n in last)
             adam_update(flat.store, state)
-            _reference_adam(ref.store, m, v, t, lr_map)
+            _reference_adam(ref.store, m, v, t, 1e-3, 1e-2)
             for p in ref.store:
                 assert np.array_equal(flat.store[p.name].value, p.value), (t, p.name)
             assert not np.any(flat.store.grads)
