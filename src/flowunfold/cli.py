@@ -184,7 +184,7 @@ def cmd_reconstruct(args) -> int:
     save_image(out, x_hat)
     if args.emit_init:
         init_path = out.with_name(out.stem + "_init" + out.suffix)
-        save_image(init_path, net.initial_guess()[0][0])
+        save_image(init_path, net.initial_guess()[0])
     echo_config(cfg, out.parent)
     print(f"reconstruction written to {out}")
     return 0

@@ -12,8 +12,12 @@ Every layer exposes four procedures operating on batched (B, C, H, W) arrays:
 
 :class:`FlowModel` composes them from a table with one row per level.  Each
 pass is one of two walks over it, down (squeeze, steps, split off) or up
-(join, steps reversed, unsqueeze), and records one flat list of layer
-contexts, which its reverse rule reads backwards and leaves intact.
+(join, steps reversed, unsqueeze).  A recording pass (the default) keeps
+one flat list of layer contexts, which its reverse rule reads backwards and
+leaves intact; training's passes record.  Inference passes do not: the fold
+loop without a record, the initial guess and :meth:`FlowModel.log_prob_batch`
+(so the NLL and pretraining's val pass) drop each layer's context as soon as
+the next layer has its output.
 """
 
 from __future__ import annotations
@@ -396,25 +400,27 @@ class FlowModel:
 
     # -- forward / inverse ----------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray):
+    def forward_batch(self, x: np.ndarray, record: bool = True):
         """Map (B, C, H, W) images to latents.
 
         Returns ``(z, logdet, ctx)`` where z has shape (B, n).  The latent is
         the concatenation, in level order, of each level's ``out`` leading
         channels (flattened C-major row-major): half of every level's
-        channels, then all of the last level's.
+        channels, then all of the last level's.  ctx is the record
+        :meth:`backward_forward` reads, or None when ``record`` is false.
         """
         if x.shape[1:] != self.shape:
             raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
         ld = np.zeros(x.shape[0])
-        ctx = []
+        ctx = [] if record else None
 
         def step(layers, x):
             lds = []
             for layer in layers:
                 x, l, c = layer.forward(x)
                 lds.append(l)
-                ctx.append(c)
+                if record:
+                    ctx.append(c)
             ld[...] += (lds[0] + lds[1]) + lds[2]  # one step's log-det, then the total
             return x
 
@@ -432,16 +438,18 @@ class FlowModel:
 
         return self._up(gz, step)
 
-    def inverse_batch(self, z: np.ndarray):
-        """Map (B, n) latents back to images; exact layer-by-layer inverse."""
+    def inverse_batch(self, z: np.ndarray, record: bool = True):
+        """Map (B, n) latents back to images; exact layer-by-layer inverse.
+        Returns ``(x, ctx)``, ctx None when ``record`` is false."""
         if z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
-        ctx = []
+        ctx = [] if record else None
 
         def step(layers, x):
             for layer in reversed(layers):
                 x, c = layer.inverse(x)
-                ctx.append(c)
+                if record:
+                    ctx.append(c)
             return x
 
         return self._up(z, step), ctx
@@ -460,5 +468,5 @@ class FlowModel:
     # -- densities -------------------------------------------------------------
 
     def log_prob_batch(self, x: np.ndarray) -> np.ndarray:
-        z, ld, _ = self.forward_batch(x)
+        z, ld, _ = self.forward_batch(x, record=False)
         return -0.5 * self.n * LOG_2PI - 0.5 * np.sum(z * z, axis=1) + ld

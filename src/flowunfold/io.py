@@ -174,9 +174,10 @@ def load_dataset(dirpath, splits=("train", "val", "test")) -> ImageSet:
         files = sorted(list(dirpath.glob("*.pgm")) + list(dirpath.glob("*.ppm")))
         if not files:
             raise DataError(f"{dirpath} holds no .pgm/.ppm images")
-        for i, p in enumerate(files):
-            images["test"].append(load_image(p))
-            ids["test"].append(i)
+        if "test" in splits:
+            for i, p in enumerate(files):
+                images["test"].append(load_image(p))
+                ids["test"].append(i)
 
     def stack(name):
         imgs = images[name]

@@ -49,12 +49,14 @@ __all__ = ["Fold", "UnrolledNet", "dc_step", "prox_shrink", "reconstruct"]
 MU_INIT = 0.5
 LAMBDA_INIT = 0.1
 
-# Pixel values per tile of a batched reconstruction.  At 64x64 a tile is 2
-# images, whose largest im2col matrix (a level-0 coupling's second conv at
-# K=3, L=2, D=4, hidden=16) is 2.4 MB, about one 2 MB L2.  Tiles of half
-# the batch, one per worker, were ~10 % faster on 2 cores but kept the
-# untiled peak RSS (README, "Where the time goes").
-TILE_VALUES = 8192
+# Pixel values per tile of a batched reconstruction: 4 images at 64x64, so
+# a batch of 16 still gives 4 workers a tile each.  Inference keeps no
+# contexts, so a tile in flight holds about 1.2 MB per row, and each worker's
+# conv scratch buffer is 2.4 MB.  Measured on 2 cores (README, "Where the
+# time goes"), 16384 took a fifth less time than 8192; tiles of half a
+# 16-image batch, one per worker, took 7 % less again but raised the peak
+# RSS by 9 MB.
+TILE_VALUES = 16384
 
 # CPUs this process may run on: the pool's worker count.
 if hasattr(os, "sched_getaffinity"):
@@ -101,7 +103,7 @@ class UnrolledNet:
         self.folds += [
             Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(1, folds)
         ]
-        self._init_cache = None  # (fold 0's flow weights, x0, ctx)
+        self._init_cache = None  # (fold 0's flow weights, x0)
 
     @property
     def k(self) -> int:
@@ -115,25 +117,26 @@ class UnrolledNet:
 
     # -- forward --------------------------------------------------------------
 
-    def initial_guess(self):
+    def initial_guess(self) -> np.ndarray:
         """The prior's most likely image, fold 0's inverse at the zero latent:
-        ``(x0, ctx)`` with x0 of shape (1, C, H, W), read-only.  It is the
-        same for every measurement, so a batch broadcasts this one row.
+        x0 of shape (1, C, H, W), read-only.  It is the same for every
+        measurement, so a batch broadcasts this one row.
 
         The result is cached with a copy of fold 0's flow weights and reused
         while they are equal.  Comparing values, rather than hooking each
         writer (Adam, restores, direct writes), stays right whatever changes
         the weights.  The cache is read once into a local: tiles on other
-        threads may replace it between two reads."""
+        threads may replace it between two reads.  Its flow pass keeps no
+        record; the training path runs its own (:meth:`reconstruct_batch_grad`)."""
         flow = self.folds[0].flow
         weights = self.store.values[flow.span]
         cached = self._init_cache
         if cached is None or not np.array_equal(cached[0], weights):
             weights = weights.copy()
-            x0, ctx = flow.inverse_batch(np.zeros((1, flow.n)))
+            x0, _ = flow.inverse_batch(np.zeros((1, flow.n)), record=False)
             x0.flags.writeable = False
-            cached = self._init_cache = (weights, x0, ctx)
-        return cached[1], cached[2]
+            cached = self._init_cache = (weights, x0)
+        return cached[1]
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
         """Pure batched reconstruction, (B, C, H, W) measurements in and out.
@@ -141,7 +144,7 @@ class UnrolledNet:
         ``max(1, TILE_VALUES // (C*H*W))`` rows that run on the process's
         thread pool; the result is bitwise the same either way."""
         global _POOL
-        x0, _ = self.initial_guess()
+        x0 = self.initial_guess()
         rows = max(1, TILE_VALUES // math.prod(y.shape[1:]))
         if len(y) <= rows:
             return self._unroll(x0, y, op, None)
@@ -158,30 +161,33 @@ class UnrolledNet:
     def reconstruct_batch_grad(self, y: np.ndarray, op: ForwardOp):
         """Like reconstruct_batch, untiled, but records every intermediate
         needed by :meth:`reconstruct_backward`.  Returns (x_hat, pipeline
-        record)."""
+        record).  Its initial guess is computed afresh, with the record its
+        reverse rule needs: Adam changes fold 0's weights at every step, so
+        the cached one would match only at an epoch's first step."""
         steps = []
-        x0, ctx_init = self.initial_guess()
+        flow = self.folds[0].flow
+        x0, ctx_init = flow.inverse_batch(np.zeros((1, flow.n)))
         return self._unroll(x0, y, op, steps), (op, ctx_init, steps)
 
     def _unroll(self, x0, y, op, steps):
         """The fold loop from the initial guess ``x0`` (one row, broadcast
         over the batch).  With a ``steps`` list each fold appends what the
         reverse sweep needs: ``(atr, z, ctx_f, ctx_i)`` for the folds before
-        the last, ``atr`` alone for the last.  With None every context is
-        dropped as soon as its fold is done, so memory does not grow with the
-        fold count."""
+        the last, ``atr`` alone for the last.  With None the flow passes keep
+        no contexts at all, so inference holds one layer's activations at a
+        time."""
+        record = steps is not None
         x = np.broadcast_to(x0, y.shape)
         *body, last = self.folds
         for fold in body:
             xt, atr = dc_step(x, y, op, fold.mu.item())
-            z, _, ctx_f = fold.flow.forward_batch(xt)
+            z, _, ctx_f = fold.flow.forward_batch(xt, record)
             z = prox_shrink(z, fold.lam)
-            x, ctx_i = fold.flow.inverse_batch(z)
-            if steps is not None:
+            x, ctx_i = fold.flow.inverse_batch(z, record)
+            if record:
                 steps.append((atr, z, ctx_f, ctx_i))
-            del ctx_f, ctx_i
         x, atr = dc_step(x, y, op, last.mu.item())
-        if steps is not None:
+        if record:
             steps.append(atr)
         return x
 

@@ -684,14 +684,34 @@ class TestTrainingReads:
         assert main(args + ["--out", str(tmp_path / "bad.ckpt")]) == 1
         assert "manifest.txt:161: malformed line" in capsys.readouterr().err
 
+    def test_no_manifest_reads_no_images_for_training(self, tmp_path, monkeypatch, capsys):
+        # without manifest.txt every image is test data, which pretraining
+        # never reads: it fails on the empty train split before any file
+        data = tmp_path / "data"
+        assert main(["synth-data", "--out", str(data), "--count", "20",
+                     "--size", "8", "8", "--seed", "1"]) == 0
+        (data / "manifest.txt").unlink()
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("height = 8\nwidth = 8\nK = 2\nL = 1\nD = 1\nhidden = 4\n")
+        read = []
+        monkeypatch.setattr(flowunfold.io, "load_image",
+                            lambda path: read.append(path.name) or load_image(path))
+        capsys.readouterr()
+        assert main(["pretrain", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert "empty train split" in capsys.readouterr().err
+        assert read == []
+
 
 class TestEvalBatching:
     def test_tiled_eval_matches_per_image_reconstructs(self, tmp_path, monkeypatch):
-        # 48 test images at batch_size 16: one reconstruct_batch call that
-        # runs in more than one tile, each image's PSNR bitwise that of its
-        # own reconstruct call
-        data = _corpus(tmp_path, 48)
-        (data / "manifest.txt").write_text("".join(f"{i}\ttest\n" for i in range(48)))
+        # one and a half tiles of 16x16 test images at batch_size 16: one
+        # reconstruct_batch call that runs in two tiles, each image's PSNR
+        # bitwise that of its own reconstruct call
+        rows = max(1, flowunfold.unfold.TILE_VALUES // 256)
+        count = rows + rows // 2
+        data = _corpus(tmp_path, count)
+        (data / "manifest.txt").write_text("".join(f"{i}\ttest\n" for i in range(count)))
         shape, arch = (1, 16, 16), (2, 4, 16)
         prior = FlowModel(shape, *arch, ParamStore())
         prior.randomize(Prng(0xE7A), scale=0.05)
@@ -713,9 +733,8 @@ class TestEvalBatching:
         report = tmp_path / "r.csv"
         assert main(["eval", "--model", str(ckpt), "--data", str(data), "--task", "deblur",
                      "--config", str(cfg), "--report", str(report)]) == 0
-        assert batches == [48]
-        rows = max(1, flowunfold.unfold.TILE_VALUES // 256)
-        assert len(tiles) == -(-48 // rows) > 1 and sum(tiles) == 48
+        assert batches == [count]
+        assert len(tiles) == -(-count // rows) > 1 and sum(tiles) == count
         monkeypatch.undo()
 
         resolved = parse_config(tmp_path / "resolved.cfg")
@@ -723,7 +742,7 @@ class TestEvalBatching:
                                resolved.blur_radius)
         test = load_dataset(data, splits=("test",)).test
         lines = report.read_text().splitlines()[1:-1]
-        assert len(lines) == 48
+        assert len(lines) == count
         for i, line in enumerate(lines):
             rng = Prng(derive_seed(resolved.seed, flowunfold.cli._TAG_EVAL, i))
             y = make_measurement(op, test[i], resolved.sigma_n, rng)

@@ -196,6 +196,21 @@ class TestRoundTrip:
             back, _ = model.inverse_batch(zb[i : i + 1])
             assert np.array_equal(back[0], model.inverse_batch(zb)[0][i])
 
+    @pytest.mark.parametrize("hidden", [4, 16])
+    def test_plain_passes_match_recording_ones_bitwise(self, hidden):
+        # at hidden=16 every coupling's second conv (16 -> 4 or 8 channels)
+        # takes the conv's col2im side; at hidden=4 none does
+        model = _random_model((1, 8, 8), 2, 2, hidden, seed=0x5B5B)
+        x = Prng(0x78).gauss_array((3, 1, 8, 8))
+        z, ld, ctx = model.forward_batch(x)
+        z_plain, ld_plain, ctx_plain = model.forward_batch(x, record=False)
+        assert len(ctx) == 2 * 2 * 3 and ctx_plain is None
+        assert np.array_equal(z, z_plain) and np.array_equal(ld, ld_plain)
+        back, ctx = model.inverse_batch(z)
+        back_plain, ctx_plain = model.inverse_batch(z, record=False)
+        assert len(ctx) == 2 * 2 * 3 and ctx_plain is None
+        assert np.array_equal(back, back_plain)
+
     def test_forward_deterministic_bitwise(self):
         model = _random_model((1, 8, 8), 1, 2, 8, seed=0xD0)
         x = Prng(0xD1).gauss_array((2, 1, 8, 8))
@@ -614,15 +629,15 @@ def _random_net(k, seed):
 
 
 class TestInitialGuessCache:
-    """UnrolledNet.initial_guess keeps (fold 0's flow weights, x0, ctx) and
+    """UnrolledNet.initial_guess keeps (fold 0's flow weights, x0) and
     computes x0 again only when those weights changed."""
 
     @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
     def test_every_fold0_change_is_seen(self, change):
         net = _random_net(2, 0x1D0)
-        cached, _ = net.initial_guess()
+        cached = net.initial_guess()
         _WEIGHT_CHANGES[change](net.folds[0].flow, Prng(0x1D1))
-        x0, _ = net.initial_guess()
+        x0 = net.initial_guess()
         fresh, _ = net.folds[0].flow.inverse_batch(np.zeros((1, net.folds[0].flow.n)))
         assert x0 is not cached
         assert not np.array_equal(x0, cached)
@@ -630,17 +645,17 @@ class TestInitialGuessCache:
 
     def test_fold1_and_scalar_writes_keep_it(self):
         net = _random_net(2, 0x1D2)
-        x0, ctx = net.initial_guess()
+        x0 = net.initial_guess()
         net.folds[1].flow._levels[0].steps[0][1].weight.value[0, 1] += 0.25
         net.folds[1].flow.randomize(Prng(0x1D3))
         net.folds[0].mu.value[...] = 0.3
         net.folds[0].rho.value[...] = -1.0
-        again, ctx_again = net.initial_guess()
-        assert again is x0 and ctx_again is ctx
+        again = net.initial_guess()
+        assert again is x0
 
     def test_returned_x0_is_read_only(self):
         net = _random_net(2, 0x1D4)
-        x0, _ = net.initial_guess()
+        x0 = net.initial_guess()
         with pytest.raises(ValueError, match="read-only"):
             x0[...] = 0.0
-        assert np.array_equal(net.initial_guess()[0], x0)
+        assert np.array_equal(net.initial_guess(), x0)

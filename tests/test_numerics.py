@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flowunfold.numerics
 from flowunfold.errors import ShapeError, SingularMatrixError
 from flowunfold.numerics import (
     Prng,
@@ -216,6 +220,74 @@ class TestGatherPatches:
         bias = rng.gauss_array(2)
         ref = _roll_conv(x, kernel, bias)
         assert np.max(np.abs(conv2d_circular(x, kernel, bias) - ref)) < 1e-12
+
+
+class TestConvForward:
+    # channel counts on both sides of Cout = Cin, where the forward pass
+    # switches from gathering the input to gathering the per-tap products
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        batch=st.sampled_from([1, 3]),
+        cin=st.sampled_from([1, 2, 4, 16]),
+        cout=st.sampled_from([1, 2, 4, 16]),
+        h=st.integers(1, 9),
+        dw=st.integers(1, 5),
+        kernel=st.sampled_from([(3, 3), (1, 7), (7, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=3, cin=16, cout=4, h=2, dw=3, kernel=(7, 1), seed=1)
+    @example(batch=1, cin=2, cout=16, h=6, dw=1, kernel=(1, 7), seed=2)
+    def test_matches_roll_sum(self, batch, cin, cout, h, dw, kernel, seed):
+        rng = Prng(seed)
+        x = rng.gauss_array((batch, cin, h, h + dw))
+        k = rng.gauss_array((cout, cin) + kernel)
+        bias = rng.gauss_array(cout)
+        assert np.max(np.abs(conv2d_circular(x, k, bias) - _roll_conv(x, k, bias))) < 1e-12
+
+    @pytest.mark.parametrize("cin, cout", [(16, 4), (2, 16)])
+    def test_output_outlives_the_next_call(self, cin, cout):
+        rng = Prng(0xC0)
+        x1, x2 = rng.gauss_array((2, 3, cin, 6, 5))
+        k = rng.gauss_array((cout, cin, 3, 3))
+        first = conv2d_circular(x1, k)
+        kept = first.copy()
+        second = conv2d_circular(x2, k)
+        assert np.array_equal(first, kept)
+        assert np.max(np.abs(second - _roll_conv(x2, k, np.zeros(cout)))) < 1e-12
+        for out in (first, second):
+            assert not np.shares_memory(out, flowunfold.numerics._SCRATCH.buf)
+
+    def test_threads_get_the_single_thread_results(self):
+        # more threads than cores, switching often, each on both branches
+        rng = Prng(0xC1)
+        cases = []
+        for cin, cout in ((16, 4), (2, 16), (16, 8), (4, 16)):
+            x = rng.gauss_array((3, cin, 24, 40))
+            k = rng.gauss_array((cout, cin, 3, 3))
+            bias = rng.gauss_array(cout)
+            cases.append((x, k, bias, conv2d_circular(x, k, bias)))
+        errors = []
+        start = threading.Barrier(4)
+
+        def work(offset):
+            start.wait(timeout=10)
+            for i in range(40):
+                x, k, bias, expect = cases[(offset + i) % len(cases)]
+                if not np.array_equal(conv2d_circular(x, k, bias), expect):
+                    errors.append((offset, i))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestConvBackward:

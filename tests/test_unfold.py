@@ -39,25 +39,25 @@ def _random_net(shape, k, levels, depth, hidden, seed, scale=0.05):
 class TestInitialGuess:
     def test_identity_flows_give_zero_image(self):
         net = _identity_net()
-        x0, _ = net.initial_guess()
+        x0 = net.initial_guess()
         assert np.array_equal(x0, np.zeros((1, 1, 16, 16)))
 
     def test_maps_back_to_zero_latent(self):
         net = _random_net((1, 8, 8), 2, 2, 2, 4, seed=0x16)
-        x0, _ = net.initial_guess()
+        x0 = net.initial_guess()
         z, _, _ = net.folds[0].flow.forward_batch(x0)
         assert np.max(np.abs(z)) < 1e-8
 
     def test_deterministic(self):
         net = _random_net((1, 8, 8), 2, 2, 2, 4, seed=0x17)
-        assert np.array_equal(net.initial_guess()[0], net.initial_guess()[0])
+        assert np.array_equal(net.initial_guess(), net.initial_guess())
 
     @pytest.mark.parametrize("shape", [(1, 16, 16), (3, 8, 16)])
     def test_one_row_equals_every_row_of_a_batch(self, shape):
         # a batch broadcasts the batch-1 guess; inverting B zero latents
         # would give the same rows bit for bit
         net = _random_net(shape, 2, 2, 2, 4, seed=0x18)
-        x0, _ = net.initial_guess()
+        x0 = net.initial_guess()
         rows, _ = net.folds[0].flow.inverse_batch(np.zeros((16, net.folds[0].flow.n)))
         assert x0.shape == (1,) + shape
         assert all(np.array_equal(row, x0[0]) for row in rows)
@@ -170,13 +170,16 @@ class TestOneLoop:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("kind", sorted(_OPS))
     def test_recording_and_plain_paths_agree_bitwise(self, kind, batch):
+        # hidden=16 puts every coupling's second conv on the conv's col2im
+        # side (fewer output than input channels); hidden=4 never does
         shape = (1, 8, 8)
-        net = _random_net(shape, 3, 2, 2, 4, seed=0x7F)
         op = _OPS[kind](shape)
         y = Prng(15).gauss_array((batch,) + shape)
-        x_hat, (_, _, steps) = net.reconstruct_batch_grad(y, op)
-        assert len(steps) == net.k
-        assert np.array_equal(x_hat, net.reconstruct_batch(y, op))
+        for hidden in (4, 16):
+            net = _random_net(shape, 3, 2, 2, hidden, seed=0x7F)
+            x_hat, (_, _, steps) = net.reconstruct_batch_grad(y, op)
+            assert len(steps) == net.k
+            assert np.array_equal(x_hat, net.reconstruct_batch(y, op)), hidden
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -199,7 +202,7 @@ def _full_path(net, y, op):
     """The fold loop as it was before the last fold became its data step
     alone: every fold runs its flow pass, the last with no shrink, so the
     last computes g(f(x_t))."""
-    x0, _ = net.initial_guess()
+    x0 = net.initial_guess()
     x = np.broadcast_to(x0, y.shape)
     for k, fold in enumerate(net.folds):
         xt, _ = dc_step(x, y, op, fold.mu.item())
