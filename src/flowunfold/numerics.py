@@ -169,11 +169,9 @@ def _col2im_indices(h: int, w: int, kh: int, kw: int, sign: int) -> np.ndarray:
 
 def _gather_patches(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, Cin, H, W) -> (B, Cin*kh*kw, H*W) with circular boundary, written
-    into ``out`` (B*Cin*kh*kw*H*W contiguous values) when given."""
+    into ``out`` (a contiguous (B, Cin, kh*kw, H*W) array) when given."""
     b, cin, h, w = x.shape
     idx = _circular_indices(h, w, kh, kw)
-    if out is not None:
-        out = out.reshape(b, cin, kh * kw, h * w)
     patches = np.take(x.reshape(b, cin, h * w), idx, axis=2, mode="clip", out=out)
     return patches.reshape(b, cin * kh * kw, h * w)
 
@@ -212,7 +210,8 @@ def conv2d_circular(
                        axis=2, mode="clip", out=scratch[n:].reshape(b, cout, taps, hw))
         out = cols.sum(axis=2)
     else:
-        patches = _gather_patches(x, kh, kw, out=_scratch(b * cin * taps * hw))
+        scratch = _scratch(b * cin * taps * hw).reshape(b, cin, taps, hw)
+        patches = _gather_patches(x, kh, kw, out=scratch)
         out = kernel.reshape(cout, -1) @ patches  # (B, Cout, H*W) via broadcasting
     out = out.reshape(b, cout, h, w)
     if bias is not None:
