@@ -56,6 +56,7 @@ def parse_config(path) -> TrainConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     values: dict = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,6 +66,9 @@ def parse_config(path) -> TrainConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         typ = _CONFIG_TYPES[key]
         try:
             values[key] = typ(value)
@@ -115,6 +119,8 @@ def cmd_synth_data(args) -> int:
     shape = (args.channels, h, w)
     cfg = TrainConfig(count=args.count, seed=args.seed).resolved(shape)
     out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise DataError(f"{out} exists and is not a directory")
     if out.exists() and any(out.iterdir()) and not args.force:
         raise DataError(f"{out} exists and is not empty (use --force to overwrite)")
     save_dataset(out, synth_blobs(args.count, shape, args.seed))

@@ -77,7 +77,10 @@ def _read_header_tokens(data: bytes, count: int):
 
 def load_image(path) -> np.ndarray:
     """Read a binary PGM/PPM file into a (C, H, W) float array in [-0.5, 0.5]."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read image {path}: {exc.strerror}") from exc
     tokens, offset = _read_header_tokens(data, 4)
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
@@ -88,6 +91,8 @@ def load_image(path) -> np.ndarray:
         raise DataError(f"{path}: malformed image header") from exc
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: image size {w}x{h} is not positive")
     c = 1 if magic == b"P5" else 3
     raster = data[offset : offset + c * h * w]
     if len(raster) != c * h * w:
@@ -260,7 +265,10 @@ def save_checkpoint(path, store: ParamStore) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint into an ordered name -> array mapping."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if data[:4] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {_CKPT_MAGIC!r}")
     entries: dict[str, np.ndarray] = {}

@@ -5,32 +5,36 @@ Tensors are plain ``numpy.ndarray`` objects with dtype float64 and row-major
 layout throughout the package; signals are C x H x W, batches B x C x H x W.
 All operations here are pure functions of their inputs.
 
-The circular convolution is one ``np.take`` over a cached flat index and one
-matmul, and both directions gather only the thinner of their two sides,
-because the gather, not the matmul, is what costs.  The forward pass gathers
-the input's wrapped taps (im2col) when the output has at least as many
-channels (a coupling's first conv, C/2 -> hidden); when it has fewer (the
-second conv, hidden -> C), it applies every tap's kernel slice to the
-unshifted input first and then gathers those per-tap products at the tap
-offsets (col2im), moving Cout rows per tap instead of Cin.  The reverse rule
-gathers the output cotangent at the mirrored taps when it has at most twice
-the input's channels, otherwise the input, with the input gradient put back
-by a col2im ``np.take``.
+The circular convolution is built from two gathers, each one ``np.take``
+over a cached flat index: ``_im2col`` copies each pixel's wrapped taps, and
+``_col2im`` applies every tap's kernel slice to the unshifted input first and
+then moves each tap's product by its offset before the taps are summed.  Both
+directions gather only the thinner of their two sides, because the gather,
+not the matmul, is what costs.  The forward pass is im2col when the output
+has at least as many channels (a coupling's first conv, C/2 -> hidden) and
+col2im when it has fewer (the second conv, hidden -> C), moving Cout rows
+per tap instead of Cin.  The reverse rule gathers the output cotangent at
+the mirrored taps when it has at most twice the input's channels; otherwise
+it gathers the input for the kernel gradient and puts the input gradient
+back by col2im at the mirrored taps.
 
-The forward pass keeps its two temporaries, the ``np.take`` output and, on
-the col2im side, the per-tap products, in one scratch buffer per thread
-(``threading.local``), so they do not go back to the allocator and fault in
-again on the next call.  Each thread's buffer grows to the largest request
-it has seen, B*Cin*kh*kw*H*W values on the im2col side or
-2*B*Cout*kh*kw*H*W on the col2im side, and is then kept for the thread's
-life: for a K=3, L=2, D=4, hidden=16 net, 2.4 MB in each tile worker at
-64x64 and 0.6 MB for a B=16 16x16 training step.  An untiled call, such as
-a whole-split NLL, grows the calling thread's buffer to its own batch.  The
-output is always a fresh array, so nothing a call returns aliases it.
+Both gathers keep their temporaries, the ``np.take`` output and on the
+col2im side the per-tap products, in one scratch buffer per thread
+(``threading.local``), forward and backward alike, so they do not go back to
+the allocator and fault in again on the next call.  Each thread's buffer
+grows to the largest request it has seen, B*C*kh*kw*H*W values for an
+im2col of C channels or 2*B*Cout*kh*kw*H*W for a col2im, and is then kept
+for the thread's life.  For a K=3, L=2, D=4, hidden=16 net the forward
+col2im of a first-level coupling's second conv sets its size, as every
+backward gather is smaller: 2.4 MB in each tile worker at 64x64 and 0.6 MB
+for a B=16 16x16 training step.  An untiled call, such as a whole-split NLL,
+grows the calling thread's buffer to its own batch.  Nothing a call returns
+aliases the buffer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -124,12 +128,7 @@ def derive_seed(base: int, *words: int) -> int:
     return int(h)
 
 
-# Cache of wrap-around gather indices keyed by (H, W, kh, kw, sign), sign 1
-# for the forward taps and -1 for the mirrored ones, plus "col2im" for the
-# same offsets into a tap-major (kh*kw*H*W) row.
-_IDX_CACHE: dict[tuple, np.ndarray] = {}
-
-_SCRATCH = threading.local()  # .buf: this thread's forward-conv temporaries
+_SCRATCH = threading.local()  # .buf: this thread's conv temporaries
 
 
 def _scratch(size: int) -> np.ndarray:
@@ -142,38 +141,39 @@ def _scratch(size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _circular_indices(h: int, w: int, kh: int, kw: int, sign: int = 1) -> np.ndarray:
+@functools.cache
+def _tap_indices(h: int, w: int, kh: int, kw: int, sign: int, tap_major: bool) -> np.ndarray:
     """(kh*kw, H*W) flat offsets rows[dr, r]*W + cols[dc, c] of the wrapped
-    taps, ordered (dr, dc) by (r, c); ``sign=-1`` flips each tap offset."""
-    key = (h, w, kh, kw, sign)
-    idx = _IDX_CACHE.get(key)
-    if idx is None:
-        rows = (np.arange(h)[None, :] + sign * (np.arange(kh)[:, None] - kh // 2)) % h
-        cols = (np.arange(w)[None, :] + sign * (np.arange(kw)[:, None] - kw // 2)) % w
-        idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(kh * kw, h * w)
-        _IDX_CACHE[key] = idx
-    return idx
+    taps, ordered (dr, dc) by (r, c); ``sign=-1`` flips each tap offset, and
+    ``tap_major`` adds t*H*W to read tap t's part of a (kh*kw*H*W) row."""
+    rows = (np.arange(h)[None, :] + sign * (np.arange(kh)[:, None] - kh // 2)) % h
+    cols = (np.arange(w)[None, :] + sign * (np.arange(kw)[:, None] - kw // 2)) % w
+    idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(kh * kw, h * w)
+    return idx + np.arange(kh * kw)[:, None] * (h * w) if tap_major else idx
 
 
-def _col2im_indices(h: int, w: int, kh: int, kw: int, sign: int) -> np.ndarray:
-    """(kh*kw, H*W) indices t*H*W + the tap's offset (flipped by ``sign=-1``)
-    into a tap-major row, so one ``np.take`` moves every tap's column to the
-    pixel it contributes to."""
-    key = (h, w, kh, kw, "col2im", sign)
-    idx = _IDX_CACHE.get(key)
-    if idx is None:
-        taps = np.arange(kh * kw)[:, None] * (h * w)
-        idx = _IDX_CACHE[key] = taps + _circular_indices(h, w, kh, kw, sign)
-    return idx
+def _im2col(x: np.ndarray, kh: int, kw: int, sign: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C*kh*kw, H*W): each pixel's wrapped taps, gathered
+    into the scratch buffer."""
+    b, c, h, w = x.shape
+    out = _scratch(b * c * kh * kw * h * w).reshape(b, c, kh * kw, h * w)
+    np.take(x.reshape(b, c, h * w), _tap_indices(h, w, kh, kw, sign, False),
+            axis=2, mode="clip", out=out)
+    return out.reshape(b, c * kh * kw, h * w)
 
 
-def _gather_patches(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(B, Cin, H, W) -> (B, Cin*kh*kw, H*W) with circular boundary, written
-    into ``out`` (a contiguous (B, Cin, kh*kw, H*W) array) when given."""
-    b, cin, h, w = x.shape
-    idx = _circular_indices(h, w, kh, kw)
-    patches = np.take(x.reshape(b, cin, h * w), idx, axis=2, mode="clip", out=out)
-    return patches.reshape(b, cin * kh * kw, h * w)
+def _col2im(kmat: np.ndarray, x: np.ndarray, kh: int, kw: int, sign: int) -> np.ndarray:
+    """The sum over taps t of the tap-t rows of kmat x, each moved by tap t's
+    offset, for ``kmat`` laid out (Cout*kh*kw, C): a fresh (B, Cout, H*W)
+    array; the products and their gather live in the scratch buffer."""
+    b, c, h, w = x.shape
+    cout, hw = kmat.shape[0] // (kh * kw), h * w
+    n = b * kmat.shape[0] * hw
+    scratch = _scratch(2 * n)
+    z = np.matmul(kmat, x.reshape(b, c, hw), out=scratch[:n].reshape(b, -1, hw))
+    cols = np.take(z.reshape(b, cout, -1), _tap_indices(h, w, kh, kw, sign, True),
+                   axis=2, mode="clip", out=scratch[n:].reshape(b, cout, kh * kw, hw))
+    return cols.sum(axis=2)
 
 
 def conv2d_circular(
@@ -187,9 +187,7 @@ def conv2d_circular(
     x is a (B, Cin, H, W) batch; kernel is (Cout, Cin, kh, kw) with odd kh,
     kw; bias is (Cout,) or None for no bias.  The result is a new array.
     With Cout >= Cin the output is K P for the gathered taps P of x (im2col);
-    otherwise Z = K' x, the kernel laid out (Cout*kh*kw, Cin), and one
-    ``np.take`` moves each tap's row of Z by its offset before the taps are
-    summed (col2im).
+    otherwise it is the col2im of K' x, the kernel laid out (Cout*kh*kw, Cin).
     """
     b, cin, h, w = x.shape
     cout, kcin, kh, kw = kernel.shape
@@ -200,19 +198,10 @@ def conv2d_circular(
         )
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d_circular: kernel dims must be odd, got {kh}x{kw}")
-    taps, hw = kh * kw, h * w
     if cout < cin:
-        n = b * cout * taps * hw
-        scratch = _scratch(2 * n)
-        z = np.matmul(kernel.transpose(0, 2, 3, 1).reshape(cout * taps, cin),
-                      x.reshape(b, cin, hw), out=scratch[:n].reshape(b, cout * taps, hw))
-        cols = np.take(z.reshape(b, cout, taps * hw), _col2im_indices(h, w, kh, kw, 1),
-                       axis=2, mode="clip", out=scratch[n:].reshape(b, cout, taps, hw))
-        out = cols.sum(axis=2)
+        out = _col2im(kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin), x, kh, kw, 1)
     else:
-        scratch = _scratch(b * cin * taps * hw).reshape(b, cin, taps, hw)
-        patches = _gather_patches(x, kh, kw, out=scratch)
-        out = kernel.reshape(cout, -1) @ patches  # (B, Cout, H*W) via broadcasting
+        out = kernel.reshape(cout, -1) @ _im2col(x, kh, kw, 1)  # (B, Cout, H*W) via broadcasting
     out = out.reshape(b, cout, h, w)
     if bias is not None:
         out += bias[None, :, None, None]
@@ -232,9 +221,8 @@ def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray
       kernel laid out (Cin, Cout*kh*kw), and gkernel = sum_b G_b x_b^T; x is
       never gathered.
     * otherwise: x is gathered as the forward pass does, into P, and
-      gkernel = sum_b gout_b P_b^T.  gx is col2im: Z = K^T gout has one
-      (Cin, tap) row per tap, and one ``np.take`` over a cached flat index
-      moves each tap's row back by its offset before the taps are summed.
+      gkernel = sum_b gout_b P_b^T; gx is the col2im of K^T gout at the
+      mirrored offsets.
 
     The forward patches are not kept from the forward pass: with the cached
     index the gather is cheap, and keeping them would hold every coupling
@@ -242,21 +230,17 @@ def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray
     """
     b, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
-    taps, hw = kh * kw, h * w
-    gout_mat = gout.reshape(b, cout, hw)
+    gout_mat = gout.reshape(b, cout, h * w)
     gbias = gout_mat.sum(axis=(0, 2))
     if cout <= 2 * cin:
-        g = np.take(gout_mat, _circular_indices(h, w, kh, kw, -1), axis=2)
-        g = g.reshape(b, cout * taps, hw)
-        gx = kernel.transpose(1, 0, 2, 3).reshape(cin, cout * taps) @ g
-        gk = np.matmul(g, x.reshape(b, cin, hw).transpose(0, 2, 1)).sum(0)
-        gkernel = gk.reshape(cout, taps, cin).transpose(0, 2, 1).reshape(kernel.shape)
+        g = _im2col(gout, kh, kw, -1)
+        gx = kernel.transpose(1, 0, 2, 3).reshape(cin, -1) @ g
+        gk = np.matmul(g, x.reshape(b, cin, h * w).transpose(0, 2, 1)).sum(0)
+        gkernel = gk.reshape(cout, kh * kw, cin).transpose(0, 2, 1).reshape(kernel.shape)
     else:
-        patches = _gather_patches(x, kh, kw)
+        patches = _im2col(x, kh, kw, 1)
         gkernel = np.matmul(gout_mat, patches.transpose(0, 2, 1)).sum(0).reshape(kernel.shape)
-        z = kernel.reshape(cout, cin * taps).T @ gout_mat  # (B, Cin*kh*kw, H*W)
-        cols = np.take(z.reshape(b, cin, taps * hw), _col2im_indices(h, w, kh, kw, -1), axis=2)
-        gx = cols.sum(axis=2)
+        gx = _col2im(kernel.reshape(cout, -1).T, gout, kh, kw, -1)
     return gx.reshape(b, cin, h, w), gkernel, gbias
 
 

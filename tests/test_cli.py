@@ -1,7 +1,11 @@
 """File formats, config grammar, and the command-line pipeline."""
 
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +96,17 @@ class TestImageFiles:
         with pytest.raises(DataError):
             load_image(p)
 
+    @pytest.mark.parametrize("size", [b"-4 -4", b"0 4"])
+    def test_rejects_a_non_positive_size(self, tmp_path, size):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+        with pytest.raises(DataError, match="not positive"):
+            load_image(p)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(DataError, match="nope.pgm"):
+            load_image(tmp_path / "nope.pgm")
+
     def test_save_rejects_odd_channel_count(self, tmp_path):
         with pytest.raises(DataError):
             save_image(tmp_path / "a.pgm", np.zeros((2, 4, 4)))
@@ -161,6 +176,10 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes().replace(b"\x01\x00\x00\x00c", b"\x01\x00\x00\x00a"))
         with pytest.raises(CheckpointError, match="entry a appears twice"):
             load_checkpoint(p)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(CheckpointError, match="nope.ckpt"):
+            load_checkpoint(tmp_path / "nope.ckpt")
 
     def test_rejects_trailing_bytes(self, tmp_path):
         store = _sample_store()
@@ -234,6 +253,12 @@ class TestConfig:
     def test_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_repeated_key_is_an_error(self, tmp_path):
+        p = tmp_path / "t.cfg"
+        p.write_text("K = 2\nlr = 2e-4\n# K = 3\nK = 5\n")
+        with pytest.raises(ConfigError, match=r":4: key 'K' is already set on line 1$"):
+            parse_config(p)
 
     def test_noise_default_depends_on_task(self):
         assert TrainConfig(task="denoise").resolved().sigma_n == 0.1
@@ -317,6 +342,13 @@ class TestDatasetDir:
         assert main(args) == 0
         assert main(args) == 1
         assert main(args + ["--force"]) == 0
+
+    def test_out_must_be_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        out.write_text("a file\n")
+        assert main(["synth-data", "--out", str(out), "--count", "4", "--size", "8", "8"]) == 1
+        assert capsys.readouterr().err == f"error: {out} exists and is not a directory\n"
+        assert out.read_text() == "a file\n"
 
     @pytest.mark.parametrize("args", [["--count", "-3"], ["--size", "0", "8"]])
     def test_synth_rejects_bad_sizes(self, tmp_path, args):
@@ -627,9 +659,12 @@ class TestCommands:
         "sigma_b = inf", "sigma_b = -inf", "sigma_b = 0", "sigma_n = nan", "lr = inf",
         "scalar_lr = nan", "eps_adam = nan"])
     def test_eval_rejects_an_invalid_config(self, pipeline, line):
-        # a later line overrides the resolved value of the same key
+        # the line replaces the resolved value of the same key
+        key = line.split(" = ")[0]
+        kept = [row for row in pipeline.resolved.read_text().splitlines()
+                if row.split(" = ")[0] != key]
         cfg = pipeline.root / "invalid.cfg"
-        cfg.write_text(pipeline.resolved.read_text() + line + "\n")
+        cfg.write_text("\n".join(kept + [line]) + "\n")
         report = pipeline.root / "invalid" / "report.csv"
         rc = main(["eval", "--model", str(pipeline.net), "--data", str(pipeline.data),
                    "--task", "denoise", "--config", str(cfg), "--report", str(report)])
@@ -652,6 +687,47 @@ class TestCommands:
                              "--out", str(tmp_path / "out" / "m.ckpt")])
         assert rc == 1
         assert "empty train split" in capsys.readouterr().err
+
+
+    def _command(self, pipeline, command):
+        out = pipeline.root / "missing-input"
+        common = ["--task", "denoise", "--config", str(pipeline.resolved)]
+        return {
+            "eval": ["eval", "--model", str(pipeline.net), "--data", str(pipeline.data)]
+                    + common + ["--report", str(out / "r.csv")],
+            "reconstruct": ["reconstruct", "--model", str(pipeline.net),
+                            "--input", str(pipeline.data / "00000.pgm")]
+                           + common + ["--output", str(out / "r.pgm")],
+            "train": ["train", "--data", str(pipeline.data), "--pretrained", str(pipeline.prior)]
+                     + common + ["--out", str(out / "m.ckpt")],
+        }[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--model"), ("reconstruct", "--model"), ("train", "--pretrained"),
+        ("reconstruct", "--input")])
+    def test_a_missing_input_file_exits_1(self, pipeline, capsys, command, flag):
+        args = self._command(pipeline, command)
+        missing = pipeline.root / "nope"
+        args[args.index(flag) + 1] = str(missing)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+        assert not (pipeline.root / "missing-input").exists()
+
+    def test_console_entry_point_reports_a_missing_model(self, pipeline):
+        # the real interpreter entry point, not main() called in-process
+        src = str(Path(flowunfold.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        args = self._command(pipeline, "reconstruct")
+        args[args.index("--model") + 1] = str(pipeline.root / "nope.ckpt")
+        proc = subprocess.run([sys.executable, "-m", "flowunfold.cli"] + args,
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: cannot read checkpoint {pipeline.root / 'nope.ckpt'}: "
+            "No such file or directory"]
+        assert "Traceback" not in proc.stderr
 
 
 def _corpus(root, count=160):

@@ -10,7 +10,7 @@ import flowunfold.numerics
 from flowunfold.errors import ShapeError, SingularMatrixError
 from flowunfold.numerics import (
     Prng,
-    _gather_patches,
+    _im2col,
     conv2d_circular,
     conv2d_circular_backward,
     derive_seed,
@@ -152,11 +152,12 @@ class TestConv2dCircular:
                     assert abs(num - grad.reshape(-1)[idx]) < 1e-6
 
 
-def _fancy_index_gather(x, kh, kw):
-    """Reference im2col: one fancy index per (row, col) tap, then transpose."""
+def _fancy_index_gather(x, kh, kw, sign=1):
+    """Reference im2col: one fancy index per (row, col) tap, then transpose;
+    ``sign=-1`` mirrors every tap offset."""
     b, cin, h, w = x.shape
-    rows = (np.arange(h)[None, :] + np.arange(kh)[:, None] - kh // 2) % h
-    cols = (np.arange(w)[None, :] + np.arange(kw)[:, None] - kw // 2) % w
+    rows = (np.arange(h)[None, :] + sign * (np.arange(kh)[:, None] - kh // 2)) % h
+    cols = (np.arange(w)[None, :] + sign * (np.arange(kw)[:, None] - kw // 2)) % w
     patches = x[:, :, rows[:, :, None, None], cols[None, None, :, :]]
     return patches.transpose(0, 1, 2, 4, 3, 5).reshape(b, cin * kh * kw, h * w)
 
@@ -207,7 +208,8 @@ class TestGatherPatches:
     @example(batch=3, cin=3, h=2, w=6, k=7, seed=2)
     def test_bitwise_equal_to_fancy_index_gather(self, batch, cin, h, w, k, seed):
         x = Prng(seed).gauss_array((batch, cin, h, w))
-        assert np.array_equal(_gather_patches(x, k, k), _fancy_index_gather(x, k, k))
+        for sign in (1, -1):
+            assert np.array_equal(_im2col(x, k, k, sign), _fancy_index_gather(x, k, k, sign))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @_gather_cases
@@ -224,7 +226,9 @@ class TestGatherPatches:
 
 class TestConvForward:
     # channel counts on both sides of Cout = Cin, where the forward pass
-    # switches from gathering the input to gathering the per-tap products
+    # switches from gathering the input to gathering the per-tap products;
+    # the scratch tests also run the reverse rule on both sides of
+    # Cout = 2*Cin, where it switches from the input to the cotangent
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         batch=st.sampled_from([1, 3]),
@@ -248,13 +252,21 @@ class TestConvForward:
     def test_output_outlives_the_next_call(self, cin, cout):
         rng = Prng(0xC0)
         x1, x2 = rng.gauss_array((2, 3, cin, 6, 5))
+        g1, g2 = rng.gauss_array((2, 3, cout, 6, 5))
         k = rng.gauss_array((cout, cin, 3, 3))
         first = conv2d_circular(x1, k)
         kept = first.copy()
         second = conv2d_circular(x2, k)
         assert np.array_equal(first, kept)
         assert np.max(np.abs(second - _roll_conv(x2, k, np.zeros(cout)))) < 1e-12
-        for out in (first, second):
+        first_grads = conv2d_circular_backward(x1, k, g1)
+        kept_grads = [g.copy() for g in first_grads]
+        second_grads = conv2d_circular_backward(x2, k, g2)
+        for got, kept in zip(first_grads, kept_grads):
+            assert np.array_equal(got, kept)
+        for got, ref in zip(second_grads, _roll_conv_adjoint(x2, k, g2)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for out in (first, second) + first_grads + second_grads:
             assert not np.shares_memory(out, flowunfold.numerics._SCRATCH.buf)
 
     def test_threads_get_the_single_thread_results(self):
@@ -265,15 +277,18 @@ class TestConvForward:
             x = rng.gauss_array((3, cin, 24, 40))
             k = rng.gauss_array((cout, cin, 3, 3))
             bias = rng.gauss_array(cout)
-            cases.append((x, k, bias, conv2d_circular(x, k, bias)))
+            gout = rng.gauss_array((3, cout, 24, 40))
+            cases.append(lambda x=x, k=k, bias=bias: (conv2d_circular(x, k, bias),))
+            cases.append(lambda x=x, k=k, gout=gout: conv2d_circular_backward(x, k, gout))
+        cases = [(call, call()) for call in cases]
         errors = []
         start = threading.Barrier(4)
 
         def work(offset):
             start.wait(timeout=10)
             for i in range(40):
-                x, k, bias, expect = cases[(offset + i) % len(cases)]
-                if not np.array_equal(conv2d_circular(x, k, bias), expect):
+                call, expect = cases[(offset + i) % len(cases)]
+                if not all(np.array_equal(a, b) for a, b in zip(call(), expect, strict=True)):
                     errors.append((offset, i))
 
         old = sys.getswitchinterval()

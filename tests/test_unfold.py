@@ -11,7 +11,7 @@ from flowunfold.io import ImageSet, synth_blobs
 from flowunfold.diff import grad_check, zero_grads
 from flowunfold.errors import ShapeError, SingularMatrixError
 from flowunfold.numerics import Prng
-from flowunfold.operators import CenterMask, GaussianBlur, Identity, make_measurement
+from flowunfold.operators import CenterMask, ForwardOp, GaussianBlur, Identity, make_measurement
 from flowunfold.train import TrainConfig, pretrain, train_unrolled
 from flowunfold.unfold import UnrolledNet, dc_step, prox_shrink, reconstruct
 
@@ -331,24 +331,25 @@ class TestTiledBatch:
             net.reconstruct_batch(y, GaussianBlur(_SHAPE64, 1.0, 3))
 
 
+def _mse_loss_fn(net, y, op, x_true):
+    def f(store):
+        x_hat, pipe = net.reconstruct_batch_grad(y, op)
+        diff = x_hat - x_true
+        loss = float((diff * diff).mean())
+        net.reconstruct_backward(pipe, 2.0 * diff / diff.size)
+        return loss
+
+    return f
+
+
 class TestEndToEndGradients:
-    def _loss_fn(self, net, y, op, x_true):
-        def f(store):
-            x_hat, pipe = net.reconstruct_batch_grad(y, op)
-            diff = x_hat - x_true
-            loss = float((diff * diff).mean())
-            net.reconstruct_backward(pipe, 2.0 * diff / diff.size)
-            return loss
-
-        return f
-
     def test_mse_grad_check_two_folds(self):
         net = _random_net((1, 8, 8), 2, 2, 1, 4, seed=0x7D)
         op = CenterMask((1, 8, 8), 3)
         rng = Prng(13)
         x_true = rng.gauss_array((2, 1, 8, 8)) * 0.3
         y = op.apply(x_true) + 0.05 * rng.gauss_array((2, 1, 8, 8))
-        f = self._loss_fn(net, y, op, x_true)
+        f = _mse_loss_fn(net, y, op, x_true)
         assert grad_check(f, net.store, 64) < 1e-5
 
     def test_scalar_grads_exact(self):
@@ -358,7 +359,7 @@ class TestEndToEndGradients:
         rng = Prng(14)
         x_true = rng.gauss_array((2, 1, 8, 8)) * 0.3
         y = op.apply(x_true)
-        f = self._loss_fn(net, y, op, x_true)
+        f = _mse_loss_fn(net, y, op, x_true)
 
         zero_grads(net.store)
         f(net.store)
@@ -376,3 +377,55 @@ class TestEndToEndGradients:
                 p.value[...] = old
                 numeric = (up - down) / (2 * eps)
                 assert abs(analytic - numeric) / max(1.0, abs(numeric)) < 1e-6, p.name
+
+
+class _OneSidedBlur(ForwardOp):
+    """A x = 0.7 x + 0.3 x moved up one row, circularly: neither symmetric
+    nor orthogonal, so swapping apply and adjoint changes the result."""
+
+    kind = "one-sided blur"
+
+    def apply(self, x):
+        self._check(x)
+        return 0.7 * x + 0.3 * np.roll(x, -1, axis=-2)
+
+    def adjoint(self, v):
+        self._check(v)
+        return 0.7 * v + 0.3 * np.roll(v, 1, axis=-2)
+
+
+class TestNonSelfAdjointOperator:
+    """Every package operator is its own adjoint; this one tells the fold
+    loop's apply from its adjoint."""
+
+    def test_adjoint_dot_test(self):
+        op = _OneSidedBlur((1, 8, 8))
+        rng = Prng(0x5A)
+        for _ in range(10):
+            u, v = rng.gauss_array((2, 2, 1, 8, 8))
+            assert abs(float((op.apply(u) * v).sum() - (u * op.adjoint(v)).sum())) < 1e-12
+        x = rng.gauss_array((1, 8, 8))
+        assert np.max(np.abs(op.apply(x) - op.adjoint(x))) > 0.1
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_identity_flows_match_landweber(self, batch):
+        shape = (1, 8, 8)
+        rng = Prng(0x5B + batch)
+        mus = [0.3 + 0.4 * rng.uniform() for _ in range(3)]
+        rhos = [-3.0 + 2.0 * rng.uniform() for _ in range(3)]
+        net = _identity_net(shape, 3, mus, rhos)
+        op = _OneSidedBlur(shape)
+        y = rng.gauss_array((batch,) + shape)
+        ref = landweber(y, op, mus, [fold.lam for fold in net.folds])
+        plain = net.reconstruct_batch(y, op)
+        assert np.max(np.abs(plain - ref)) < 1e-10
+        assert np.array_equal(net.reconstruct_batch_grad(y, op)[0], plain)
+
+    def test_end_to_end_grad_check(self):
+        net = _random_net((1, 8, 8), 2, 2, 1, 4, seed=0x7C)
+        op = _OneSidedBlur((1, 8, 8))
+        rng = Prng(16)
+        x_true = rng.gauss_array((2, 1, 8, 8)) * 0.3
+        y = op.apply(x_true) + 0.05 * rng.gauss_array((2, 1, 8, 8))
+        f = _mse_loss_fn(net, y, op, x_true)
+        assert grad_check(f, net.store, 64) < 1e-5
