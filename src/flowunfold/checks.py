@@ -18,7 +18,7 @@ from .diff import ParamStore, grad_check
 from .flow import FlowModel
 from .numerics import Prng
 from .operators import Identity, operator_for_task
-from .train import AdamState, adam_update, nll_loss_grad
+from .train import AdamState, TrainConfig, adam_update, nll_loss_grad
 from .unfold import UnrolledNet, prox_shrink
 
 __all__ = [
@@ -47,9 +47,10 @@ def _operators():
 # -- references --------------------------------------------------------------------
 
 
-def numeric_logdet(flow: FlowModel, x: np.ndarray, h: float = 1e-5) -> float:
-    """log|det| of the central-difference Jacobian of ``flow`` at the single
-    sample ``x`` of shape (1, C, H, W)."""
+def numeric_logdet(flow: FlowModel, x: np.ndarray) -> float:
+    """log|det| of the central-difference Jacobian (step 1e-5) of ``flow`` at
+    the single sample ``x`` of shape (1, C, H, W)."""
+    h = 1e-5
     flat = x.reshape(-1)
     cols = []
     for j in range(flat.size):
@@ -195,7 +196,7 @@ def adam_recurrence():
     """Three adam_update steps on 0.5 w^2 follow the scalar Adam recurrence."""
     store = ParamStore()
     p = store.add("w", np.array(1.0))
-    state = AdamState(store, 0.1, 0.1)
+    state = AdamState(store, TrainConfig(lr=0.1, scalar_lr=0.1))
     ours = []
     for _ in range(3):
         p.grad[...] = p.value  # gradient of 0.5 w^2

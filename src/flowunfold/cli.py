@@ -3,7 +3,9 @@ commands, and a self-test harness.  The image, dataset and checkpoint
 formats live in :mod:`flowunfold.io`.
 
 Configs are `key = value` lines with `#` comments; unknown keys are errors,
-and every command echoes its fully resolved config as `resolved.cfg`.
+and every command echoes its fully resolved config as `resolved.cfg`.  A
+config that is missing, unreadable or invalid exits 2; any other failure,
+an output path that cannot be made included, exits 1 with one `error:` line.
 """
 
 from __future__ import annotations
@@ -55,9 +57,13 @@ def parse_config(path) -> TrainConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
     seen: dict[str, int] = {}  # key -> the line that set it
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -101,14 +107,21 @@ def _restore(store: ParamStore, flows, ckpt_path) -> None:
         flow.check_invertible()
 
 
-def _load_net(cfg: TrainConfig, shape, ckpt_path) -> UnrolledNet:
+def _load_net(args, shape, what: str):
+    """``args.config`` resolved for ``args.task``, the net of ``args.model``
+    built for image shape ``shape`` (which must be the config's; ``what``
+    names the images in the error) and the task's operator."""
+    cfg = parse_config(args.config).resolved(task=args.task)
+    expected = (cfg.channels, cfg.height, cfg.width)
+    if tuple(shape) != expected:
+        raise DataError(
+            f"{what} has shape {tuple(shape)} but the model was configured "
+            f"for {expected}"
+        )
     net = UnrolledNet(shape, cfg.K, cfg.L, cfg.D, cfg.hidden)
-    _restore(net.store, [fold.flow for fold in net.folds], ckpt_path)
-    return net
-
-
-def _operator(cfg: TrainConfig, shape):
-    return operator_for_task(cfg.task, shape, cfg.mask_w, cfg.sigma_b, cfg.blur_radius)
+    _restore(net.store, [fold.flow for fold in net.folds], args.model)
+    op = operator_for_task(cfg.task, shape, cfg.mask_w, cfg.sigma_b, cfg.blur_radius)
+    return cfg, net, op
 
 
 # -- commands ----------------------------------------------------------------------
@@ -164,21 +177,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _expect_shape(cfg: TrainConfig, shape, what: str) -> None:
-    expected = (cfg.channels, cfg.height, cfg.width)
-    if tuple(shape) != expected:
-        raise DataError(
-            f"{what} has shape {tuple(shape)} but the model was configured "
-            f"for {expected}"
-        )
-
-
 def cmd_reconstruct(args) -> int:
     x_in = load_image(args.input)
-    cfg = parse_config(args.config).resolved(task=args.task)
-    _expect_shape(cfg, x_in.shape, f"input image {args.input}")
-    net = _load_net(cfg, x_in.shape, args.model)
-    op = _operator(cfg, x_in.shape)
+    cfg, net, op = _load_net(args, x_in.shape, f"input image {args.input}")
     if args.measure:
         rng = Prng(derive_seed(cfg.seed, _TAG_MEASURE))
         y = make_measurement(op, x_in, cfg.sigma_n, rng)
@@ -199,11 +200,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.data, splits=("test",))
     test = nonempty_split(dataset, "test")
-    shape = test.shape[1:]
-    cfg = parse_config(args.config).resolved(task=args.task)
-    _expect_shape(cfg, shape, f"test split of {args.data}")
-    net = _load_net(cfg, shape, args.model)
-    op = _operator(cfg, shape)
+    cfg, net, op = _load_net(args, test.shape[1:], f"test split of {args.data}")
     ids = dataset.ids["test"]
 
     y = np.empty_like(test)
@@ -327,7 +324,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FlowUnfoldError as exc:
+    except (FlowUnfoldError, OSError) as exc:  # OSError: an output path that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

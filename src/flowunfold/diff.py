@@ -132,12 +132,9 @@ class ParamStore:
             index -= p.value.size
 
     def snapshot(self) -> np.ndarray:
-        """A copy of :attr:`values` (for early-stopping restore)."""
+        """A copy of :attr:`values`; ``store.values[...] = snap`` writes it
+        back."""
         return self.values.copy()
-
-    def restore(self, snap: np.ndarray) -> None:
-        """Write back a :meth:`snapshot` of this store."""
-        self.values[...] = snap
 
 
 def zero_grads(store: ParamStore) -> None:
@@ -148,26 +145,20 @@ def zero_grads(store: ParamStore) -> None:
 _PROBE_SEED = 0x5DEECE66D
 
 
-def grad_check(
-    f,
-    store: ParamStore,
-    probes: int,
-    eps: float = 1e-5,
-    rng: Prng | None = None,
-) -> float:
+def grad_check(f, store: ParamStore, probes: int, eps: float = 1e-5) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f(store)`` must return a scalar and accumulate parameter gradients into
     the store.  For ``probes`` randomly chosen scalar entries the analytic
     gradient is compared with (f(p+eps) - f(p-eps)) / (2 eps); returns the
-    maximum relative error |a-n| / max(1, |a|, |n|).
+    maximum relative error |a-n| / max(1, |a|, |n|).  The entries are drawn
+    from one fixed seed, so a check probes the same entries on every run.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
     if probes < 1:
         raise ValueError("grad_check: probes must be >= 1")
-    if rng is None:
-        rng = Prng(_PROBE_SEED)
+    rng = Prng(_PROBE_SEED)
 
     total = store.size
     if total == 0:

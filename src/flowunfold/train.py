@@ -1,6 +1,7 @@
 """Losses, Adam, and the two trainers (likelihood pretraining and end-to-end
-fine-tuning), which share one epoch loop with early stopping on a
-validation metric.
+fine-tuning), which share one epoch loop.  The loop takes every Adam
+setting from the config once, and it stops early on a validation metric
+and writes back the best epoch's values.
 
 Datasets are duck-typed: anything with ``train``, ``val``, ``test`` arrays of
 shape (N, C, H, W), values in [-0.5, 0.5].  Measurement pairs are regenerated
@@ -27,7 +28,6 @@ from .unfold import UnrolledNet
 __all__ = [
     "TrainConfig",
     "AdamState",
-    "EarlyStopper",
     "nll_loss",
     "nll_loss_grad",
     "mse_loss",
@@ -156,28 +156,24 @@ def psnr(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
 
 class AdamState:
-    """Flat first/second moment buffers over a ParamStore's values, the step
-    count, one scratch buffer of the same length, and each value's learning
-    rate, fixed here by one rule: ``scalar_lr`` for a parameter whose name
-    ends in ``.mu`` or ``.rho`` (a fold's step size and shrinkage), ``lr``
-    for every other one."""
+    """Adam's settings, taken from a config once: ``beta1``, ``beta2``,
+    ``eps_adam`` and each value's learning rate, fixed by one rule:
+    ``scalar_lr`` for a parameter whose name ends in ``.mu`` or ``.rho`` (a
+    fold's step size and shrinkage), ``lr`` for every other one.  Beside
+    them, flat first/second moment buffers over a ParamStore's values, the
+    step count and one scratch buffer of the same length."""
 
-    def __init__(self, store: ParamStore, lr: float, scalar_lr: float):
-        self.lr = np.repeat([scalar_lr if p.name.endswith((".mu", ".rho")) else lr
+    def __init__(self, store: ParamStore, cfg: TrainConfig):
+        self.lr = np.repeat([cfg.scalar_lr if p.name.endswith((".mu", ".rho")) else cfg.lr
                              for p in store], [p.value.size for p in store])
+        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps_adam
         self.m = np.zeros(store.size)
         self.v = np.zeros(store.size)
         self.t = 0
         self._scratch = np.empty(store.size)
 
 
-def adam_update(
-    store: ParamStore,
-    state: AdamState,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_update(store: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam step on every parameter; zeroes gradients.
 
     Runs over the store's flat buffers in place, with the state's scratch
@@ -186,6 +182,7 @@ def adam_update(
     recurrence in the same order, so the result is bitwise that of a
     per-parameter loop."""
     state.t += 1
+    beta1, beta2 = state.beta1, state.beta2
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     values, g, m, v, tmp = store.values, store.grads, state.m, state.v, state._scratch
@@ -193,42 +190,10 @@ def adam_update(
     m += np.multiply(1.0 - beta1, g, out=tmp)
     v *= beta2
     v += np.multiply(np.multiply(1.0 - beta2, g, out=tmp), g, out=tmp)
-    denom = np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+    denom = np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), state.eps, out=tmp)
     step = np.divide(np.divide(m, bc1, out=g), denom, out=g)
     values -= np.multiply(state.lr, step, out=g)
     zero_grads(store)
-
-
-# -- early stopping ----------------------------------------------------------------
-
-
-class EarlyStopper:
-    """Tracks the best validation value; snapshots parameters when it improves
-    and restores that snapshot at the end, so training returns the best epoch
-    rather than the last one."""
-
-    def __init__(self, store: ParamStore, patience: int):
-        self.store = store
-        self.patience = patience
-        self.best_val = math.inf
-        self.best_epoch = 0
-        self._since = 0
-        self._snap = None
-
-    def update(self, epoch: int, val: float) -> bool:
-        """Record one epoch's validation value; True means stop now."""
-        if val < self.best_val:
-            self.best_val = val
-            self.best_epoch = epoch
-            self._snap = self.store.snapshot()
-            self._since = 0
-            return False
-        self._since += 1
-        return self._since >= self.patience
-
-    def restore_best(self) -> None:
-        if self._snap is not None:
-            self.store.restore(self._snap)
 
 
 # -- the epoch loop -------------------------------------------------------------------
@@ -254,11 +219,13 @@ def _checked(loss_fn, epoch: int, phase: str) -> float:
 def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss, log):
     """Train ``store`` with Adam over shuffled batches of the n_train
     training images, one step per ``batch_loss(epoch, indices)`` (which
-    accumulates the gradients), stopping early on ``val_loss()`` and
-    restoring the best epoch.  A non-finite loss, a singular 1x1 conv weight
-    or a non-finite parameter after an Adam step raises TrainingError."""
-    state = AdamState(store, cfg.lr, cfg.scalar_lr)
-    stopper = EarlyStopper(store, cfg.patience)
+    accumulates the gradients).  Stops once ``val_loss()`` has not gone
+    below its best (a tie is no improvement) for ``cfg.patience`` epochs,
+    then writes back the values of the best epoch, not the last.  A
+    non-finite loss, a singular 1x1 conv weight or a non-finite parameter
+    after an Adam step raises TrainingError."""
+    state = AdamState(store, cfg)
+    best_val, since, snap = math.inf, 0, None
     t0 = time.monotonic()
     for epoch in range(1, cfg.max_epochs + 1):
         order = _shuffled_indices(n_train, cfg.seed, epoch - 1)
@@ -266,7 +233,7 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
         for batch, start in enumerate(range(0, n_train, cfg.batch_size), 1):
             batch_idx = order[start : start + cfg.batch_size]
             loss = _checked(lambda: batch_loss(epoch, batch_idx), epoch, "train")
-            adam_update(store, state, cfg.beta1, cfg.beta2, cfg.eps_adam)
+            adam_update(store, state)
             finite = np.isfinite(store.values)
             if not finite.all():
                 bad, _ = store.locate(int(np.argmin(finite)))  # the first False
@@ -275,9 +242,13 @@ def _fit(store: ParamStore, cfg: TrainConfig, n_train: int, batch_loss, val_loss
         val = _checked(val_loss, epoch, "val")
         if log is not None:
             log(f"{epoch}\t{total / n_train:.6f}\t{val:.6f}\t{time.monotonic() - t0:.3f}")
-        if stopper.update(epoch, val):
-            break
-    stopper.restore_best()
+        if val < best_val:
+            best_val, since, snap = val, 0, store.snapshot()
+        else:
+            since += 1
+            if since >= cfg.patience:
+                break
+    store.values[...] = snap  # epoch 1's finite val always improves on inf
 
 
 # -- pretraining ---------------------------------------------------------------------
@@ -298,7 +269,8 @@ def pretrain(dataset, cfg: TrainConfig, log=None) -> FlowModel:
     store = ParamStore()
     flow = FlowModel(shape, cfg.L, cfg.D, cfg.hidden, store)
     flow.random_init(Prng(derive_seed(cfg.seed, _TAG_INIT)))
-    first = train[_shuffled_indices(len(train), cfg.seed, 0)[: cfg.batch_size]]
+    # FlowModel.data_init needs 2 images at least, whatever batch_size is
+    first = train[_shuffled_indices(len(train), cfg.seed, 0)[: max(2, cfg.batch_size)]]
     if len(first) < 2:
         raise DataError("pretraining needs at least 2 training images")
     flow.data_init(first)

@@ -1,6 +1,7 @@
 """File formats, config grammar, and the command-line pipeline."""
 
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -253,6 +254,16 @@ class TestConfig:
     def test_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_file_is_an_error(self, tmp_path, kind):
+        p = tmp_path / "t.cfg"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b"\xff\xfe = 2\n")
+        with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(p))}: "):
+            parse_config(p)
 
     def test_repeated_key_is_an_error(self, tmp_path):
         p = tmp_path / "t.cfg"
@@ -713,6 +724,25 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
         assert not (pipeline.root / "missing-input").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("pretrain", "--out"), ("train", "--out"), ("eval", "--report"),
+        ("reconstruct", "--output")])
+    def test_an_output_path_under_a_file_exits_1(self, pipeline, tmp_path, capsys,
+                                                 command, flag):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if command == "pretrain":
+            args = ["pretrain", "--data", str(pipeline.data), "--config", str(pipeline.cfg),
+                    "--out", ""]
+        else:
+            args = self._command(pipeline, command)
+        args[args.index(flag) + 1] = str(afile / "out")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(afile) in lines[0]
 
     def test_console_entry_point_reports_a_missing_model(self, pipeline):
         # the real interpreter entry point, not main() called in-process

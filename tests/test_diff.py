@@ -43,7 +43,7 @@ class TestParamStore:
         snap = s.snapshot()
         p.value[...] = -1.0
         q.value[...] = 0.0
-        s.restore(snap)
+        s.values[...] = snap
         assert np.array_equal(p.value, np.arange(4.0))
         assert float(q.value) == 2.5
 

@@ -26,7 +26,7 @@ from flowunfold.flow import (
 from flowunfold.io import restore_into
 from flowunfold.numerics import Prng, small_det_inv
 from flowunfold.operators import GaussianBlur
-from flowunfold.train import AdamState, adam_update
+from flowunfold.train import AdamState, TrainConfig, adam_update
 from flowunfold.unfold import UnrolledNet, reconstruct
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -508,7 +508,12 @@ def _twin_entries(model, rng):
 def _adam_step(model, rng):
     for p in model.store:
         p.grad[...] = rng.gauss_array(p.value.shape)
-    adam_update(model.store, AdamState(model.store, 1e-2, 1e-2))
+    adam_update(model.store, AdamState(model.store, TrainConfig(lr=1e-2, scalar_lr=1e-2)))
+
+
+def _values_write(model, rng):
+    # how training writes back its best epoch
+    model.store.values[...] = _twin_values(model, rng)
 
 
 def _direct_write(model, rng):
@@ -517,7 +522,7 @@ def _direct_write(model, rng):
 
 _WEIGHT_CHANGES = {
     "adam_update": _adam_step,
-    "store.restore": lambda model, rng: model.store.restore(_twin_values(model, rng)),
+    "values write": _values_write,
     "restore_into": lambda model, rng: restore_into(model.store, _twin_entries(model, rng)),
     "copy_state_from": lambda model, rng: model.copy_state_from(_twin(model, rng)),
     "randomize": lambda model, rng: model.randomize(rng),

@@ -1,10 +1,13 @@
 """Losses, the Adam optimizer, early stopping, and both training loops."""
 
+import importlib
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import flowunfold
 from flowunfold.io import ImageSet, synth_blobs
 from flowunfold.diff import ParamStore, grad_check
 from flowunfold.errors import (
@@ -19,7 +22,6 @@ from flowunfold.numerics import Prng
 from flowunfold.operators import CenterMask
 from flowunfold.train import (
     AdamState,
-    EarlyStopper,
     TrainConfig,
     _fit,
     adam_update,
@@ -108,13 +110,13 @@ class TestAdam:
         store = ParamStore()
         p = store.add("w", np.array(1.0))
         p.grad[...] = 7.3
-        adam_update(store, AdamState(store, 0.1, 0.1))
+        adam_update(store, AdamState(store, TrainConfig(lr=0.1, scalar_lr=0.1)))
         assert abs(float(p.value) - 0.9) < 1e-8
 
     def test_zero_gradient_is_a_no_op(self):
         store = ParamStore()
         p = store.add("w", np.array(2.5))
-        state = AdamState(store, 0.1, 0.1)
+        state = AdamState(store, TrainConfig(lr=0.1, scalar_lr=0.1))
         adam_update(store, state)
         assert float(p.value) == 2.5
         assert state.t == 1
@@ -123,7 +125,7 @@ class TestAdam:
         store = ParamStore()
         p = store.add("w", np.array(1.0))
         p.grad[...] = 1.0
-        adam_update(store, AdamState(store, 0.1, 0.1))
+        adam_update(store, AdamState(store, TrainConfig(lr=0.1, scalar_lr=0.1)))
         assert float(p.grad) == 0.0
 
     def test_mu_and_rho_take_the_scalar_rate(self):
@@ -133,7 +135,7 @@ class TestAdam:
         w = store.add("fold0.level0.step0.actnorm.bias", np.array(0.0))
         for p in store:
             p.grad[...] = 1.0
-        adam_update(store, AdamState(store, 1e-5, 1e-2))
+        adam_update(store, AdamState(store, TrainConfig(lr=1e-5, scalar_lr=1e-2)))
         # first step moves each parameter by ~ its own learning rate
         assert abs(float(mu.value) - (0.5 - 1e-2)) < 1e-9
         assert abs(float(rho.value) - (-2.0 - 1e-2)) < 1e-9
@@ -141,7 +143,7 @@ class TestAdam:
 
     def test_rate_vector_of_an_unrolled_net(self):
         store = UnrolledNet((1, 16, 16), 3, 2, 4, 16).store
-        lr = AdamState(store, 1e-4, 1e-2).lr
+        lr = AdamState(store, TrainConfig(lr=1e-4, scalar_lr=1e-2)).lr
         scalar = np.concatenate([np.full(p.value.size, p.name.endswith((".mu", ".rho")))
                                  for p in store])
         names = [p.name for p in store if p.name.endswith((".mu", ".rho"))]
@@ -152,7 +154,7 @@ class TestAdam:
 
     def test_rate_vector_of_a_prior(self):
         prior = FlowModel((1, 16, 16), 2, 4, 16, ParamStore())
-        assert np.all(AdamState(prior.store, 1e-4, 1e-2).lr == 1e-4)
+        assert np.all(AdamState(prior.store, TrainConfig(lr=1e-4, scalar_lr=1e-2)).lr == 1e-4)
 
 
 def _rule_lr(name, lr, scalar_lr):
@@ -182,7 +184,7 @@ class TestWholeStoreAdam:
                 fold.flow.randomize(rng)
         flat, ref = nets
         op = CenterMask(shape, 3)
-        state = AdamState(flat.store, 1e-3, 1e-2)
+        state = AdamState(flat.store, TrainConfig(lr=1e-3, scalar_lr=1e-2))
         m = {p.name: np.zeros_like(p.value) for p in ref.store}
         v = {p.name: np.zeros_like(p.value) for p in ref.store}
         start = {p.name: p.value.copy() for p in flat.store}
@@ -207,38 +209,56 @@ class TestWholeStoreAdam:
         assert not np.array_equal(flat.store["fold0.mu"].value, start["fold0.mu"])
         assert not np.array_equal(flat.store["fold1.mu"].value, start["fold1.mu"])
 
+    def test_betas_and_eps_come_from_the_config(self):
+        cfg = TrainConfig(lr=0.1, scalar_lr=0.2, beta1=0.5, beta2=0.75, eps_adam=0.25)
+        stores = [ParamStore() for _ in range(2)]
+        for store in stores:
+            store.add("w", np.array([1.0, -2.0]))
+            store.add("fold0.mu", np.array(0.5))
+        flat, ref = stores
+        state = AdamState(flat, cfg)
+        m = {p.name: np.zeros_like(p.value) for p in ref}
+        v = {p.name: np.zeros_like(p.value) for p in ref}
+        for t in range(1, 4):
+            for store in stores:
+                store.grads[...] = [0.3 * t, -1.5, 2.0 / t]
+            adam_update(flat, state)
+            _reference_adam(ref, m, v, t, 0.1, 0.2, beta1=0.5, beta2=0.75, eps=0.25)
+            assert np.array_equal(flat.values, ref.values), t
+
+
+def _early_stopped(vals, patience, max_epochs=10, moves_from=1):
+    """Run _fit on a one-value store with the injected val losses ``vals``.
+    Each epoch's train step from epoch ``moves_from`` on sets the value to
+    the epoch number and leaves a zero gradient, on which Adam's step is
+    exactly 0.  Returns the final value and the number of epochs run."""
+    store = ParamStore()
+    w = store.add("w", np.array(7.0))
+
+    def batch_loss(epoch, batch_idx):
+        if epoch >= moves_from:
+            w.value[...] = epoch
+        return 0.0
+
+    val = iter(vals)
+    lines = []
+    cfg = TrainConfig(batch_size=1, max_epochs=max_epochs, patience=patience)
+    _fit(store, cfg, 1, batch_loss, lambda: next(val), lines.append)
+    return float(w.value), len(lines)
+
 
 class TestEarlyStopper:
     def test_returns_best_epoch_not_last(self):
-        # injected loss sequence: best at epoch 4, then a slow ramp up
-        store = ParamStore()
-        w = store.add("w", np.array(0.0))
-        stopper = EarlyStopper(store, patience=3)
-        vals = {1: 5.0, 2: 4.0, 3: 4.5, 4: 3.0, 5: 3.1, 6: 3.2, 7: 3.3}
-        stopped_at = None
-        for epoch in range(1, 8):
-            w.value[...] = epoch
-            if stopper.update(epoch, vals[epoch]):
-                stopped_at = epoch
-                break
-        stopper.restore_best()
-        assert stopped_at == 7
-        assert stopper.best_epoch == 4
-        assert float(w.value) == 4.0
+        # best at epoch 4, then a slow ramp up: three epochs without a gain
+        assert _early_stopped([5.0, 4.0, 4.5, 3.0, 3.1, 3.2, 3.3], patience=3) == (4.0, 7)
 
     def test_plateau_is_not_improvement(self):
-        store = ParamStore()
-        store.add("w", np.array(0.0))
-        stopper = EarlyStopper(store, patience=1)
-        assert not stopper.update(1, 1.0)
-        assert stopper.update(2, 1.0)
-        assert stopper.best_epoch == 1
+        assert _early_stopped([1.0, 1.0, 0.5], patience=1) == (1.0, 2)
 
     def test_never_improved_restores_nothing(self):
-        store = ParamStore()
-        w = store.add("w", np.array(7.0))
-        EarlyStopper(store, patience=1).restore_best()
-        assert float(w.value) == 7.0
+        # epoch 1 leaves the value alone and no later epoch improves on it
+        assert _early_stopped([2.0, 2.5, 3.0], patience=5, max_epochs=3,
+                              moves_from=2) == (7.0, 3)
 
 
 class TestConfigValidation:
@@ -342,6 +362,15 @@ class TestPretrain:
         data = _blob_set(30, (1, 8, 8), seed=17)
         with pytest.raises(DataError):
             pretrain(ImageSet(data.train[:1], data.val, data.test), _small_cfg())
+
+    def test_batch_size_one_data_inits_on_two_images(self):
+        data = _blob_set(30, (1, 8, 8), seed=18)
+        lines = []
+        pretrain(data, _small_cfg(batch_size=1, max_epochs=1), log=lines.append)
+        assert len(lines) == 1
+        with pytest.raises(DataError, match="at least 2 training images"):
+            pretrain(ImageSet(data.train[:1], data.val, data.test),
+                     _small_cfg(batch_size=1))
 
 
 class TestTrainUnrolled:
@@ -476,3 +505,14 @@ class TestSingularWeightGuard:
         with pytest.raises(TrainingError, match=f"^epoch 2: {phase} pass: level0"):
             _fit(store, _small_cfg(max_epochs=3, patience=5), 4, batch_loss,
                  lambda: check("val"), None)
+
+
+def test_sub_seed_tags_are_distinct():
+    # every module's derive_seed stream tag; a shared tag would correlate
+    # two streams that should be independent
+    modules = [importlib.import_module(f"flowunfold.{m.name}")
+               for m in pkgutil.iter_modules(flowunfold.__path__)]
+    tags = {f"{module.__name__}.{name}": value for module in modules
+            for name, value in vars(module).items() if name.startswith("_TAG_")}
+    assert len(tags) >= 7  # train 1-4, io 10, cli 11 and 12
+    assert len(set(tags.values())) == len(tags), tags
