@@ -5,7 +5,10 @@ formats live in :mod:`flowunfold.io`.
 Configs are `key = value` lines with `#` comments; unknown keys are errors,
 and every command echoes its fully resolved config as `resolved.cfg`.  A
 config that is missing, unreadable or invalid exits 2; any other failure,
-an output path that cannot be made included, exits 1 with one `error:` line.
+an output path under a regular file included, exits 1 with one `error:`
+line.  Output paths are checked before any work, creating nothing;
+`echo_config` makes the output directory just before the outputs are
+written, so a command that fails on the way leaves none behind.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
-
-import numpy as np
 
 from . import checks
 from .diff import ParamStore
@@ -35,7 +36,7 @@ from .io import (
     synth_blobs,
 )
 from .numerics import Prng, derive_seed
-from .operators import TASKS, make_measurement, operator_for_task
+from .operators import TASKS, make_measurement, measure_by_id, operator_for_task
 from .train import TrainConfig, psnr, pretrain, train_unrolled
 from .unfold import UnrolledNet, reconstruct
 
@@ -93,6 +94,14 @@ def echo_config(cfg: TrainConfig, dirpath) -> None:
     (dirpath / "resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
+def _check_output(path) -> None:
+    """Fail, creating nothing, unless the directory of the output file
+    ``path`` can be made: its nearest existing ancestor is a directory."""
+    ancestor = next((p for p in Path(path).parents if p.exists()), Path("."))
+    if not ancestor.is_dir():
+        raise DataError(f"cannot write {path}: {ancestor} is not a directory")
+
+
 # -- restoring models --------------------------------------------------------------
 
 
@@ -146,14 +155,14 @@ def _save_run(what: str, out, store: ParamStore, lines: list[str], cfg: TrainCon
     """Write a trained model's checkpoint, its per-epoch log beside it and
     the resolved config in the same directory."""
     out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    echo_config(cfg, out.parent)
     save_checkpoint(out, store)
     Path(str(out) + ".log").write_text("".join(line + "\n" for line in lines))
-    echo_config(cfg, out.parent)
     print(f"{what} saved to {out} ({len(lines)} epochs)")
 
 
 def cmd_pretrain(args) -> int:
+    _check_output(args.out)
     dataset = load_dataset(args.data, splits=("train", "val"))
     shape = nonempty_split(dataset, "train").shape[1:]
     cfg = parse_config(args.config).resolved(shape)
@@ -164,6 +173,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_output(args.out)
     dataset = load_dataset(args.data, splits=("train", "val"))
     shape = nonempty_split(dataset, "train").shape[1:]
     cfg = parse_config(args.config).resolved(shape, args.task)
@@ -178,6 +188,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _check_output(args.output)
     x_in = load_image(args.input)
     cfg, net, op = _load_net(args, x_in.shape, f"input image {args.input}")
     if args.measure:
@@ -187,26 +198,23 @@ def cmd_reconstruct(args) -> int:
         y = x_in
     x_hat = reconstruct(net, y, op)
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    echo_config(cfg, out.parent)
     save_image(out, x_hat)
     if args.emit_init:
         init_path = out.with_name(out.stem + "_init" + out.suffix)
         save_image(init_path, net.initial_guess()[0])
-    echo_config(cfg, out.parent)
     print(f"reconstruction written to {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    _check_output(args.report)
     dataset = load_dataset(args.data, splits=("test",))
     test = nonempty_split(dataset, "test")
     cfg, net, op = _load_net(args, test.shape[1:], f"test split of {args.data}")
     ids = dataset.ids["test"]
 
-    y = np.empty_like(test)
-    for i, image_id in enumerate(ids):
-        rng = Prng(derive_seed(cfg.seed, _TAG_EVAL, int(image_id)))
-        y[i] = make_measurement(op, test[i], cfg.sigma_n, rng)
+    y = measure_by_id(op, test, cfg.sigma_n, ids, cfg.seed, _TAG_EVAL)
     x_hat = net.reconstruct_batch(y, op)
 
     rows = ["image_id,task,psnr_input,psnr_output"]
@@ -221,9 +229,8 @@ def cmd_eval(args) -> int:
     mean_out = sum(p_out) / len(p_out)
     rows.append(f"MEAN,{cfg.task},{mean_in:.6f},{mean_out:.6f}")
     report = Path(args.report)
-    report.parent.mkdir(parents=True, exist_ok=True)
-    report.write_text("".join(row + "\n" for row in rows))
     echo_config(cfg, report.parent)
+    report.write_text("".join(row + "\n" for row in rows))
     print(f"mean PSNR: input {mean_in:.6f} dB, output {mean_out:.6f} dB")
     return 0
 

@@ -198,7 +198,10 @@ class AffineCoupling:
         s = np.exp(clamped)
         return h1, a1, raw, t, clamped, s
 
-    def _net_backward(self, xb, h1, a1, raw, g_raw, g_t):
+    def _net_backward(self, ctx, g_clamped, g_t):
+        """_net's reverse rule into xb; no gradient passes where the clamp is active."""
+        _, xb, h1, a1, raw, _ = ctx
+        g_raw = g_clamped * ((raw > -SCALE_CLAMP) & (raw < SCALE_CLAMP))
         g_out = np.concatenate([g_raw, g_t], axis=1)
         g_a1, gw2, gb2 = conv2d_circular_backward(a1, self.w2.value, g_out)
         self.w2.grad += gw2
@@ -218,13 +221,11 @@ class AffineCoupling:
         return y, ld, (xa, xb, h1, a1, raw, s)
 
     def backward(self, ctx, gy, gld):
-        xa, xb, h1, a1, raw, s = ctx
+        xa, s = ctx[0], ctx[-1]
         gya, gyb = gy[:, : self.half], gy[:, self.half :]
         g_xa = gya * s
         g_clamped = gya * xa * s + gld[:, None, None, None]
-        inside = (raw > -SCALE_CLAMP) & (raw < SCALE_CLAMP)
-        g_raw = g_clamped * inside
-        g_xb = gyb + self._net_backward(xb, h1, a1, raw, g_raw, gya)
+        g_xb = gyb + self._net_backward(ctx, g_clamped, gya)
         return np.concatenate([g_xa, g_xb], axis=1)
 
     def inverse(self, y):
@@ -235,13 +236,11 @@ class AffineCoupling:
         return x, (xa, xb, h1, a1, raw, s)
 
     def inverse_backward(self, ctx, gx):
-        xa, xb, h1, a1, raw, s = ctx
+        xa, s = ctx[0], ctx[-1]
         gxa, gxb = gx[:, : self.half], gx[:, self.half :]
         gya = gxa / s
         g_clamped = -gxa * xa
-        inside = (raw > -SCALE_CLAMP) & (raw < SCALE_CLAMP)
-        g_raw = g_clamped * inside
-        gyb = gxb + self._net_backward(xb, h1, a1, raw, g_raw, -gya)
+        gyb = gxb + self._net_backward(ctx, g_clamped, -gya)
         return np.concatenate([gya, gyb], axis=1)
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Prng, conv2d_circular, gaussian_kernel
+from .numerics import Prng, conv2d_circular, derive_seed, gaussian_kernel
 
 __all__ = [
     "ForwardOp",
@@ -23,6 +23,7 @@ __all__ = [
     "CenterMask",
     "GaussianBlur",
     "make_measurement",
+    "measure_by_id",
     "default_geometry",
     "operator_for_task",
 ]
@@ -135,6 +136,17 @@ def make_measurement(
     if sigma_n > 0:
         y = y + sigma_n * rng.gauss_array(y.shape)
     return y
+
+
+def measure_by_id(op: ForwardOp, images, sigma_n: float, ids, seed: int, *words: int):
+    """Row i is image i measured with its own stream,
+    ``Prng(derive_seed(seed, *words, ids[i]))``, so an image's measurement
+    depends on its id, never on its batch or its row."""
+    out = np.empty_like(images)
+    for row, image_id in enumerate(ids):
+        rng = Prng(derive_seed(seed, *words, int(image_id)))
+        out[row] = make_measurement(op, images[row], sigma_n, rng)
+    return out
 
 
 TASKS = ("denoise", "inpaint", "deblur")

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, ShapeError, SingularMatrixError, Tra
 from .flow import LOG_2PI, FlowModel
 from .io import nonempty_split
 from .numerics import Prng, derive_seed
-from .operators import TASKS, default_geometry, make_measurement, operator_for_task
+from .operators import TASKS, default_geometry, measure_by_id, operator_for_task
 from .unfold import UnrolledNet
 
 __all__ = [
@@ -285,14 +285,6 @@ def pretrain(dataset, cfg: TrainConfig, log=None) -> FlowModel:
 # -- end-to-end fine-tuning ------------------------------------------------------------
 
 
-def _measure_batch(op, images, sigma_n, seed, tag, epoch, indices):
-    out = np.empty_like(images)
-    for row, idx in enumerate(indices):
-        rng = Prng(derive_seed(seed, tag, epoch, int(idx)))
-        out[row] = make_measurement(op, images[row], sigma_n, rng)
-    return out
-
-
 def train_unrolled(
     dataset, cfg: TrainConfig, pretrained: FlowModel | None, log=None
 ) -> UnrolledNet:
@@ -314,9 +306,7 @@ def train_unrolled(
     if pretrained is not None:
         net.load_pretrained_prior(pretrained)  # ConfigError on an arch mismatch
 
-    val_y = _measure_batch(
-        op, val, cfg.sigma_n, cfg.seed, _TAG_VAL_NOISE, 0, np.arange(len(val))
-    )
+    val_y = measure_by_id(op, val, cfg.sigma_n, range(len(val)), cfg.seed, _TAG_VAL_NOISE, 0)
 
     pipe = None
 
@@ -327,9 +317,8 @@ def train_unrolled(
         # faults and 20% fewer fine-tune images per second)
         nonlocal pipe
         x_true = train[batch_idx]
-        y = _measure_batch(
-            op, x_true, cfg.sigma_n, cfg.seed, _TAG_TRAIN_NOISE, epoch - 1, batch_idx
-        )
+        y = measure_by_id(op, x_true, cfg.sigma_n, batch_idx, cfg.seed,
+                          _TAG_TRAIN_NOISE, epoch - 1)
         x_hat, pipe = net.reconstruct_batch_grad(y, op)
         diff = x_hat - x_true
         net.reconstruct_backward(pipe, 2.0 * diff / diff.size)

@@ -14,6 +14,7 @@ import pytest
 
 import flowunfold.cli
 import flowunfold.io
+import flowunfold.train
 import flowunfold.unfold
 from flowunfold.cli import echo_config, main, parse_config
 from flowunfold.diff import ParamStore
@@ -729,7 +730,12 @@ class TestCommands:
         ("pretrain", "--out"), ("train", "--out"), ("eval", "--report"),
         ("reconstruct", "--output")])
     def test_an_output_path_under_a_file_exits_1(self, pipeline, tmp_path, capsys,
-                                                 command, flag):
+                                                 monkeypatch, command, flag):
+        # found before any work: pretrain and train never start their epochs
+        def fit(*args):
+            raise AssertionError("training ran before the output path was checked")
+
+        monkeypatch.setattr(flowunfold.train, "_fit", fit)
         afile = tmp_path / "afile"
         afile.write_text("")
         if command == "pretrain":
@@ -743,6 +749,7 @@ class TestCommands:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(afile) in lines[0]
+        assert list(tmp_path.iterdir()) == [afile]
 
     def test_console_entry_point_reports_a_missing_model(self, pipeline):
         # the real interpreter entry point, not main() called in-process

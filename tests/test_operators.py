@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from flowunfold import operators
 from flowunfold.errors import ConfigError, ShapeError
-from flowunfold.numerics import Prng, conv2d_circular, gaussian_kernel
+from flowunfold.numerics import Prng, conv2d_circular, derive_seed, gaussian_kernel
 from flowunfold.operators import (
     CenterMask,
     GaussianBlur,
     Identity,
     make_measurement,
+    measure_by_id,
     operator_for_task,
 )
 
@@ -133,6 +135,27 @@ class TestMeasurement:
     def test_negative_sigma_errors(self):
         with pytest.raises(ConfigError):
             make_measurement(Identity((1, 4, 4)), np.zeros((1, 4, 4)), -0.1, Prng(1))
+
+    def test_measure_by_id_ignores_batch_and_row(self, monkeypatch):
+        # an image's measurement depends on its id alone: permuted rows, or
+        # the batch cut in two, give each image the same bits
+        op = GaussianBlur((1, 8, 8), 1.0, 2)
+        x = Prng(8).gauss_array((6, 1, 8, 8))
+        ids = np.array([3, 17, 0, 5, 42, 9])
+        calls = []
+        monkeypatch.setattr(operators, "make_measurement",
+                            lambda *args: calls.append(1) or make_measurement(*args))
+        y = measure_by_id(op, x, 0.1, ids, 0xD1, 4, 2)
+        assert len(calls) == len(ids)  # one make_measurement call per image
+        for row, image_id in enumerate(ids):
+            rng = Prng(derive_seed(0xD1, 4, 2, int(image_id)))
+            assert np.array_equal(y[row], make_measurement(op, x[row], 0.1, rng))
+        perm = np.array([4, 0, 5, 2, 1, 3])
+        assert np.array_equal(measure_by_id(op, x[perm], 0.1, ids[perm], 0xD1, 4, 2), y[perm])
+        halves = [measure_by_id(op, x[part], 0.1, ids[part], 0xD1, 4, 2)
+                  for part in (perm[:2], perm[2:])]
+        assert np.array_equal(np.concatenate(halves), y[perm])
+        assert not np.array_equal(measure_by_id(op, x, 0.1, ids, 0xD1, 4, 3), y)
 
 
 class TestFactory:

@@ -381,9 +381,12 @@ class TestEndToEndGradients:
 
 class _OneSidedBlur(ForwardOp):
     """A x = 0.7 x + 0.3 x moved up one row, circularly: neither symmetric
-    nor orthogonal, so swapping apply and adjoint changes the result."""
+    nor orthogonal, so swapping apply and adjoint changes the result.  It is
+    circulant, hence normal (A^T A = A A^T), so a rule that swaps A and A^T
+    inside A^T A still gives the right answer with it."""
 
     kind = "one-sided blur"
+    normal = True
 
     def apply(self, x):
         self._check(x)
@@ -394,38 +397,68 @@ class _OneSidedBlur(ForwardOp):
         return 0.7 * v + 0.3 * np.roll(v, 1, axis=-2)
 
 
+class _MaskAfterBlur(ForwardOp):
+    """A = M B, the 3x3 centre mask after the one-sided blur.  A^T A = B^T M B
+    but A A^T = M B B^T M, so A is not normal, and swapping A and A^T inside
+    A^T A gives a wrong answer."""
+
+    kind = "mask after one-sided blur"
+    normal = False
+
+    def __init__(self, shape):
+        super().__init__(shape)
+        self.blur, self.mask = _OneSidedBlur(shape), CenterMask(shape, 3)
+
+    def apply(self, x):
+        return self.mask.apply(self.blur.apply(x))
+
+    def adjoint(self, v):
+        return self.blur.adjoint(self.mask.adjoint(v))
+
+
+_NOT_SELF_ADJOINT = (_OneSidedBlur, _MaskAfterBlur)
+
+
 class TestNonSelfAdjointOperator:
-    """Every package operator is its own adjoint; this one tells the fold
-    loop's apply from its adjoint."""
+    """Every package operator is its own adjoint, and normal; these tell the
+    fold loop's apply from its adjoint, and the last tells A^T A from A A^T.
+    Each test runs both operators."""
 
     def test_adjoint_dot_test(self):
-        op = _OneSidedBlur((1, 8, 8))
+        shape = (1, 8, 8)
         rng = Prng(0x5A)
-        for _ in range(10):
-            u, v = rng.gauss_array((2, 2, 1, 8, 8))
-            assert abs(float((op.apply(u) * v).sum() - (u * op.adjoint(v)).sum())) < 1e-12
-        x = rng.gauss_array((1, 8, 8))
-        assert np.max(np.abs(op.apply(x) - op.adjoint(x))) > 0.1
+        for op in (make(shape) for make in _NOT_SELF_ADJOINT):
+            for _ in range(10):
+                u, v = rng.gauss_array((2, 2) + shape)
+                dot = float((op.apply(u) * v).sum() - (u * op.adjoint(v)).sum())
+                assert abs(dot) < 1e-12, op.kind
+            x = rng.gauss_array(shape)
+            assert np.max(np.abs(op.apply(x) - op.adjoint(x))) > 0.1, op.kind
+            basis = np.eye(64).reshape((64,) + shape)
+            a = op.apply(basis).reshape(64, 64).T  # column i is A e_i
+            assert np.array_equal(op.adjoint(basis).reshape(64, 64), a), op.kind
+            assert (np.max(np.abs(a.T @ a - a @ a.T)) < 1e-12) == op.normal, op.kind
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_identity_flows_match_landweber(self, batch):
         shape = (1, 8, 8)
         rng = Prng(0x5B + batch)
-        mus = [0.3 + 0.4 * rng.uniform() for _ in range(3)]
-        rhos = [-3.0 + 2.0 * rng.uniform() for _ in range(3)]
-        net = _identity_net(shape, 3, mus, rhos)
-        op = _OneSidedBlur(shape)
-        y = rng.gauss_array((batch,) + shape)
-        ref = landweber(y, op, mus, [fold.lam for fold in net.folds])
-        plain = net.reconstruct_batch(y, op)
-        assert np.max(np.abs(plain - ref)) < 1e-10
-        assert np.array_equal(net.reconstruct_batch_grad(y, op)[0], plain)
+        for op in (make(shape) for make in _NOT_SELF_ADJOINT):
+            mus = [0.3 + 0.4 * rng.uniform() for _ in range(3)]
+            rhos = [-3.0 + 2.0 * rng.uniform() for _ in range(3)]
+            net = _identity_net(shape, 3, mus, rhos)
+            y = rng.gauss_array((batch,) + shape)
+            ref = landweber(y, op, mus, [fold.lam for fold in net.folds])
+            plain = net.reconstruct_batch(y, op)
+            assert np.max(np.abs(plain - ref)) < 1e-10, op.kind
+            assert np.array_equal(net.reconstruct_batch_grad(y, op)[0], plain), op.kind
 
     def test_end_to_end_grad_check(self):
-        net = _random_net((1, 8, 8), 2, 2, 1, 4, seed=0x7C)
-        op = _OneSidedBlur((1, 8, 8))
-        rng = Prng(16)
-        x_true = rng.gauss_array((2, 1, 8, 8)) * 0.3
-        y = op.apply(x_true) + 0.05 * rng.gauss_array((2, 1, 8, 8))
-        f = _mse_loss_fn(net, y, op, x_true)
-        assert grad_check(f, net.store, 64) < 1e-5
+        shape = (1, 8, 8)
+        for op in (make(shape) for make in _NOT_SELF_ADJOINT):
+            net = _random_net(shape, 2, 2, 1, 4, seed=0x7C)
+            rng = Prng(16)
+            x_true = rng.gauss_array((2,) + shape) * 0.3
+            y = op.apply(x_true) + 0.05 * rng.gauss_array((2,) + shape)
+            f = _mse_loss_fn(net, y, op, x_true)
+            assert grad_check(f, net.store, 64) < 1e-5, op.kind
