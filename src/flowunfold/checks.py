@@ -3,9 +3,11 @@ selftest`` runs every check here and acceptance criteria 1-5 call them.
 
 Each check returns ``(ok, detail)``: the verdict and a line with the
 measured numbers.  Inputs are fixed seeds and sizes, so a check reads the
-same on every run.  The references the checks compare against (the
-central-difference Jacobian, the Landweber recurrence, the grid argmin and
-the scalar Adam recurrence) are written only here; the tests use them too.
+same on every run; the operator checks take the image shape as a parameter,
+defaulting to the criteria's 1x16x16.  The references the checks compare
+against (the central-difference Jacobian, the Landweber recurrence, the
+grid argmin and the scalar Adam recurrence) are written only here; the
+tests use them too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .diff import ParamStore, grad_check
 from .flow import FlowModel
 from .numerics import Prng
-from .operators import Identity, operator_for_task
+from .operators import ForwardOp, Identity, operator_for_task
 from .train import AdamState, TrainConfig, adam_update, nll_loss_grad
 from .unfold import UnrolledNet, prox_shrink
 
@@ -36,12 +38,33 @@ __all__ = [
 SHAPE = (1, 16, 16)
 
 
-def _operators():
+def _operators(shape):
     return {
-        "identity": Identity(SHAPE),
-        "mask": operator_for_task("inpaint", SHAPE),
-        "blur": operator_for_task("deblur", SHAPE, sigma_b=1.0),
+        "identity": Identity(shape),
+        "mask": operator_for_task("inpaint", shape),
+        "blur": operator_for_task("deblur", shape, sigma_b=1.0),
     }
+
+
+class _MaskAfterBlur(ForwardOp):
+    """A = M B, the centre mask after the Gaussian blur.  Each factor is its
+    own adjoint, but A is not: A^T = B M.  Nor is it normal, as A^T A = B M B
+    and A A^T = M B B M, so a reverse rule that swaps A and A^T inside
+    A^T A gives wrong gradients with it, which no single task operator
+    shows."""
+
+    kind = "mask_after_blur"
+
+    def __init__(self, shape):
+        super().__init__(shape)
+        self.blur = operator_for_task("deblur", shape, sigma_b=1.0)
+        self.mask = operator_for_task("inpaint", shape)
+
+    def apply(self, x):
+        return self.mask.apply(self.blur.apply(x))
+
+    def adjoint(self, v):
+        return self.blur.adjoint(self.mask.adjoint(v))
 
 
 # -- references --------------------------------------------------------------------
@@ -106,18 +129,18 @@ def logdet_vs_jacobian():
     return worst < 1e-6, f"worst analytic-vs-numeric log-det gap {worst:.3g} over 10 draws"
 
 
-def operator_adjoints():
+def operator_adjoints(shape=SHAPE):
     """<Au, v> = <u, A^T v> for every operator, the blur is symmetric and
-    the mask idempotent (criterion 4)."""
+    the mask idempotent, on images of ``shape`` (criterion 4)."""
     rng = Prng(0xACC7)
-    ops = _operators()
+    ops = _operators(shape)
     worst_dot = 0.0
     for op in ops.values():
         for _ in range(50):
-            u, v = rng.gauss_array(SHAPE), rng.gauss_array(SHAPE)
+            u, v = rng.gauss_array(shape), rng.gauss_array(shape)
             dot = abs(float((op.apply(u) * v).sum()) - float((u * op.adjoint(v)).sum()))
             worst_dot = max(worst_dot, dot)
-    x = rng.gauss_array(SHAPE)
+    x = rng.gauss_array(shape)
     blur_gap = float(np.max(np.abs(ops["blur"].apply(x) - ops["blur"].adjoint(x))))
     once = ops["mask"].apply(x)
     idempotent = np.array_equal(ops["mask"].apply(once), once)
@@ -139,22 +162,22 @@ def prox_grid_oracle():
     return err <= 0.01, f"prox vs grid argmin differ by {err:.3g}"
 
 
-def landweber_equivalence():
+def landweber_equivalence(shape=SHAPE):
     """With identity flows the net is :func:`landweber`, over 20 problems
-    on all three operators (criterion 5)."""
+    on all three operators, on images of ``shape`` (criterion 5)."""
     rng = Prng(0xACC8)
-    ops = list(_operators().values())
+    ops = list(_operators(shape).values())
     worst = 0.0
     for trial in range(20):
         k = 2 + trial % 3
-        net = UnrolledNet(SHAPE, k, 2, 1, 4)
+        net = UnrolledNet(shape, k, 2, 1, 4)
         mus = [0.3 + 0.4 * rng.uniform() for _ in range(k)]
         rhos = [-3.0 + 2.0 * rng.uniform() for _ in range(k)]
         for fold, mu, rho in zip(net.folds, mus, rhos):
             fold.mu.value[...] = mu
             fold.rho.value[...] = rho
         op = ops[trial % 3]
-        y = rng.gauss_array(SHAPE)
+        y = rng.gauss_array(shape)
         ref = landweber(y, op, mus, [fold.lam for fold in net.folds])
         got = net.reconstruct_batch(y[None], op)[0]
         worst = max(worst, float(np.max(np.abs(got - ref))))
@@ -163,7 +186,9 @@ def landweber_equivalence():
 
 def gradients(tol_grad: float = 1e-5):
     """Likelihood and end-to-end MSE gradients match central differences,
-    64 probes each (criterion 3)."""
+    64 probes each (criterion 3).  The end-to-end check runs twice: with the
+    inpainting mask and with the non-normal mask after blur, which alone
+    tells A^T A from A A^T in the data step's reverse rule."""
     # eps at the small end so the difference quotient carries its natural
     # roundoff floor (~1e-11); tolerances below that floor must fail
     eps = 1e-7
@@ -176,20 +201,26 @@ def gradients(tol_grad: float = 1e-5):
     rng = Prng(0xACC6)
     for fold in net.folds:
         fold.flow.randomize(rng, scale=0.05)
-    op = operator_for_task("inpaint", SHAPE)
     x_true = rng.gauss_array((2,) + SHAPE) * 0.3
-    y = op.apply(x_true) + 0.05 * rng.gauss_array((2,) + SHAPE)
+    noise = 0.05 * rng.gauss_array((2,) + SHAPE)
 
-    def mse(store):
-        x_hat, pipe = net.reconstruct_batch_grad(y, op)
-        d = x_hat - x_true
-        net.reconstruct_backward(pipe, 2.0 * d / d.size)
-        return float((d * d).mean())
+    def err_mse(op):
+        y = op.apply(x_true) + noise
 
-    err_mse = grad_check(mse, net.store, 64, eps=eps)
-    ok = err_nll < tol_grad and err_mse < tol_grad
+        def mse(store):
+            x_hat, pipe = net.reconstruct_batch_grad(y, op)
+            d = x_hat - x_true
+            net.reconstruct_backward(pipe, 2.0 * d / d.size)
+            return float((d * d).mean())
+
+        return grad_check(mse, net.store, 64, eps=eps)
+
+    err_mask = err_mse(operator_for_task("inpaint", SHAPE))
+    err_non_normal = err_mse(_MaskAfterBlur(SHAPE))
+    ok = max(err_nll, err_mask, err_non_normal) < tol_grad
     return ok, (f"max relative gradient error: likelihood {err_nll:.3g}, "
-                f"end-to-end {err_mse:.3g}, 64 probes each")
+                f"end-to-end {err_mask:.3g} (mask) / {err_non_normal:.3g} "
+                f"(mask after blur), 64 probes each")
 
 
 def adam_recurrence():

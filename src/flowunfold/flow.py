@@ -10,6 +10,12 @@ Every layer exposes four procedures operating on batched (B, C, H, W) arrays:
 * ``inverse(y) -> (x, ctx)`` the exact algebraic inverse,
 * ``inverse_backward(ctx, gx) -> gy`` accumulating parameter gradients.
 
+A layer writes in place only into arrays it allocated itself (the relu,
+clamp and output arithmetic of a coupling, say), never into its input, a
+cotangent it was given or an entry of a record, which may be read again.
+An output or log-det it returns, and not in its record, is the caller's to
+write into: :class:`FlowModel` sums each step's log-dets in place.
+
 :class:`FlowModel` composes them from a table with one row per level.  Each
 pass is one of two walks over it, down (squeeze, steps, split off) or up
 (join, steps reversed, unsqueeze).  A recording pass (the default) keeps
@@ -87,10 +93,12 @@ class ActNorm:
         self.bias.value[...] = -mean / std
 
     def forward(self, x):
-        s = np.exp(self.log_scale.value)[None, :, None, None]
-        y = x * s + self.bias.value[None, :, None, None]
+        log_scale = self.log_scale.value
+        s = np.exp(log_scale)[:, None, None]
+        y = x * s
+        y += self.bias.value[:, None, None]
         hw = x.shape[2] * x.shape[3]
-        ld = np.full(x.shape[0], hw * float(self.log_scale.value.sum()))
+        ld = np.full(x.shape[0], hw * float(log_scale.sum()))
         return y, ld, (x, s, hw)
 
     def backward(self, ctx, gy, gld):
@@ -100,15 +108,16 @@ class ActNorm:
         return gy * s
 
     def inverse(self, y):
-        inv_s = np.exp(-self.log_scale.value)[None, :, None, None]
-        x = (y - self.bias.value[None, :, None, None]) * inv_s
+        inv_s = np.exp(-self.log_scale.value)[:, None, None]
+        x = y - self.bias.value[:, None, None]
+        x *= inv_s
         return x, (x, inv_s)
 
     def inverse_backward(self, ctx, gx):
         x, inv_s = ctx
         gy = gx * inv_s
-        self.bias.grad += -gy.sum(axis=(0, 2, 3))
-        self.log_scale.grad += -(gx * x).sum(axis=(0, 2, 3))
+        self.bias.grad -= gy.sum(axis=(0, 2, 3))
+        self.log_scale.grad -= (gx * x).sum(axis=(0, 2, 3))
         return gy
 
 
@@ -119,6 +128,13 @@ def _channel_outer(gy, x):
     return np.matmul(gy.reshape(b, c, -1), x.reshape(b, c, -1).transpose(0, 2, 1)).sum(0)
 
 
+def _mix_channels(m, x):
+    """m x per pixel for a (C, C) matrix m and a (B, C, H, W) batch: one
+    batched matmul on the (B, C, H*W) view."""
+    b, c, h, w = x.shape
+    return np.matmul(m, x.reshape(b, c, h * w)).reshape(b, c, h, w)
+
+
 class InvConv1x1:
     """Channel-mixing y = W x per pixel, a trainable generalization of a
     channel permutation; inverted via pivoted LU once per weight value."""
@@ -126,29 +142,30 @@ class InvConv1x1:
     def __init__(self, channels: int, store: ParamStore, prefix: str):
         self.channels = channels
         self.weight = store.add(prefix + ".weight", np.eye(channels))
-        self._cached = None  # (weight copy, det, inverse)
+        self._cached = None  # (weight bytes, det, inverse)
 
     def _det_inv(self):
         """det and inverse of the current weight, recomputed only when its
-        value differs from the cached copy.  Comparing values, rather than
+        bytes differ from the cached ones.  Comparing values, rather than
         hooking each writer (Adam, restores, direct writes), stays right
         whatever changes the weight; a singular weight raises, naming the
         weight, before it is cached, so it raises on every call.  The cache
         is read once into a local: tiles running on other threads may
         replace it between two reads."""
         w = self.weight.value
+        key = w.tobytes()
         cached = self._cached
-        if cached is None or not np.array_equal(cached[0], w):
+        if cached is None or cached[0] != key:
             try:
                 det, inv = small_det_inv(w)
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"{self.weight.name}: {exc}") from exc
-            cached = self._cached = (w.copy(), det, inv)
+            cached = self._cached = (key, det, inv)
         return cached[1], cached[2]
 
     def forward(self, x):
         det, inv = self._det_inv()
-        y = np.einsum("oi,bihw->bohw", self.weight.value, x)
+        y = _mix_channels(self.weight.value, x)
         hw = x.shape[2] * x.shape[3]
         ld = np.full(x.shape[0], hw * math.log(abs(det)))
         return y, ld, (x, inv, hw)
@@ -157,16 +174,16 @@ class InvConv1x1:
         x, inv, hw = ctx
         self.weight.grad += _channel_outer(gy, x)
         self.weight.grad += hw * float(gld.sum()) * inv.T
-        return np.einsum("oi,bohw->bihw", self.weight.value, gy)
+        return _mix_channels(self.weight.value.T, gy)
 
     def inverse(self, y):
         _, inv = self._det_inv()
-        x = np.einsum("io,bohw->bihw", inv, y)
+        x = _mix_channels(inv, y)
         return x, (x, inv)
 
     def inverse_backward(self, ctx, gx):
         x, inv = ctx
-        gy = np.einsum("io,bihw->bohw", inv, gx)
+        gy = _mix_channels(inv.T, gx)
         self.weight.grad -= _channel_outer(gy, x)
         return gy
 
@@ -189,59 +206,77 @@ class AffineCoupling:
         self.b2 = store.add(prefix + ".conv2.bias", np.zeros(channels))
 
     def _net(self, xb):
-        h1 = conv2d_circular(xb, self.w1.value, self.b1.value)
-        a1 = np.maximum(h1, 0.0)
+        """(a1, clamped, t, s): the first conv's relu output, the clamped raw
+        log-scale, the shift and exp(clamped).  The relu and the clamp run in
+        place on the conv outputs; a1 > 0 where the conv output is and
+        -SCALE_CLAMP < clamped < SCALE_CLAMP where raw is, so the record
+        keeps no pre-activation copies."""
+        a1 = conv2d_circular(xb, self.w1.value, self.b1.value)
+        np.maximum(a1, 0.0, out=a1)
         out = conv2d_circular(a1, self.w2.value, self.b2.value)
-        raw = out[:, : self.half]
-        t = out[:, self.half :]
-        clamped = np.clip(raw, -SCALE_CLAMP, SCALE_CLAMP)
-        s = np.exp(clamped)
-        return h1, a1, raw, t, clamped, s
+        clamped, t = out[:, : self.half], out[:, self.half :]
+        np.maximum(clamped, -SCALE_CLAMP, out=clamped)
+        np.minimum(clamped, SCALE_CLAMP, out=clamped)
+        return a1, clamped, t, np.exp(clamped)
 
-    def _net_backward(self, ctx, g_clamped, g_t):
-        """_net's reverse rule into xb; no gradient passes where the clamp is active."""
-        _, xb, h1, a1, raw, _ = ctx
-        g_raw = g_clamped * ((raw > -SCALE_CLAMP) & (raw < SCALE_CLAMP))
-        g_out = np.concatenate([g_raw, g_t], axis=1)
+    def _net_backward(self, ctx, g_out):
+        """_net's reverse rule into xb, given the cotangent ``g_out`` of
+        (clamped, t) in one array the caller allocated: its first half is
+        zeroed in place where the clamp is active."""
+        _, xb, a1, clamped, _ = ctx
+        g_out[:, : self.half] *= (clamped > -SCALE_CLAMP) & (clamped < SCALE_CLAMP)
         g_a1, gw2, gb2 = conv2d_circular_backward(a1, self.w2.value, g_out)
         self.w2.grad += gw2
         self.b2.grad += gb2
-        g_h1 = g_a1 * (h1 > 0.0)
-        g_xb, gw1, gb1 = conv2d_circular_backward(xb, self.w1.value, g_h1)
+        g_a1 *= a1 > 0.0
+        g_xb, gw1, gb1 = conv2d_circular_backward(xb, self.w1.value, g_a1)
         self.w1.grad += gw1
         self.b1.grad += gb1
         return g_xb
 
     def forward(self, x):
         xa, xb = x[:, : self.half], x[:, self.half :]
-        h1, a1, raw, t, clamped, s = self._net(xb)
-        ya = s * xa + t
-        y = np.concatenate([ya, xb], axis=1)
+        a1, clamped, t, s = self._net(xb)
+        y = x.copy()
+        ya = y[:, : self.half]
+        ya *= s
+        ya += t
         ld = clamped.sum(axis=(1, 2, 3))
-        return y, ld, (xa, xb, h1, a1, raw, s)
+        return y, ld, (xa, xb, a1, clamped, s)
 
     def backward(self, ctx, gy, gld):
         xa, s = ctx[0], ctx[-1]
         gya, gyb = gy[:, : self.half], gy[:, self.half :]
-        g_xa = gya * s
-        g_clamped = gya * xa * s + gld[:, None, None, None]
-        g_xb = gyb + self._net_backward(ctx, g_clamped, gya)
-        return np.concatenate([g_xa, g_xb], axis=1)
+        g_out = np.empty_like(gy)  # cotangent of (clamped, t)
+        g_clamped = np.multiply(gya, xa, out=g_out[:, : self.half])
+        g_clamped *= s
+        g_clamped += gld[:, None, None, None]
+        g_out[:, self.half :] = gya
+        gx = np.empty_like(gy)
+        np.multiply(gya, s, out=gx[:, : self.half])
+        np.add(gyb, self._net_backward(ctx, g_out), out=gx[:, self.half :])
+        return gx
 
     def inverse(self, y):
-        ya, xb = y[:, : self.half], y[:, self.half :]
-        h1, a1, raw, t, clamped, s = self._net(xb)
-        xa = (ya - t) / s
-        x = np.concatenate([xa, xb], axis=1)
-        return x, (xa, xb, h1, a1, raw, s)
+        xb = y[:, self.half :]
+        a1, clamped, t, s = self._net(xb)
+        x = y.copy()
+        xa = x[:, : self.half]
+        xa -= t
+        xa /= s
+        return x, (xa, xb, a1, clamped, s)
 
     def inverse_backward(self, ctx, gx):
         xa, s = ctx[0], ctx[-1]
         gxa, gxb = gx[:, : self.half], gx[:, self.half :]
-        gya = gxa / s
-        g_clamped = -gxa * xa
-        gyb = gxb + self._net_backward(ctx, g_clamped, -gya)
-        return np.concatenate([gya, gyb], axis=1)
+        gy = np.empty_like(gx)
+        gya = np.divide(gxa, s, out=gy[:, : self.half])
+        g_out = np.empty_like(gx)  # cotangent of (clamped, t), negated below
+        np.multiply(gxa, xa, out=g_out[:, : self.half])
+        g_out[:, self.half :] = gya
+        np.negative(g_out, out=g_out)
+        np.add(gxb, self._net_backward(ctx, g_out), out=gy[:, self.half :])
+        return gy
 
 
 class _Level(NamedTuple):
@@ -414,13 +449,15 @@ class FlowModel:
         ctx = [] if record else None
 
         def step(layers, x):
-            lds = []
-            for layer in layers:
-                x, l, c = layer.forward(x)
-                lds.append(l)
-                if record:
-                    ctx.append(c)
-            ld[...] += (lds[0] + lds[1]) + lds[2]  # one step's log-det, then the total
+            actnorm, invconv, coupling = layers
+            x, step_ld, c_an = actnorm.forward(x)
+            x, ld_iv, c_iv = invconv.forward(x)
+            x, ld_cp, c_cp = coupling.forward(x)
+            if record:
+                ctx.extend((c_an, c_iv, c_cp))
+            step_ld += ld_iv  # one step's log-det, then the total
+            step_ld += ld_cp
+            np.add(ld, step_ld, out=ld)
             return x
 
         return self._down(x, step), ld, ctx
@@ -445,10 +482,12 @@ class FlowModel:
         ctx = [] if record else None
 
         def step(layers, x):
-            for layer in reversed(layers):
-                x, c = layer.inverse(x)
-                if record:
-                    ctx.append(c)
+            actnorm, invconv, coupling = layers
+            x, c_cp = coupling.inverse(x)
+            x, c_iv = invconv.inverse(x)
+            x, c_an = actnorm.inverse(x)
+            if record:
+                ctx.extend((c_cp, c_iv, c_an))
             return x
 
         return self._up(z, step), ctx

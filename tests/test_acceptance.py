@@ -4,15 +4,24 @@ its own PASSED/FAILED line per criterion).
 
 Criteria 6-9 exercise the real command pipeline on a 500-image synthetic
 corpus at 1x16x16; the heavy artifacts are built once in module fixtures
-and reused.
+and reused.  Criterion 9's repeat of that pipeline runs in a child process,
+started with the module's first heavy fixture, so on a host with two or
+more CPUs it runs beside the module's own pipeline; the criterion then
+compares the two processes' artifacts byte for byte.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flowunfold
 from flowunfold import checks
 from flowunfold.cli import main
 from flowunfold.io import load_checkpoint, load_dataset, restore_into, save_checkpoint
@@ -70,21 +79,57 @@ class TestCriterion5PipelineReduction:
 # -- trained-pipeline criteria --------------------------------------------------------
 
 
+# (task, name, from the prior) of each training arm
+ARMS = (("denoise", "denoise", True), ("inpaint", "inpaint", True),
+        ("inpaint", "scratch", False))
+
+
+def _synth_args(out):
+    return ["synth-data", "--out", str(out), "--count", "500",
+            "--size", "16", "16", "--seed", str(SEED)]
+
+
+def _pretrain_args(corpus, cfg, out):
+    return ["pretrain", "--data", str(corpus), "--config", str(cfg), "--out", str(out)]
+
+
+def _arm_args(root, corpus, cfg, task, name, prior):
+    """The train and eval commands of one arm, in its own directory."""
+    d = root / name
+    train = ["train", "--task", task, "--data", str(corpus), "--config", str(cfg)]
+    train += ["--pretrained", str(prior)] if prior else ["--no-pretrain"]
+    train += ["--out", str(d / "net.ckpt")]
+    evaluate = ["eval", "--model", str(d / "net.ckpt"), "--data", str(corpus),
+                "--task", task, "--config", str(d / "resolved.cfg"),
+                "--report", str(d / "report.csv")]
+    return train, evaluate
+
+
+def _arm_files(root, name):
+    d = root / name
+    return SimpleNamespace(ckpt=d / "net.ckpt", report=d / "report.csv", log=d / "net.ckpt.log")
+
+
 def _train_and_eval(root, corpus, cfg, task, name, prior):
     """One training arm plus its evaluation report, in its own directory."""
-    d = root / name
-    ckpt = d / "net.ckpt"
-    args = ["train", "--task", task, "--data", str(corpus), "--config", str(cfg)]
-    args += ["--pretrained", str(prior)] if prior else ["--no-pretrain"]
+    train, evaluate = _arm_args(root, corpus, cfg, task, name, prior)
     t0 = time.monotonic()
-    assert main(args + ["--out", str(ckpt)]) == 0
+    assert main(train) == 0
     train_time = time.monotonic() - t0
-    report = d / "report.csv"
-    assert main(["eval", "--model", str(ckpt), "--data", str(corpus),
-                 "--task", task, "--config", str(d / "resolved.cfg"),
-                 "--report", str(report)]) == 0
-    return SimpleNamespace(ckpt=ckpt, report=report, log=d / "net.ckpt.log",
-                           train_time=train_time)
+    assert main(evaluate) == 0
+    return SimpleNamespace(**vars(_arm_files(root, name)), train_time=train_time)
+
+
+# runs each command line of argv[1] (a JSON list) through the CLI entry point
+# and stops at the first that fails, with its exit status
+_RUN_COMMANDS = """
+import json, sys
+from flowunfold.cli import main
+for argv in json.loads(sys.argv[1]):
+    status = main(argv)
+    if status != 0:
+        sys.exit(f"command {argv[0]} exited {status}: {' '.join(argv)}")
+"""
 
 
 def _mean_row(report_path):
@@ -99,14 +144,6 @@ def work(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def corpus(work):
-    out = work / "data"
-    assert main(["synth-data", "--out", str(out), "--count", "500",
-                 "--size", "16", "16", "--seed", str(SEED)]) == 0
-    return out
-
-
-@pytest.fixture(scope="module")
 def base_cfg(work):
     p = work / "base.cfg"
     p.write_text(f"seed = {SEED}\n")
@@ -114,10 +151,44 @@ def base_cfg(work):
 
 
 @pytest.fixture(scope="module")
+def repeat(work, base_cfg):
+    """Criterion 9's repeat pipeline in a child process: synth-data,
+    pretrain and the three arms again, under ``work/repeat``.  Its output
+    goes to files there, so a full pipe never stalls it.  Teardown ends it
+    if it is still running, as when criterion 9 is deselected."""
+    root = work / "repeat"
+    root.mkdir()
+    corpus, prior = root / "data", root / "prior" / "prior.ckpt"
+    commands = [_synth_args(corpus), _pretrain_args(corpus, base_cfg, prior)]
+    for task, name, pretrained in ARMS:
+        commands += _arm_args(root, corpus, base_cfg, task, name,
+                              prior if pretrained else None)
+    src = str(Path(flowunfold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(root / "stdout.txt", "w") as out, open(root / "stderr.txt", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+                                stdout=out, stderr=err, env=env)
+    try:
+        yield SimpleNamespace(proc=proc, root=root, prior=prior, stderr=root / "stderr.txt")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=60)
+
+
+@pytest.fixture(scope="module")
+def corpus(work, repeat):
+    # requests the repeat pipeline first, so it runs beside everything below
+    out = work / "data"
+    assert main(_synth_args(out)) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def prior(work, corpus, base_cfg):
     out = work / "prior" / "prior.ckpt"
-    assert main(["pretrain", "--data", str(corpus), "--config", str(base_cfg),
-                 "--out", str(out)]) == 0
+    assert main(_pretrain_args(corpus, base_cfg, out)) == 0
     return out
 
 
@@ -201,29 +272,21 @@ class TestCriterion8PretrainingAblation:
 
 class TestCriterion9Determinism:
     def test_repeat_runs_are_bitwise_identical(
-        self, work, base_cfg, prior, denoise_arm, inpaint_arm, scratch_arm
+        self, repeat, prior, denoise_arm, inpaint_arm, scratch_arm
     ):
-        repeat = work / "repeat"
-        corpus2 = repeat / "data"
-        assert main(["synth-data", "--out", str(corpus2), "--count", "500",
-                     "--size", "16", "16", "--seed", str(SEED)]) == 0
-        prior2 = repeat / "prior" / "prior.ckpt"
-        assert main(["pretrain", "--data", str(corpus2), "--config", str(base_cfg),
-                     "--out", str(prior2)]) == 0
-        arms2 = {
-            "denoise": _train_and_eval(repeat, corpus2, base_cfg, "denoise",
-                                       "denoise", prior2),
-            "inpaint": _train_and_eval(repeat, corpus2, base_cfg, "inpaint",
-                                       "inpaint", prior2),
-            "scratch": _train_and_eval(repeat, corpus2, base_cfg, "inpaint",
-                                       "scratch", None),
-        }
+        try:
+            status = repeat.proc.wait(timeout=900)
+        except subprocess.TimeoutExpired:
+            status = "still running after 900 s"
+        assert status == 0, (f"repeat pipeline: exit {status}, stderr:\n"
+                             f"{repeat.stderr.read_text()}")
         firsts = {"denoise": denoise_arm, "inpaint": inpaint_arm,
                   "scratch": scratch_arm}
-        same = [prior.read_bytes() == prior2.read_bytes()]
+        same = [prior.read_bytes() == repeat.prior.read_bytes()]
         for name, arm in firsts.items():
-            same.append(arm.ckpt.read_bytes() == arms2[name].ckpt.read_bytes())
-            same.append(arm.report.read_bytes() == arms2[name].report.read_bytes())
+            again = _arm_files(repeat.root, name)
+            same.append(arm.ckpt.read_bytes() == again.ckpt.read_bytes())
+            same.append(arm.report.read_bytes() == again.report.read_bytes())
         ok = all(same)
         _report(9, ok, f"prior + 3 checkpoints + 3 reports byte-identical on "
                        f"repeat: {same}")

@@ -434,6 +434,58 @@ class TestGradients:
         assert total == 0.0
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _freeze(ctx):
+    """Make every array of a layer's record read-only."""
+    for entry in ctx:
+        if isinstance(entry, np.ndarray):
+            entry.flags.writeable = False
+
+
+class TestNoWritesIntoInputs:
+    """The layers run relu, clamp and their output arithmetic in place, but
+    only on arrays they allocated: every procedure runs here on read-only
+    inputs, cotangents and records, so a write into any of them raises."""
+
+    @pytest.mark.parametrize("hidden", [4, 16])
+    def test_every_layer_procedure(self, hidden):
+        # at hidden=16 each coupling's second conv takes the conv's col2im
+        # side and its first conv's reverse rule the im2col-plus-col2im one;
+        # at hidden=4 neither does
+        model = _random_model((1, 8, 8), 2, 1, hidden, seed=0x7E01)
+        rng = Prng(0x7E02)
+        for level in model._levels:
+            x = _read_only(rng.gauss_array((2,) + level.shape))
+            for layer in level.steps[0]:
+                y, _, ctx = layer.forward(x)
+                _freeze(ctx)
+                layer.backward(ctx, _read_only(rng.gauss_array(y.shape)),
+                               _read_only(rng.gauss_array(2)))
+                back, ctx = layer.inverse(_read_only(y))
+                _freeze(ctx)
+                layer.inverse_backward(ctx, _read_only(rng.gauss_array(back.shape)))
+                x = y
+
+    @pytest.mark.parametrize("hidden", [4, 16])
+    def test_model_passes(self, hidden):
+        model = _random_model((1, 8, 8), 2, 2, hidden, seed=0x7E03)
+        rng = Prng(0x7E04)
+        x = _read_only(rng.gauss_array((2, 1, 8, 8)))
+        z, _, ctx = model.forward_batch(x)
+        for c in ctx:
+            _freeze(c)
+        model.backward_forward(ctx, _read_only(rng.gauss_array(z.shape)),
+                               _read_only(rng.gauss_array(2)))
+        back, ctx = model.inverse_batch(_read_only(z))
+        for c in ctx:
+            _freeze(c)
+        model.backward_inverse(ctx, _read_only(rng.gauss_array(back.shape)))
+
+
 class TestAcrossShapes:
     """The walks over the level table on shapes beyond the square 1-channel
     case: 1 or 3 channels, 1-3 levels, non-square sizes, levels that squeeze
@@ -546,12 +598,17 @@ class TestInvConvCache:
         _, ld, _ = layer.forward(x)
         assert np.array_equal(ld, np.full(2, 4 * math.log(abs(det))))
         back, _ = layer.inverse(x)
-        assert np.array_equal(back, np.einsum("io,bohw->bihw", inv, x))
+        assert np.array_equal(back, np.matmul(inv, x.reshape(2, 4, 4)).reshape(x.shape))
 
     def test_cached_weight_is_a_copy(self):
+        # the key is a bytes snapshot of the weight: a later in-place write
+        # changes the weight, not the key it is compared against
         layer = InvConv1x1(3, ParamStore(), "iv")
         layer.forward(np.zeros((1, 3, 2, 2)))
-        assert not np.shares_memory(layer._cached[0], layer.weight.value)
+        key = layer._cached[0]
+        assert key == layer.weight.value.tobytes()
+        layer.weight.value[0, 1] += 0.25
+        assert layer._cached[0] is key and key != layer.weight.value.tobytes()
 
     def test_singular_weight_raises_on_every_call(self):
         layer = InvConv1x1(2, ParamStore(), "iv")
@@ -563,18 +620,27 @@ class TestInvConvCache:
             with pytest.raises(SingularMatrixError, match=named):
                 layer.inverse(np.zeros((1, 2, 2, 2)))
 
-    def test_cache_is_read_once_under_threads(self):
+    def test_cache_is_read_once_under_threads(self, monkeypatch):
         # tiles on other threads may replace the cache between two reads; a
         # call must never pair the det of one cached weight with the inverse
-        # of another
+        # of another.  Both entries are built in _det_inv's own key format,
+        # so a stale one is seen as stale and recomputed: the recount below
+        # shows it was.  A reader that raises fails the test.
         layer = InvConv1x1(4, ParamStore(), "iv")
         rng = Prng(0x1C6)
         other = np.eye(4) + 0.3 * rng.gauss_array((4, 4))
         layer.weight.value[...] = np.eye(4) + 0.3 * rng.gauss_array((4, 4))
-        fresh = (layer.weight.value.copy(), *small_det_inv(layer.weight.value))
-        stale = (other, *small_det_inv(other))
+        fresh = (layer.weight.value.tobytes(), *small_det_inv(layer.weight.value))
+        stale = (other.tobytes(), *small_det_inv(other))
+        recomputed = []
+
+        def counted(m):
+            recomputed.append(1)
+            return small_det_inv(m)
+
+        monkeypatch.setattr(flowunfold.flow, "small_det_inv", counted)
         stop = threading.Event()
-        wrong = []
+        wrong, errors = [], []
 
         def replace():
             for cached in itertools.cycle((stale, fresh)):
@@ -583,10 +649,13 @@ class TestInvConvCache:
                 layer._cached = cached
 
         def read():
-            for _ in range(10000):
-                det, inv = layer._det_inv()
-                if det != fresh[1] or not np.array_equal(inv, fresh[2]):
-                    wrong.append(det)
+            try:
+                for _ in range(10000):
+                    det, inv = layer._det_inv()
+                    if det != fresh[1] or not np.array_equal(inv, fresh[2]):
+                        wrong.append(det)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -603,6 +672,8 @@ class TestInvConvCache:
             writer.join(timeout=60)
             sys.setswitchinterval(old_interval)
         assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+        assert not errors, errors[:3]
+        assert recomputed, "no reader ever met the stale entry"
         assert not wrong, f"{len(wrong)} mixed det/inverse pairs"
 
     def test_one_det_inverse_per_layer_with_fixed_weights(self, monkeypatch):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from flowunfold import unfold
+from flowunfold import checks, unfold
 from flowunfold.checks import landweber
 from flowunfold.io import ImageSet, synth_blobs
 from flowunfold.diff import grad_check, zero_grads
@@ -462,3 +462,15 @@ class TestNonSelfAdjointOperator:
             y = op.apply(x_true) + 0.05 * rng.gauss_array((2,) + shape)
             f = _mse_loss_fn(net, y, op, x_true)
             assert grad_check(f, net.store, 64) < 1e-5, op.kind
+
+
+class TestChecksAcrossShapes:
+    """Criteria 4 and 5's checks, the adjoint dot test and the Landweber
+    oracle, beyond their 1x16x16: a smaller square, three channels on a
+    non-square image, and the criteria's own shape."""
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 8, 16), (1, 16, 16)])
+    def test_adjoints_and_landweber(self, shape):
+        for check in (checks.operator_adjoints, checks.landweber_equivalence):
+            ok, detail = check(shape)
+            assert ok, f"{check.__name__}{shape}: {detail}"
