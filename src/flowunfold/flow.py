@@ -20,10 +20,20 @@ write into: :class:`FlowModel` sums each step's log-dets in place.
 pass is one of two walks over it, down (squeeze, steps, split off) or up
 (join, steps reversed, unsqueeze).  A recording pass (the default) keeps
 one flat list of layer contexts, which its reverse rule reads backwards and
-leaves intact; training's passes record.  Inference passes do not: the fold
-loop without a record, the initial guess and :meth:`FlowModel.log_prob_batch`
-(so the NLL and pretraining's val pass) drop each layer's context as soon as
-the next layer has its output.
+leaves intact; training's passes record.  :meth:`FlowModel.log_prob_batch`
+(so the NLL and pretraining's val pass) runs the forward walk without a
+record, dropping each layer's context as soon as the next layer has its
+output.
+
+Inference (the fold loop without a record and the initial guess) walks a
+:class:`FlowPlan` instead: the constants each layer derives from the
+weights (exp(+-log_scale), the bias, the 1x1 weight and its inverse, each
+coupling conv's kernel laid out by ``numerics.conv_layout``), computed once
+per weight value, with no log-det and no context.  The layer methods and the
+plan walk run the same helpers (:func:`_scale_shift`, :func:`_mix_channels`,
+:func:`_coupling_net`, :func:`_couple` and their inverses), so a plan pass
+equals the recording pass bitwise.  Actnorm is not fused into the 1x1 conv:
+that would change the rounding.
 """
 
 from __future__ import annotations
@@ -35,9 +45,16 @@ import numpy as np
 
 from .diff import ParamStore
 from .errors import ConfigError, ShapeError, SingularMatrixError
-from .numerics import Prng, conv2d_circular, conv2d_circular_backward, small_det_inv
+from .numerics import (
+    Prng,
+    conv2d_circular,
+    conv2d_circular_backward,
+    conv_apply,
+    conv_layout,
+    small_det_inv,
+)
 
-__all__ = ["ActNorm", "InvConv1x1", "AffineCoupling", "FlowModel"]
+__all__ = ["ActNorm", "InvConv1x1", "AffineCoupling", "FlowModel", "FlowPlan"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 SCALE_CLAMP = 5.0
@@ -75,6 +92,20 @@ def _random_orthogonal(rng: Prng, c: int) -> np.ndarray:
     return q * np.sign(np.diag(r))[None, :]
 
 
+def _scale_shift(x, s, bias):
+    """ActNorm's map, shared by its forward and the plan walk: x * s + bias."""
+    y = x * s
+    y += bias
+    return y
+
+
+def _unshift_scale(y, bias, inv_s):
+    """ActNorm's inverse map, shared like :func:`_scale_shift`."""
+    x = y - bias
+    x *= inv_s
+    return x
+
+
 class ActNorm:
     """Per-channel affine map y = exp(log_scale) * x + bias."""
 
@@ -95,8 +126,7 @@ class ActNorm:
     def forward(self, x):
         log_scale = self.log_scale.value
         s = np.exp(log_scale)[:, None, None]
-        y = x * s
-        y += self.bias.value[:, None, None]
+        y = _scale_shift(x, s, self.bias.value[:, None, None])
         hw = x.shape[2] * x.shape[3]
         ld = np.full(x.shape[0], hw * float(log_scale.sum()))
         return y, ld, (x, s, hw)
@@ -109,8 +139,7 @@ class ActNorm:
 
     def inverse(self, y):
         inv_s = np.exp(-self.log_scale.value)[:, None, None]
-        x = y - self.bias.value[:, None, None]
-        x *= inv_s
+        x = _unshift_scale(y, self.bias.value[:, None, None], inv_s)
         return x, (x, inv_s)
 
     def inverse_backward(self, ctx, gx):
@@ -119,6 +148,13 @@ class ActNorm:
         self.bias.grad -= gy.sum(axis=(0, 2, 3))
         self.log_scale.grad -= (gx * x).sum(axis=(0, 2, 3))
         return gy
+
+    def constants(self):
+        """(s, inv_s, bias): the scale, its inverse and the bias as the
+        passes use them, shaped (C, 1, 1), owning their memory."""
+        log_scale = self.log_scale.value
+        return (np.exp(log_scale)[:, None, None], np.exp(-log_scale)[:, None, None],
+                self.bias.value[:, None, None].copy())
 
 
 def _channel_outer(gy, x):
@@ -187,6 +223,48 @@ class InvConv1x1:
         self.weight.grad -= _channel_outer(gy, x)
         return gy
 
+    def constants(self):
+        """(W, W^-1): a copy of the weight and its cached inverse; a singular
+        weight raises as in :meth:`_det_inv`."""
+        return self.weight.value.copy(), self._det_inv()[1]
+
+
+def _coupling_net(xb, half, conv, first, second):
+    """A coupling's network on its passed-through half xb, shared by its
+    passes and the plan walk: ``conv(x, *first)`` and ``conv(x, *second)``
+    are its two convolutions, ``conv2d_circular`` over the weights or
+    ``conv_apply`` over their layouts.  Returns (a1, clamped, t, s): the
+    first conv's relu output, the clamped raw log-scale, the shift and
+    exp(clamped).  The relu and the clamp run in place on the conv outputs;
+    a1 > 0 where the conv output is and -SCALE_CLAMP < clamped < SCALE_CLAMP
+    where raw is, so the record keeps no pre-activation copies."""
+    a1 = conv(xb, *first)
+    np.maximum(a1, 0.0, out=a1)
+    out = conv(a1, *second)
+    clamped, t = out[:, :half], out[:, half:]
+    np.maximum(clamped, -SCALE_CLAMP, out=clamped)
+    np.minimum(clamped, SCALE_CLAMP, out=clamped)
+    return a1, clamped, t, np.exp(clamped)
+
+
+def _couple(x, half, s, t):
+    """A coupling's output: x with its first ``half`` channels scaled by s
+    and shifted by t, in a new array."""
+    y = x.copy()
+    ya = y[:, :half]
+    ya *= s
+    ya += t
+    return y
+
+
+def _uncouple(y, half, s, t):
+    """The inverse of :func:`_couple`, in a new array."""
+    x = y.copy()
+    xa = x[:, :half]
+    xa -= t
+    xa /= s
+    return x
+
 
 class AffineCoupling:
     """Transforms the first half of the channels with scale/shift computed
@@ -206,18 +284,8 @@ class AffineCoupling:
         self.b2 = store.add(prefix + ".conv2.bias", np.zeros(channels))
 
     def _net(self, xb):
-        """(a1, clamped, t, s): the first conv's relu output, the clamped raw
-        log-scale, the shift and exp(clamped).  The relu and the clamp run in
-        place on the conv outputs; a1 > 0 where the conv output is and
-        -SCALE_CLAMP < clamped < SCALE_CLAMP where raw is, so the record
-        keeps no pre-activation copies."""
-        a1 = conv2d_circular(xb, self.w1.value, self.b1.value)
-        np.maximum(a1, 0.0, out=a1)
-        out = conv2d_circular(a1, self.w2.value, self.b2.value)
-        clamped, t = out[:, : self.half], out[:, self.half :]
-        np.maximum(clamped, -SCALE_CLAMP, out=clamped)
-        np.minimum(clamped, SCALE_CLAMP, out=clamped)
-        return a1, clamped, t, np.exp(clamped)
+        return _coupling_net(xb, self.half, conv2d_circular, (self.w1.value, self.b1.value),
+                             (self.w2.value, self.b2.value))
 
     def _net_backward(self, ctx, g_out):
         """_net's reverse rule into xb, given the cotangent ``g_out`` of
@@ -237,10 +305,7 @@ class AffineCoupling:
     def forward(self, x):
         xa, xb = x[:, : self.half], x[:, self.half :]
         a1, clamped, t, s = self._net(xb)
-        y = x.copy()
-        ya = y[:, : self.half]
-        ya *= s
-        ya += t
+        y = _couple(x, self.half, s, t)
         ld = clamped.sum(axis=(1, 2, 3))
         return y, ld, (xa, xb, a1, clamped, s)
 
@@ -260,11 +325,8 @@ class AffineCoupling:
     def inverse(self, y):
         xb = y[:, self.half :]
         a1, clamped, t, s = self._net(xb)
-        x = y.copy()
-        xa = x[:, : self.half]
-        xa -= t
-        xa /= s
-        return x, (xa, xb, a1, clamped, s)
+        x = _uncouple(y, self.half, s, t)
+        return x, (x[:, : self.half], xb, a1, clamped, s)
 
     def inverse_backward(self, ctx, gx):
         xa, s = ctx[0], ctx[-1]
@@ -278,6 +340,15 @@ class AffineCoupling:
         np.add(gxb, self._net_backward(ctx, g_out), out=gy[:, self.half :])
         return gy
 
+    def constants(self):
+        """(half, conv1, conv2): each conv's argument tail for ``conv_apply``
+        in :func:`_coupling_net`, a 1-tuple of its kernel and bias laid out
+        by :func:`conv_layout`, both copied first so no layout views the
+        store."""
+        conv1 = (conv_layout(self.w1.value.copy(), self.b1.value.copy()),)
+        conv2 = (conv_layout(self.w2.value.copy(), self.b2.value.copy()),)
+        return self.half, conv1, conv2
+
 
 class _Level(NamedTuple):
     """One row of :class:`FlowModel`'s level table."""
@@ -286,6 +357,39 @@ class _Level(NamedTuple):
     steps: list  # (actnorm, invconv, coupling) per step, in composition order
     shape: tuple[int, int, int]  # the squeezed (C, H, W) the steps act on
     out: int  # leading channels written to the latent: C at the last level, else C // 2
+
+
+def _down(levels, x: np.ndarray, step) -> np.ndarray:
+    """Images (B, C, H, W) to a flat (B, n) array over a level table: per
+    level, squeeze, ``x = step(layers, x)`` per step, split off ``out``
+    channels.  The table is a model's own, or a plan's (:class:`FlowPlan`),
+    whose steps hold constants in place of layers."""
+    b = x.shape[0]
+    parts = []
+    for level in levels:
+        x = _squeeze_axes(x, *level.factors)
+        for layers in level.steps:
+            x = step(layers, x)
+        parts.append(x[:, : level.out].reshape(b, -1))
+        x = x[:, level.out :]
+    return np.concatenate(parts, axis=1)
+
+
+def _up(levels, z: np.ndarray, step) -> np.ndarray:
+    """The reverse of :func:`_down` for (B, n) z: per level from the last,
+    put the level's ``out`` channels of z before what the levels below
+    returned, ``x = step(layers, x)`` per step in reverse, unsqueeze."""
+    b, end = z.shape
+    x = np.empty((b, 0) + levels[-1].shape[1:])  # nothing below the last level
+    for level in reversed(levels):
+        _, h, w = level.shape
+        start = end - level.out * h * w
+        x = np.concatenate([z[:, start:end].reshape(b, level.out, h, w), x], axis=1)
+        end = start
+        for layers in reversed(level.steps):
+            x = step(layers, x)
+        x = _unsqueeze_axes(x, *level.factors)
+    return x
 
 
 class FlowModel:
@@ -337,38 +441,10 @@ class FlowModel:
         self.n = int(np.prod(shape))
         # this model's parameters, added in one run: their slice of store.values
         self.span = slice(first, store.size)
+        self._plan = None  # the last FlowPlan built
 
     def _steps(self):
         return [step for level in self._levels for step in level.steps]
-
-    def _down(self, x: np.ndarray, step) -> np.ndarray:
-        """Images (B, C, H, W) to a flat (B, n) array: per level, squeeze,
-        ``x = step(layers, x)`` per step, split off ``out`` channels."""
-        b = x.shape[0]
-        parts = []
-        for level in self._levels:
-            x = _squeeze_axes(x, *level.factors)
-            for layers in level.steps:
-                x = step(layers, x)
-            parts.append(x[:, : level.out].reshape(b, -1))
-            x = x[:, level.out :]
-        return np.concatenate(parts, axis=1)
-
-    def _up(self, z: np.ndarray, step) -> np.ndarray:
-        """The reverse of :meth:`_down`: per level from the last, put the
-        level's ``out`` channels of z before what the levels below returned,
-        ``x = step(layers, x)`` per step in reverse, unsqueeze."""
-        b, end = z.shape[0], self.n
-        x = np.empty((b, 0) + self._levels[-1].shape[1:])  # nothing below the last level
-        for level in reversed(self._levels):
-            _, h, w = level.shape
-            start = end - level.out * h * w
-            x = np.concatenate([z[:, start:end].reshape(b, level.out, h, w), x], axis=1)
-            end = start
-            for layers in reversed(level.steps):
-                x = step(layers, x)
-            x = _unsqueeze_axes(x, *level.factors)
-        return x
 
     # -- parameter fills ----------------------------------------------------------
 
@@ -400,6 +476,20 @@ class FlowModel:
         """Does nothing: a model is a valid flow from construction on.  Kept
         only because perfbench's workloads call it after a restore."""
 
+    def plan(self) -> "FlowPlan":
+        """The inference plan at the current weights.  The last one built is
+        kept with a copy of this model's slice of the store and reused while
+        one comparison finds the slice equal.  Comparing values, rather than
+        hooking each writer (Adam, restores, direct writes), stays right
+        whatever changes the weights.  The plan is read once into a local:
+        tiles on other threads may replace it between two reads.  A singular
+        1x1 weight raises SingularMatrixError naming it, on every call."""
+        weights = self.store.values[self.span]
+        plan = self._plan
+        if plan is None or not np.array_equal(plan.weights, weights):
+            plan = self._plan = FlowPlan(self, weights.copy())
+        return plan
+
     def check_invertible(self) -> None:
         """Compute and cache every 1x1 conv's det and inverse; a singular
         weight raises SingularMatrixError naming it."""
@@ -430,7 +520,7 @@ class FlowModel:
                 x, _, _ = layer.forward(x)
             return x
 
-        self._down(batch, step)
+        _down(self._levels, batch, step)
 
     # -- forward / inverse ----------------------------------------------------
 
@@ -460,7 +550,7 @@ class FlowModel:
             np.add(ld, step_ld, out=ld)
             return x
 
-        return self._down(x, step), ld, ctx
+        return _down(self._levels, x, step), ld, ctx
 
     def backward_forward(self, ctx, gz: np.ndarray, glogdet: np.ndarray | None):
         """Cotangent of :meth:`forward_batch`: (gz, glogdet) -> gx."""
@@ -472,25 +562,24 @@ class FlowModel:
                 g = layer.backward(next(record), g, gld)
             return g
 
-        return self._up(gz, step)
+        return _up(self._levels, gz, step)
 
-    def inverse_batch(self, z: np.ndarray, record: bool = True):
+    def inverse_batch(self, z: np.ndarray):
         """Map (B, n) latents back to images; exact layer-by-layer inverse.
-        Returns ``(x, ctx)``, ctx None when ``record`` is false."""
+        Returns ``(x, ctx)``, ctx the record :meth:`backward_inverse` reads."""
         if z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
-        ctx = [] if record else None
+        ctx = []
 
         def step(layers, x):
             actnorm, invconv, coupling = layers
             x, c_cp = coupling.inverse(x)
             x, c_iv = invconv.inverse(x)
             x, c_an = actnorm.inverse(x)
-            if record:
-                ctx.extend((c_cp, c_iv, c_an))
+            ctx.extend((c_cp, c_iv, c_an))
             return x
 
-        return self._up(z, step), ctx
+        return _up(self._levels, z, step), ctx
 
     def backward_inverse(self, ctx, gx: np.ndarray):
         """Cotangent of :meth:`inverse_batch`: gx -> gz."""
@@ -501,10 +590,78 @@ class FlowModel:
                 g = layer.inverse_backward(next(record), g)
             return g
 
-        return self._down(gx, step)
+        return _down(self._levels, gx, step)
 
     # -- densities -------------------------------------------------------------
 
     def log_prob_batch(self, x: np.ndarray) -> np.ndarray:
         z, ld, _ = self.forward_batch(x, record=False)
         return -0.5 * self.n * LOG_2PI - 0.5 * np.sum(z * z, axis=1) + ld
+
+
+def _plan_forward_step(constants, x):
+    """One step of :meth:`FlowPlan.forward`: actnorm, 1x1 conv, coupling."""
+    (scale, _, bias), (w, _), (half, conv1, conv2) = constants
+    x = _mix_channels(w, _scale_shift(x, scale, bias))
+    _, _, t, s = _coupling_net(x[:, half:], half, conv_apply, conv1, conv2)
+    return _couple(x, half, s, t)
+
+
+def _plan_inverse_step(constants, x):
+    """One step of :meth:`FlowPlan.inverse`, the layers in reverse."""
+    (_, inv_s, bias), (_, inv), (half, conv1, conv2) = constants
+    _, _, t, s = _coupling_net(x[:, half:], half, conv_apply, conv1, conv2)
+    return _unshift_scale(_mix_channels(inv, _uncouple(x, half, s, t)), bias, inv_s)
+
+
+class FlowPlan:
+    """A flow's inference passes at one value of its weights, built by
+    :meth:`FlowModel.plan`.
+
+    It holds the model's level table with each step's layers replaced by
+    the constants they derive from the weights (``constants()`` of each
+    layer): the actnorm's scale, inverse scale and bias, the 1x1 weight and
+    its inverse, and each coupling conv's kernel in its ``conv_layout``.
+    :meth:`forward` and :meth:`inverse` walk it with the layers' own
+    arithmetic, so they equal the recording passes bitwise, but build no
+    log-det and keep no context.  ``weights`` is the copy of the model's
+    store slice the plan was built from; nothing in a plan views the store.
+    A plan keeps no reference to its model: a model keeps its plan, and a
+    cycle between them would hold a discarded model's store until the
+    cyclic garbage collector ran.
+    """
+
+    __slots__ = ("shape", "n", "weights", "levels", "_x0")
+
+    def __init__(self, flow: FlowModel, weights: np.ndarray):
+        self.shape, self.n = flow.shape, flow.n
+        self.weights = weights
+        self.levels = [
+            level._replace(steps=[tuple(layer.constants() for layer in layers)
+                                  for layers in level.steps])
+            for level in flow._levels
+        ]
+        self._x0 = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """(B, C, H, W) images to (B, n) latents, as :meth:`FlowModel.forward_batch`."""
+        if x.shape[1:] != self.shape:
+            raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
+        return _down(self.levels, x, _plan_forward_step)
+
+    def inverse(self, z: np.ndarray) -> np.ndarray:
+        """(B, n) latents to images, as :meth:`FlowModel.inverse_batch`."""
+        if z.shape[1] != self.n:
+            raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
+        return _up(self.levels, z, _plan_inverse_step)
+
+    def inverse_of_zero(self) -> np.ndarray:
+        """The image of the zero latent, (1, C, H, W) and read-only: computed
+        on the first call and kept with the plan.  Threads that race on the
+        first call each compute the same array."""
+        x0 = self._x0
+        if x0 is None:
+            x0 = self.inverse(np.zeros((1, self.n)))
+            x0.flags.writeable = False
+            self._x0 = x0
+        return x0

@@ -18,7 +18,10 @@ col2im when it has fewer (the second conv, hidden -> C), moving Cout rows
 per tap instead of Cin.  The reverse rule gathers the output cotangent at
 the mirrored taps when it has at most twice the input's channels; otherwise
 it gathers the input for the kernel gradient and puts the input gradient
-back by col2im at the mirrored taps.
+back by col2im at the mirrored taps.  The forward conv is a layout step,
+``conv_layout`` (the kernel reshaped for its side, a copy on the col2im
+side), and an apply step, ``conv_apply``; a caller that convolves with one
+kernel many times, such as a flow's inference plan, keeps the layout.
 
 Both gathers keep their temporaries, the ``take`` output and on the
 col2im side the per-tap products, in one scratch buffer per thread
@@ -49,6 +52,8 @@ __all__ = [
     "derive_seed",
     "conv2d_circular",
     "conv2d_circular_backward",
+    "conv_apply",
+    "conv_layout",
     "small_det_inv",
     "gaussian_kernel",
 ]
@@ -179,6 +184,40 @@ def _col2im(kmat: np.ndarray, x: np.ndarray, kh: int, kw: int, sign: int) -> np.
     return cols.sum(axis=2)
 
 
+def conv_layout(kernel: np.ndarray, bias: np.ndarray | None = None):
+    """The layout step of :func:`conv2d_circular`: ``kernel`` (Cout, Cin, kh,
+    kw, odd kh and kw) and ``bias`` (Cout,) or None, laid out for the side
+    the conv gathers, as :func:`conv_apply` takes them.  With Cout >= Cin
+    that is im2col and the kernel is a (Cout, Cin*kh*kw) view; otherwise
+    col2im and a (Cout*kh*kw, Cin) copy.  A caller that convolves with one
+    kernel many times can keep the layout and call ``conv_apply`` alone."""
+    cout, cin, kh, kw = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv2d_circular: kernel dims must be odd, got {kh}x{kw}")
+    col2im = cout < cin
+    if col2im:
+        kmat = kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
+    else:
+        kmat = kernel.reshape(cout, -1)
+    return kmat, cout, kh, kw, col2im, None if bias is None else bias[None, :, None, None]
+
+
+def conv_apply(x: np.ndarray, layout) -> np.ndarray:
+    """The apply step of :func:`conv2d_circular`: convolve the (B, Cin, H, W)
+    batch ``x`` with a kernel laid out by :func:`conv_layout`, whose input
+    channels must be x's.  The result is a new array."""
+    kmat, cout, kh, kw, col2im, bias = layout
+    b, _, h, w = x.shape
+    if col2im:
+        out = _col2im(kmat, x, kh, kw, 1)
+    else:
+        out = kmat @ _im2col(x, kh, kw, 1)  # (B, Cout, H*W) via broadcasting
+    out = out.reshape(b, cout, h, w)
+    if bias is not None:
+        out += bias
+    return out
+
+
 def conv2d_circular(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
@@ -191,24 +230,14 @@ def conv2d_circular(
     kw; bias is (Cout,) or None for no bias.  The result is a new array.
     With Cout >= Cin the output is K P for the gathered taps P of x (im2col);
     otherwise it is the col2im of K' x, the kernel laid out (Cout*kh*kw, Cin).
+    It is :func:`conv_layout` then :func:`conv_apply`.
     """
-    b, cin, h, w = x.shape
-    cout, kcin, kh, kw = kernel.shape
-    if kcin != cin:
+    if kernel.shape[1] != x.shape[1]:
         raise ShapeError(
-            f"conv2d_circular: kernel expects {kcin} input channels, "
-            f"input has {cin} (input {tuple(x.shape[1:])}, kernel {tuple(kernel.shape)})"
+            f"conv2d_circular: kernel expects {kernel.shape[1]} input channels, "
+            f"input has {x.shape[1]} (input {tuple(x.shape[1:])}, kernel {tuple(kernel.shape)})"
         )
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d_circular: kernel dims must be odd, got {kh}x{kw}")
-    if cout < cin:
-        out = _col2im(kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin), x, kh, kw, 1)
-    else:
-        out = kernel.reshape(cout, -1) @ _im2col(x, kh, kw, 1)  # (B, Cout, H*W) via broadcasting
-    out = out.reshape(b, cout, h, w)
-    if bias is not None:
-        out += bias[None, :, None, None]
-    return out
+    return conv_apply(x, conv_layout(kernel, bias))
 
 
 def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray):

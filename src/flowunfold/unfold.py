@@ -19,15 +19,19 @@ layout; they get exactly zero gradient.
 The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 0.5 ||y - Ax||^2 for small mu.
 
-Every image of a batch is reconstructed independently; only the initial
-guess is shared, and it is shared across calls too: it depends only on fold
-0's flow weights, so the net keeps the last one it computed with a copy of
-those weights, and computes it again only when one comparison over fold 0's
-contiguous slice of the parameter store finds them changed.
+Inference runs each flow through its plan (:class:`flowunfold.flow.FlowPlan`):
+the constants its layers derive from the weights, laid out once, walked
+with no log-dets and no contexts.  A flow keeps its last plan with a copy
+of its contiguous slice of the parameter store, and builds a new one only
+when one comparison finds the slice changed; so a call makes one
+comparison per fold before the last.  The initial guess depends only on
+fold 0's flow weights, so it is kept with fold 0's plan and shared across
+calls, as every image of a batch shares it.
 
-So a large batch runs as tiles of about TILE_VALUES pixel values, mapped
-over a thread pool with one worker per usable CPU: numpy releases the
-interpreter lock in the gathers and matmuls that take most of the time.
+Every image of a batch is reconstructed independently, so a large batch
+runs as tiles of about TILE_VALUES pixel values, mapped over a thread pool
+with one worker per usable CPU: numpy releases the interpreter lock in the
+gathers and matmuls that take most of the time.
 Each row's arithmetic does not depend on the rows beside it, so the output
 is bitwise the same however the batch is cut.
 """
@@ -103,7 +107,6 @@ class UnrolledNet:
         self.folds += [
             Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(1, folds)
         ]
-        self._init_cache = None  # (fold 0's flow weights, x0)
 
     @property
     def k(self) -> int:
@@ -122,32 +125,34 @@ class UnrolledNet:
         x0 of shape (1, C, H, W), read-only.  It is the same for every
         measurement, so a batch broadcasts this one row.
 
-        The result is cached with a copy of fold 0's flow weights and reused
-        while they are equal.  Comparing values, rather than hooking each
-        writer (Adam, restores, direct writes), stays right whatever changes
-        the weights.  The cache is read once into a local: tiles on other
-        threads may replace it between two reads.  Its flow pass keeps no
-        record; the training path runs its own (:meth:`reconstruct_batch_grad`)."""
-        flow = self.folds[0].flow
-        weights = self.store.values[flow.span]
-        cached = self._init_cache
-        if cached is None or not np.array_equal(cached[0], weights):
-            weights = weights.copy()
-            x0, _ = flow.inverse_batch(np.zeros((1, flow.n)), record=False)
-            x0.flags.writeable = False
-            cached = self._init_cache = (weights, x0)
-        return cached[1]
+        It is kept with fold 0's plan (:meth:`FlowPlan.inverse_of_zero`), so
+        it is computed again only when fold 0's flow weights changed; the
+        training path computes its own, with a record
+        (:meth:`reconstruct_batch_grad`)."""
+        return self.folds[0].flow.plan().inverse_of_zero()
+
+    def _check_batch(self, y: np.ndarray) -> None:
+        """A measurement batch must be (B, C, H, W) with B >= 1 images of the
+        net's shape: an empty batch has nothing to reconstruct and, on the
+        training path, no loss to differentiate, so it raises too."""
+        if y.ndim != 4 or y.shape[1:] != self.shape or len(y) == 0:
+            raise ShapeError.mismatch("measurement batch (B >= 1 images)", y.shape,
+                                      ("B",) + self.shape)
 
     def reconstruct_batch(self, y: np.ndarray, op: ForwardOp) -> np.ndarray:
         """Pure batched reconstruction, (B, C, H, W) measurements in and out.
         A batch of more than one tile is cut into tiles of
         ``max(1, TILE_VALUES // (C*H*W))`` rows that run on the process's
-        thread pool; the result is bitwise the same either way."""
+        thread pool; the result is bitwise the same either way.  The plans
+        are read once, here, for every tile."""
         global _POOL
-        x0 = self.initial_guess()
+        self._check_batch(y)
+        # every fold before the last runs its flow; fold 0's plan also holds x0
+        plans = [fold.flow.plan() for fold in self.folds[: max(1, self.k - 1)]]
+        x0 = plans[0].inverse_of_zero()
         rows = max(1, TILE_VALUES // math.prod(y.shape[1:]))
         if len(y) <= rows:
-            return self._unroll(x0, y, op, None)
+            return self._unroll(x0, y, op, plans)
         if _POOL is None:
             # imported here: concurrent.futures brings in logging, 0.6 MB of
             # resident memory that a process which never tiles need not pay
@@ -155,7 +160,7 @@ class UnrolledNet:
 
             _POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="flowunfold-tile")
         tiles = [y[start : start + rows] for start in range(0, len(y), rows)]
-        outs = _POOL.map(lambda tile: self._unroll(x0, tile, op, None), tiles)
+        outs = _POOL.map(lambda tile: self._unroll(x0, tile, op, plans), tiles)
         return np.concatenate(list(outs))
 
     def reconstruct_batch_grad(self, y: np.ndarray, op: ForwardOp):
@@ -164,30 +169,34 @@ class UnrolledNet:
         record).  Its initial guess is computed afresh, with the record its
         reverse rule needs: Adam changes fold 0's weights at every step, so
         the cached one would match only at an epoch's first step."""
+        self._check_batch(y)
         steps = []
         flow = self.folds[0].flow
         x0, ctx_init = flow.inverse_batch(np.zeros((1, flow.n)))
-        return self._unroll(x0, y, op, steps), (op, ctx_init, steps)
+        return self._unroll(x0, y, op, None, steps), (op, ctx_init, steps)
 
-    def _unroll(self, x0, y, op, steps):
+    def _unroll(self, x0, y, op, plans, steps=None):
         """The fold loop from the initial guess ``x0`` (one row, broadcast
-        over the batch).  With a ``steps`` list each fold appends what the
-        reverse sweep needs: ``(atr, z, ctx_f, ctx_i)`` for the folds before
-        the last, ``atr`` alone for the last.  With None the flow passes keep
-        no contexts at all, so inference holds one layer's activations at a
-        time."""
-        record = steps is not None
+        over the batch).  Inference passes ``plans``, one per fold before
+        the last: each flow pass walks its fold's plan, with no log-dets and
+        no contexts, so inference holds one layer's activations at a time.
+        Training passes None and a ``steps`` list: the flow passes record,
+        and each fold appends what the reverse sweep needs,
+        ``(atr, z, ctx_f, ctx_i)`` for the folds before the last, ``atr``
+        alone for the last."""
         x = np.broadcast_to(x0, y.shape)
         *body, last = self.folds
-        for fold in body:
+        for k, fold in enumerate(body):
             xt, atr = dc_step(x, y, op, fold.mu.item())
-            z, _, ctx_f = fold.flow.forward_batch(xt, record)
+            if steps is None:
+                x = plans[k].inverse(prox_shrink(plans[k].forward(xt), fold.lam))
+                continue
+            z, _, ctx_f = fold.flow.forward_batch(xt)
             z = prox_shrink(z, fold.lam)
-            x, ctx_i = fold.flow.inverse_batch(z, record)
-            if record:
-                steps.append((atr, z, ctx_f, ctx_i))
+            x, ctx_i = fold.flow.inverse_batch(z)
+            steps.append((atr, z, ctx_f, ctx_i))
         x, atr = dc_step(x, y, op, last.mu.item())
-        if record:
+        if steps is not None:
             steps.append(atr)
         return x
 

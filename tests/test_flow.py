@@ -1,9 +1,11 @@
 """Tests for the invertible model: layer algebra, bijectivity, log-density."""
 
+import gc
 import itertools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from flowunfold.flow import (
     ActNorm,
     AffineCoupling,
     FlowModel,
+    FlowPlan,
     InvConv1x1,
     _squeeze_axes,
     _unsqueeze_axes,
@@ -206,10 +209,10 @@ class TestRoundTrip:
         z_plain, ld_plain, ctx_plain = model.forward_batch(x, record=False)
         assert len(ctx) == 2 * 2 * 3 and ctx_plain is None
         assert np.array_equal(z, z_plain) and np.array_equal(ld, ld_plain)
+        assert np.array_equal(z, model.plan().forward(x))
         back, ctx = model.inverse_batch(z)
-        back_plain, ctx_plain = model.inverse_batch(z, record=False)
-        assert len(ctx) == 2 * 2 * 3 and ctx_plain is None
-        assert np.array_equal(back, back_plain)
+        assert len(ctx) == 2 * 2 * 3
+        assert np.array_equal(back, model.plan().inverse(z))
 
     def test_forward_deterministic_bitwise(self):
         model = _random_model((1, 8, 8), 1, 2, 8, seed=0xD0)
@@ -735,3 +738,159 @@ class TestInitialGuessCache:
         with pytest.raises(ValueError, match="read-only"):
             x0[...] = 0.0
         assert np.array_equal(net.initial_guess(), x0)
+
+
+class TestFlowPlan:
+    """FlowModel.plan keeps the inference constants of the current weights
+    and builds them again only when one comparison over the model's store
+    slice finds a change; its passes equal the recording ones bitwise."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([(1, 8, 8), (3, 8, 16), (1, 16, 16)]),
+        levels=st.integers(1, 3),
+        # hidden=16 puts every coupling's second conv on the col2im side
+        hidden=st.sampled_from([4, 16]),
+        batch=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1, 16, 16), levels=2, hidden=16, batch=3, seed=1)
+    @example(shape=(3, 8, 16), levels=3, hidden=4, batch=1, seed=2)
+    def test_passes_equal_recording_ones_bitwise(self, shape, levels, hidden, batch, seed):
+        model = _random_model(shape, levels, 2, hidden, seed, scale=0.1)
+        rng = Prng(seed ^ 0x9A)
+        x = rng.gauss_array((batch,) + shape)
+        z = rng.gauss_array((batch, model.n))
+        plan = model.plan()
+        assert np.array_equal(plan.forward(x), model.forward_batch(x)[0])
+        assert np.array_equal(plan.inverse(z), model.inverse_batch(z)[0])
+        zero = model.inverse_batch(np.zeros((1, model.n)))[0]
+        assert np.array_equal(plan.inverse_of_zero(), zero)
+
+    def test_wrong_shapes_raise(self):
+        plan = _random_model((1, 8, 8), 2, 1, 4, seed=0x9B).plan()
+        with pytest.raises(ShapeError, match="flow input"):
+            plan.forward(np.zeros((1, 1, 8, 4)))
+        with pytest.raises(ShapeError, match="flow latent"):
+            plan.inverse(np.zeros((1, 63)))
+
+    @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
+    def test_every_weight_change_is_seen(self, change):
+        model = _random_model((1, 8, 8), 2, 1, 4, seed=0x9C)
+        x = Prng(0x9D).gauss_array((2, 1, 8, 8))
+        plan = model.plan()
+        assert model.plan() is plan
+        _WEIGHT_CHANGES[change](model, Prng(0x9E))
+        fresh = model.plan()
+        assert fresh is not plan and model.plan() is fresh
+        assert np.array_equal(fresh.weights, model.store.values[model.span])
+        assert np.array_equal(fresh.forward(x), model.forward_batch(x)[0])
+        assert not np.array_equal(fresh.forward(x), plan.forward(x))
+
+    def test_nothing_in_a_plan_views_the_store(self):
+        model = _random_model((1, 8, 8), 2, 1, 16, seed=0x9F)
+        plan = model.plan()
+        arrays = [plan.weights] + [
+            array for level in plan.levels for step in level.steps
+            for array in _arrays_in(step)
+        ]
+        assert len(arrays) > 1
+        assert not any(np.shares_memory(a, model.store.values) for a in arrays)
+
+    def test_a_discarded_model_is_freed_without_the_cycle_collector(self):
+        # a plan that referred back to its model would make a cycle, and
+        # every discarded model would keep its store until a collection
+        model = _random_model((1, 8, 8), 2, 1, 4, seed=0x9F)
+        model.plan().inverse_of_zero()
+        store = weakref.ref(model.store)
+        gc.disable()
+        try:
+            del model
+            assert store() is None
+        finally:
+            gc.enable()
+
+    def test_a_write_to_one_fold_keeps_the_others_plans(self):
+        net = _random_net(3, 0x1E0)
+        plans = [fold.flow.plan() for fold in net.folds]
+        net.folds[1].flow._levels[0].steps[0][1].weight.value[0, 1] += 0.25
+        net.folds[0].mu.value[...] = 0.3
+        net.folds[2].rho.value[...] = -1.0
+        kept = [fold.flow.plan() is plan for fold, plan in zip(net.folds, plans)]
+        assert kept == [True, False, True]
+
+    def test_load_pretrained_prior_is_seen(self):
+        net = _random_net(2, 0x1E1)
+        plans = [fold.flow.plan() for fold in net.folds]
+        prior = _twin(net.folds[0].flow, Prng(0x1E2))
+        net.load_pretrained_prior(prior)
+        for fold, plan in zip(net.folds, plans):
+            fresh = fold.flow.plan()
+            assert fresh is not plan
+            assert np.array_equal(fresh.weights, prior.store.values)
+
+    def test_plan_is_read_once_under_threads(self, monkeypatch):
+        # tiles on other threads may replace the plan between two reads; a
+        # call must return a plan built for the current weights, never the
+        # stale one it compared.  The recount below shows readers met the
+        # stale plan and built a fresh one.  A reader that raises fails the
+        # test.
+        model = _random_model((1, 4, 4), 1, 1, 4, seed=0x1E3)
+        weights = model.store.values
+        current = weights.copy()
+        weights[...] = _twin(model, Prng(0x1E4)).store.values
+        stale = model.plan()
+        weights[...] = current
+        fresh = model.plan()
+        builds = []
+
+        def counted(flow, values):
+            builds.append(1)
+            return FlowPlan(flow, values)
+
+        monkeypatch.setattr(flowunfold.flow, "FlowPlan", counted)
+        stop = threading.Event()
+        wrong, errors = [], []
+
+        def replace():
+            for plan in itertools.cycle((stale, fresh)):
+                if stop.is_set():
+                    break
+                model._plan = plan
+
+        def read():
+            try:
+                for _ in range(3000):
+                    plan = model.plan()
+                    if plan is stale or not np.array_equal(plan.weights, current):
+                        wrong.append(plan)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=replace)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            writer.start()
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            writer.join(timeout=60)
+            sys.setswitchinterval(old_interval)
+        assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+        assert not errors, errors[:3]
+        assert builds, "no reader ever met the stale plan"
+        assert not wrong, f"{len(wrong)} stale plans returned"
+
+
+def _arrays_in(item):
+    """Every array in a nest of tuples."""
+    if isinstance(item, np.ndarray):
+        return [item]
+    if isinstance(item, tuple):
+        return [a for part in item for a in _arrays_in(part)]
+    return []

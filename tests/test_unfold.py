@@ -164,6 +164,27 @@ _OPS = {
 }
 
 
+class TestMeasurementBatchShape:
+    """Both reconstruction methods check the measurement batch before any
+    work: a (B, C, H, W) batch of B >= 1 images of the net's shape."""
+
+    @pytest.mark.parametrize("shape", [(2, 1, 8, 8), (1, 16, 16), (0, 1, 16, 16)],
+                             ids=["wrong-size", "3-D", "empty"])
+    def test_a_malformed_batch_raises_shape_error(self, shape):
+        net = _random_net((1, 16, 16), 3, 2, 1, 4, seed=0x7D)
+        op = CenterMask((1, 16, 16), 3)
+        y = np.zeros(shape)
+        expected = re.escape(f"got shape {shape}, expected ('B', 1, 16, 16)")
+        for method in (net.reconstruct_batch, net.reconstruct_batch_grad):
+            with pytest.raises(ShapeError, match="^measurement batch.*" + expected):
+                method(y, op)
+
+    def test_single_image_of_the_wrong_size_raises_shape_error(self):
+        net = _random_net((1, 16, 16), 2, 2, 1, 4, seed=0x7E)
+        with pytest.raises(ShapeError, match="^measurement batch"):
+            reconstruct(net, np.zeros((1, 8, 8)), CenterMask((1, 8, 8), 3))
+
+
 class TestOneLoop:
     """Both public reconstruction methods run the same fold loop."""
 
@@ -321,6 +342,21 @@ class TestTiledBatch:
         net = _random_net(shape, 3, 2, 2, 4, seed=0x92)
         net.reconstruct_batch(Prng(0x93).gauss_array((batch,) + shape), CenterMask(shape, 5))
         assert unfold._POOL is None
+
+    @pytest.mark.parametrize("fold", [0, 1])
+    def test_singular_weight_in_a_body_fold_is_named(self, fold):
+        # the plans are warm first: the write makes them stale, and building
+        # a plan over a singular weight raises, on every call
+        shape = (1, 8, 8)
+        net = _random_net(shape, 3, 2, 2, 4, seed=0x96)
+        op = CenterMask(shape, 3)
+        y = Prng(0x97).gauss_array((2,) + shape)
+        net.reconstruct_batch(y, op)
+        name = f"fold{fold}.level1.step1.invconv.weight"
+        net.store[name].value[...] = 1.0
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match=re.escape(name + ": matrix of size 8")):
+                net.reconstruct_batch(y, op)
 
     def test_singular_weight_in_a_tile_is_named(self, cpus):
         net = _random_net(_SHAPE64, 3, 2, 2, 4, seed=0x94)
