@@ -107,13 +107,14 @@ def _check_output(path) -> None:
 
 def _restore(store: ParamStore, flows, ckpt_path) -> None:
     """Load a checkpoint into a freshly built model whose flows are
-    ``flows`` and check every 1x1 conv, those of flows no reconstruction
-    runs included: a singular weight raises SingularMatrixError naming it."""
+    ``flows`` and build every flow's plan, for the reconstructions and, on
+    the flows they never run, as the check that raises SingularMatrixError
+    naming a singular 1x1 weight."""
     hint = (f" (model built for image shape {flows[0].shape}; "
             f"check that the checkpoint was trained at this size)")
     restore_into(store, load_checkpoint(ckpt_path), origin=str(ckpt_path), hint=hint)
     for flow in flows:
-        flow.check_invertible()
+        flow.plan()
 
 
 def _load_net(args, shape, what: str):

@@ -3,11 +3,12 @@ coupling, squeeze, and their multi-scale composition.
 
 Layer conventions
 -----------------
-Every layer exposes four procedures operating on batched (B, C, H, W) arrays:
+Every layer derives what its weights fix in ``constants()`` and exposes
+four procedures on batched (B, C, H, W) arrays, ``c`` being that result:
 
-* ``forward(x) -> (y, logdet, ctx)`` with per-sample ``logdet`` of shape (B,),
+* ``forward(x, c) -> (y, logdet, ctx)`` with per-sample ``logdet`` of shape (B,),
 * ``backward(ctx, gy, glogdet) -> gx`` accumulating parameter gradients,
-* ``inverse(y) -> (x, ctx)`` the exact algebraic inverse,
+* ``inverse(y, c) -> (x, ctx)`` the exact algebraic inverse,
 * ``inverse_backward(ctx, gx) -> gy`` accumulating parameter gradients.
 
 A layer writes in place only into arrays it allocated itself (the relu,
@@ -25,15 +26,14 @@ leaves intact; training's passes record.  :meth:`FlowModel.log_prob_batch`
 record, dropping each layer's context as soon as the next layer has its
 output.
 
-Inference (the fold loop without a record and the initial guess) walks a
-:class:`FlowPlan` instead: the constants each layer derives from the
-weights (exp(+-log_scale), the bias, the 1x1 weight and its inverse, each
-coupling conv's kernel laid out by ``numerics.conv_layout``), computed once
-per weight value, with no log-det and no context.  The layer methods and the
-plan walk run the same helpers (:func:`_scale_shift`, :func:`_mix_channels`,
+The flow's one cache of constants is its plan (a :class:`FlowPlan`), every
+layer's ``constants()`` at one weight value.  Every pass reads it: the
+model's beside the layers, inference (the fold loop without a record and
+the initial guess) alone, with no log-det and no context.  Both run the
+same helpers (:func:`_scale_shift`, :func:`_mix_channels`,
 :func:`_coupling_net`, :func:`_couple` and their inverses), so a plan pass
-equals the recording pass bitwise.  Actnorm is not fused into the 1x1 conv:
-that would change the rounding.
+equals the recording pass bitwise.  Actnorm is not fused into the 1x1
+conv: that would change the rounding.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .diff import ParamStore
 from .errors import ConfigError, ShapeError, SingularMatrixError
 from .numerics import (
     Prng,
-    conv2d_circular,
     conv2d_circular_backward,
     conv_apply,
     conv_layout,
@@ -123,12 +122,11 @@ class ActNorm:
         self.log_scale.value[...] = -np.log(std)
         self.bias.value[...] = -mean / std
 
-    def forward(self, x):
-        log_scale = self.log_scale.value
-        s = np.exp(log_scale)[:, None, None]
-        y = _scale_shift(x, s, self.bias.value[:, None, None])
+    def forward(self, x, c):
+        s, _, bias = c
+        y = _scale_shift(x, s, bias)
         hw = x.shape[2] * x.shape[3]
-        ld = np.full(x.shape[0], hw * float(log_scale.sum()))
+        ld = np.full(x.shape[0], hw * float(self.log_scale.value.sum()))
         return y, ld, (x, s, hw)
 
     def backward(self, ctx, gy, gld):
@@ -137,9 +135,9 @@ class ActNorm:
         self.bias.grad += gy.sum(axis=(0, 2, 3))
         return gy * s
 
-    def inverse(self, y):
-        inv_s = np.exp(-self.log_scale.value)[:, None, None]
-        x = _unshift_scale(y, self.bias.value[:, None, None], inv_s)
+    def inverse(self, y, c):
+        _, inv_s, bias = c
+        x = _unshift_scale(y, bias, inv_s)
         return x, (x, inv_s)
 
     def inverse_backward(self, ctx, gx):
@@ -150,8 +148,8 @@ class ActNorm:
         return gy
 
     def constants(self):
-        """(s, inv_s, bias): the scale, its inverse and the bias as the
-        passes use them, shaped (C, 1, 1), owning their memory."""
+        """(s, inv_s, bias): exp(+-log_scale) and the bias as the passes use
+        them, shaped (C, 1, 1), owning their memory."""
         log_scale = self.log_scale.value
         return (np.exp(log_scale)[:, None, None], np.exp(-log_scale)[:, None, None],
                 self.bias.value[:, None, None].copy())
@@ -173,37 +171,17 @@ def _mix_channels(m, x):
 
 class InvConv1x1:
     """Channel-mixing y = W x per pixel, a trainable generalization of a
-    channel permutation; inverted via pivoted LU once per weight value."""
+    channel permutation; inverted via pivoted LU in :meth:`constants`."""
 
     def __init__(self, channels: int, store: ParamStore, prefix: str):
         self.channels = channels
         self.weight = store.add(prefix + ".weight", np.eye(channels))
-        self._cached = None  # (weight bytes, det, inverse)
 
-    def _det_inv(self):
-        """det and inverse of the current weight, recomputed only when its
-        bytes differ from the cached ones.  Comparing values, rather than
-        hooking each writer (Adam, restores, direct writes), stays right
-        whatever changes the weight; a singular weight raises, naming the
-        weight, before it is cached, so it raises on every call.  The cache
-        is read once into a local: tiles running on other threads may
-        replace it between two reads."""
-        w = self.weight.value
-        key = w.tobytes()
-        cached = self._cached
-        if cached is None or cached[0] != key:
-            try:
-                det, inv = small_det_inv(w)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(f"{self.weight.name}: {exc}") from exc
-            cached = self._cached = (key, det, inv)
-        return cached[1], cached[2]
-
-    def forward(self, x):
-        det, inv = self._det_inv()
-        y = _mix_channels(self.weight.value, x)
+    def forward(self, x, c):
+        w, inv, log_det = c
+        y = _mix_channels(w, x)
         hw = x.shape[2] * x.shape[3]
-        ld = np.full(x.shape[0], hw * math.log(abs(det)))
+        ld = np.full(x.shape[0], hw * log_det)
         return y, ld, (x, inv, hw)
 
     def backward(self, ctx, gy, gld):
@@ -212,8 +190,8 @@ class InvConv1x1:
         self.weight.grad += hw * float(gld.sum()) * inv.T
         return _mix_channels(self.weight.value.T, gy)
 
-    def inverse(self, y):
-        _, inv = self._det_inv()
+    def inverse(self, y, c):
+        _, inv, _ = c
         x = _mix_channels(inv, y)
         return x, (x, inv)
 
@@ -224,23 +202,28 @@ class InvConv1x1:
         return gy
 
     def constants(self):
-        """(W, W^-1): a copy of the weight and its cached inverse; a singular
-        weight raises as in :meth:`_det_inv`."""
-        return self.weight.value.copy(), self._det_inv()[1]
+        """(W, W^-1, log|det W|) for a copy W of the weight, by pivoted LU.
+        A singular weight raises SingularMatrixError naming the weight."""
+        w = self.weight.value.copy()
+        try:
+            det, inv = small_det_inv(w)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{self.weight.name}: {exc}") from exc
+        return w, inv, math.log(abs(det))
 
 
-def _coupling_net(xb, half, conv, first, second):
+def _coupling_net(xb, half, conv1, conv2):
     """A coupling's network on its passed-through half xb, shared by its
-    passes and the plan walk: ``conv(x, *first)`` and ``conv(x, *second)``
-    are its two convolutions, ``conv2d_circular`` over the weights or
-    ``conv_apply`` over their layouts.  Returns (a1, clamped, t, s): the
-    first conv's relu output, the clamped raw log-scale, the shift and
-    exp(clamped).  The relu and the clamp run in place on the conv outputs;
-    a1 > 0 where the conv output is and -SCALE_CLAMP < clamped < SCALE_CLAMP
-    where raw is, so the record keeps no pre-activation copies."""
-    a1 = conv(xb, *first)
+    passes and the plan walk: ``conv1`` and ``conv2`` are its two
+    convolutions' kernels laid out by :func:`conv_layout`.  Returns (a1,
+    clamped, t, s): the first conv's relu output, the clamped raw
+    log-scale, the shift and exp(clamped).  The relu and the clamp run in
+    place on the conv outputs; a1 > 0 where the conv output is and
+    -SCALE_CLAMP < clamped < SCALE_CLAMP where raw is, so the record keeps
+    no pre-activation copies."""
+    a1 = conv_apply(xb, conv1)
     np.maximum(a1, 0.0, out=a1)
-    out = conv(a1, *second)
+    out = conv_apply(a1, conv2)
     clamped, t = out[:, :half], out[:, half:]
     np.maximum(clamped, -SCALE_CLAMP, out=clamped)
     np.minimum(clamped, SCALE_CLAMP, out=clamped)
@@ -283,14 +266,10 @@ class AffineCoupling:
         self.w2 = store.add(prefix + ".conv2.weight", np.zeros((channels, hidden, 3, 3)))
         self.b2 = store.add(prefix + ".conv2.bias", np.zeros(channels))
 
-    def _net(self, xb):
-        return _coupling_net(xb, self.half, conv2d_circular, (self.w1.value, self.b1.value),
-                             (self.w2.value, self.b2.value))
-
     def _net_backward(self, ctx, g_out):
-        """_net's reverse rule into xb, given the cotangent ``g_out`` of
-        (clamped, t) in one array the caller allocated: its first half is
-        zeroed in place where the clamp is active."""
+        """:func:`_coupling_net`'s reverse rule into xb, given the cotangent
+        ``g_out`` of (clamped, t) in one array the caller allocated: its
+        first half is zeroed in place where the clamp is active."""
         _, xb, a1, clamped, _ = ctx
         g_out[:, : self.half] *= (clamped > -SCALE_CLAMP) & (clamped < SCALE_CLAMP)
         g_a1, gw2, gb2 = conv2d_circular_backward(a1, self.w2.value, g_out)
@@ -302,9 +281,9 @@ class AffineCoupling:
         self.b1.grad += gb1
         return g_xb
 
-    def forward(self, x):
+    def forward(self, x, c):
         xa, xb = x[:, : self.half], x[:, self.half :]
-        a1, clamped, t, s = self._net(xb)
+        a1, clamped, t, s = _coupling_net(xb, *c)
         y = _couple(x, self.half, s, t)
         ld = clamped.sum(axis=(1, 2, 3))
         return y, ld, (xa, xb, a1, clamped, s)
@@ -322,9 +301,9 @@ class AffineCoupling:
         np.add(gyb, self._net_backward(ctx, g_out), out=gx[:, self.half :])
         return gx
 
-    def inverse(self, y):
+    def inverse(self, y, c):
         xb = y[:, self.half :]
-        a1, clamped, t, s = self._net(xb)
+        a1, clamped, t, s = _coupling_net(xb, *c)
         x = _uncouple(y, self.half, s, t)
         return x, (x[:, : self.half], xb, a1, clamped, s)
 
@@ -341,12 +320,11 @@ class AffineCoupling:
         return gy
 
     def constants(self):
-        """(half, conv1, conv2): each conv's argument tail for ``conv_apply``
-        in :func:`_coupling_net`, a 1-tuple of its kernel and bias laid out
-        by :func:`conv_layout`, both copied first so no layout views the
-        store."""
-        conv1 = (conv_layout(self.w1.value.copy(), self.b1.value.copy()),)
-        conv2 = (conv_layout(self.w2.value.copy(), self.b2.value.copy()),)
+        """(half, conv1, conv2), the arguments of :func:`_coupling_net` after
+        xb: each conv's kernel and bias laid out by :func:`conv_layout`, both
+        copied first so no layout views the store."""
+        conv1 = conv_layout(self.w1.value.copy(), self.b1.value.copy())
+        conv2 = conv_layout(self.w2.value.copy(), self.b2.value.copy())
         return self.half, conv1, conv2
 
 
@@ -477,9 +455,9 @@ class FlowModel:
         only because perfbench's workloads call it after a restore."""
 
     def plan(self) -> "FlowPlan":
-        """The inference plan at the current weights.  The last one built is
-        kept with a copy of this model's slice of the store and reused while
-        one comparison finds the slice equal.  Comparing values, rather than
+        """The plan at the current weights, which every pass reads.  The last
+        one built is kept with a copy of this model's slice of the store and
+        reused while one comparison finds the slice equal.  Comparing values, rather than
         hooking each writer (Adam, restores, direct writes), stays right
         whatever changes the weights.  The plan is read once into a local:
         tiles on other threads may replace it between two reads.  A singular
@@ -489,12 +467,6 @@ class FlowModel:
         if plan is None or not np.array_equal(plan.weights, weights):
             plan = self._plan = FlowPlan(self, weights.copy())
         return plan
-
-    def check_invertible(self) -> None:
-        """Compute and cache every 1x1 conv's det and inverse; a singular
-        weight raises SingularMatrixError naming it."""
-        for _, iv, _ in self._steps():
-            iv._det_inv()
 
     def copy_state_from(self, src: "FlowModel") -> None:
         """Copy parameter values from a model of identical architecture
@@ -517,7 +489,7 @@ class FlowModel:
         def step(layers, x):
             layers[0].data_init(x)
             for layer in layers:
-                x, _, _ = layer.forward(x)
+                x, _, _ = layer.forward(x, layer.constants())
             return x
 
         _down(self._levels, batch, step)
@@ -537,12 +509,14 @@ class FlowModel:
             raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
         ld = np.zeros(x.shape[0])
         ctx = [] if record else None
+        constants = iter(self.plan().steps)
 
         def step(layers, x):
             actnorm, invconv, coupling = layers
-            x, step_ld, c_an = actnorm.forward(x)
-            x, ld_iv, c_iv = invconv.forward(x)
-            x, ld_cp, c_cp = coupling.forward(x)
+            k_an, k_iv, k_cp = next(constants)
+            x, step_ld, c_an = actnorm.forward(x, k_an)
+            x, ld_iv, c_iv = invconv.forward(x, k_iv)
+            x, ld_cp, c_cp = coupling.forward(x, k_cp)
             if record:
                 ctx.extend((c_an, c_iv, c_cp))
             step_ld += ld_iv  # one step's log-det, then the total
@@ -570,12 +544,14 @@ class FlowModel:
         if z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
         ctx = []
+        constants = reversed(self.plan().steps)
 
         def step(layers, x):
             actnorm, invconv, coupling = layers
-            x, c_cp = coupling.inverse(x)
-            x, c_iv = invconv.inverse(x)
-            x, c_an = actnorm.inverse(x)
+            k_an, k_iv, k_cp = next(constants)
+            x, c_cp = coupling.inverse(x, k_cp)
+            x, c_iv = invconv.inverse(x, k_iv)
+            x, c_an = actnorm.inverse(x, k_an)
             ctx.extend((c_cp, c_iv, c_an))
             return x
 
@@ -601,31 +577,33 @@ class FlowModel:
 
 def _plan_forward_step(constants, x):
     """One step of :meth:`FlowPlan.forward`: actnorm, 1x1 conv, coupling."""
-    (scale, _, bias), (w, _), (half, conv1, conv2) = constants
+    (scale, _, bias), (w, _, _), (half, conv1, conv2) = constants
     x = _mix_channels(w, _scale_shift(x, scale, bias))
-    _, _, t, s = _coupling_net(x[:, half:], half, conv_apply, conv1, conv2)
+    _, _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
     return _couple(x, half, s, t)
 
 
 def _plan_inverse_step(constants, x):
     """One step of :meth:`FlowPlan.inverse`, the layers in reverse."""
-    (_, inv_s, bias), (_, inv), (half, conv1, conv2) = constants
-    _, _, t, s = _coupling_net(x[:, half:], half, conv_apply, conv1, conv2)
+    (_, inv_s, bias), (_, inv, _), (half, conv1, conv2) = constants
+    _, _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
     return _unshift_scale(_mix_channels(inv, _uncouple(x, half, s, t)), bias, inv_s)
 
 
 class FlowPlan:
-    """A flow's inference passes at one value of its weights, built by
-    :meth:`FlowModel.plan`.
+    """A flow's constants and inference passes at one value of its weights,
+    built by :meth:`FlowModel.plan`.
 
     It holds the model's level table with each step's layers replaced by
     the constants they derive from the weights (``constants()`` of each
-    layer): the actnorm's scale, inverse scale and bias, the 1x1 weight and
-    its inverse, and each coupling conv's kernel in its ``conv_layout``.
-    :meth:`forward` and :meth:`inverse` walk it with the layers' own
-    arithmetic, so they equal the recording passes bitwise, but build no
-    log-det and keep no context.  ``weights`` is the copy of the model's
-    store slice the plan was built from; nothing in a plan views the store.
+    layer): the actnorm's scale, inverse scale and bias, the 1x1 weight, its
+    inverse and log|det|, and each coupling conv's kernel in its
+    ``conv_layout``.
+    The model's passes read them (:attr:`steps`); :meth:`forward` and
+    :meth:`inverse` walk them with the layers' own arithmetic, so they
+    equal the recording passes bitwise, but build no log-det and keep no
+    context.  ``weights`` is the copy of the model's store slice the plan
+    was built from; nothing in a plan views the store.
     A plan keeps no reference to its model: a model keeps its plan, and a
     cycle between them would hold a discarded model's store until the
     cyclic garbage collector ran.
@@ -642,6 +620,11 @@ class FlowPlan:
             for level in flow._levels
         ]
         self._x0 = None
+
+    @property
+    def steps(self) -> list:
+        """Each step's constants in the order the down walk meets them."""
+        return [step for level in self.levels for step in level.steps]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(B, C, H, W) images to (B, n) latents, as :meth:`FlowModel.forward_batch`."""

@@ -14,6 +14,7 @@ All are deliberately minimal and bit-exact:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,19 +249,27 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(path, store: ParamStore) -> None:
-    """Write every parameter, in store order, to the binary format above."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        fh.write(struct.pack("<Q", len(store)))
-        for p in store:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<I", p.value.ndim))
-            for dim in p.value.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    """Write every parameter, in store order, to the binary format above,
+    into a temporary file beside ``path`` that then replaces it: a write
+    that fails part-way leaves the old checkpoint and no temporary file."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", _CKPT_VERSION))
+            fh.write(struct.pack("<Q", len(store)))
+            for p in store:
+                name = p.name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name)))
+                fh.write(name)
+                fh.write(struct.pack("<I", p.value.ndim))
+                for dim in p.value.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

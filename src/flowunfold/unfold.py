@@ -19,11 +19,12 @@ layout; they get exactly zero gradient.
 The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 0.5 ||y - Ax||^2 for small mu.
 
-Inference runs each flow through its plan (:class:`flowunfold.flow.FlowPlan`):
-the constants its layers derive from the weights, laid out once, walked
-with no log-dets and no contexts.  A flow keeps its last plan with a copy
-of its contiguous slice of the parameter store, and builds a new one only
-when one comparison finds the slice changed; so a call makes one
+Every flow pass reads its flow's plan (:class:`flowunfold.flow.FlowPlan`),
+the one cache of what the weights fix: inference walks it with no log-dets
+and no contexts, and a grad step's recording passes derive each body
+fold's constants once.  A flow keeps its last plan with a copy of its
+slice of the parameter store, and builds a new one only when one
+comparison finds the slice changed; so an inference call makes one
 comparison per fold before the last.  The initial guess depends only on
 fold 0's flow weights, so it is kept with fold 0's plan and shared across
 calls, as every image of a batch shares it.

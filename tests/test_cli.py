@@ -29,7 +29,7 @@ from flowunfold.io import (
     split_counts,
     synth_blobs,
 )
-from flowunfold.flow import FlowModel
+from flowunfold.flow import FlowModel, FlowPlan
 from flowunfold.numerics import Prng, derive_seed
 from flowunfold.operators import make_measurement, operator_for_task
 from flowunfold.train import TrainConfig, psnr
@@ -140,6 +140,26 @@ class TestCheckpoint:
         save_checkpoint(p1, store)
         save_checkpoint(p2, store)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        # a write that fails after its first entry (say, a full disk) must
+        # leave the previous checkpoint whole and no temporary file behind
+        class FailsAfterOneEntry:
+            def __len__(self):
+                return len(store)
+
+            def __iter__(self):
+                yield next(iter(store))
+                raise OSError(28, "No space left on device")
+
+        store = _sample_store()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, store)
+        old = p.read_bytes()
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(p, FailsAfterOneEntry())
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_rejects_unknown_magic(self, tmp_path):
         p = tmp_path / "a.ckpt"
@@ -862,6 +882,27 @@ class TestEvalBatching:
             expect = psnr(reconstruct(net, y, op), test[i])
             assert scores[2 * i + 1] == expect  # bitwise, not to the report's 6 places
             assert line == f"{i},deblur,{psnr(y, test[i]):.6f},{expect:.6f}"
+
+    def test_eval_builds_one_plan_per_fold(self, tmp_path, monkeypatch):
+        # restoring builds every fold's plan, the unused last fold's too (its
+        # singular-weight check); the reconstruction reuses the others'
+        data = _corpus(tmp_path, 20)
+        shape, arch = (1, 16, 16), (1, 1, 4)
+        net = UnrolledNet(shape, 3, *arch)
+        for fold in net.folds:
+            fold.flow.randomize(Prng(0xE7B), scale=0.05)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(ckpt, net.store)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("K = 3\nL = 1\nD = 1\nhidden = 4\nheight = 16\nwidth = 16\n")
+        builds = []
+        init = FlowPlan.__init__
+        monkeypatch.setattr(FlowPlan, "__init__",
+                            lambda self, flow, weights: builds.append(1)
+                            or init(self, flow, weights))
+        assert main(["eval", "--model", str(ckpt), "--data", str(data), "--task", "inpaint",
+                     "--config", str(cfg), "--report", str(tmp_path / "r.csv")]) == 0
+        assert len(builds) == 3
 
 
 class TestNoiseFloor:

@@ -28,9 +28,8 @@ from flowunfold.flow import (
 )
 from flowunfold.io import restore_into
 from flowunfold.numerics import Prng, small_det_inv
-from flowunfold.operators import GaussianBlur
 from flowunfold.train import AdamState, TrainConfig, adam_update
-from flowunfold.unfold import UnrolledNet, reconstruct
+from flowunfold.unfold import UnrolledNet
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -80,7 +79,7 @@ class TestLayerAlgebra:
         store = ParamStore()
         layer = AffineCoupling(4, 8, store, "cp")
         x = Prng(0xC0).gauss_array((3, 4, 5, 5))
-        y, ld, _ = layer.forward(x)
+        y, ld, _ = layer.forward(x, layer.constants())
         assert np.array_equal(y, x)
         assert np.array_equal(ld, np.zeros(3))
 
@@ -91,8 +90,8 @@ class TestLayerAlgebra:
         layer.log_scale.value[...] = rng.gauss_array(3)
         layer.bias.value[...] = rng.gauss_array(3)
         x = rng.gauss_array((100, 3, 4, 4))
-        y, _, _ = layer.forward(x)
-        back, _ = layer.inverse(y)
+        y, _, _ = layer.forward(x, layer.constants())
+        back, _ = layer.inverse(y, layer.constants())
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_actnorm_logdet_value(self):
@@ -100,7 +99,7 @@ class TestLayerAlgebra:
         layer = ActNorm(2, store, "an")
         layer.log_scale.value[...] = [0.3, -0.7]
         x = np.zeros((1, 2, 4, 5))
-        _, ld, _ = layer.forward(x)
+        _, ld, _ = layer.forward(x, layer.constants())
         assert abs(ld[0] - 20 * (0.3 - 0.7)) < 1e-12
 
     def test_invconv_round_trip_and_logdet(self):
@@ -109,8 +108,8 @@ class TestLayerAlgebra:
         rng = Prng(0x1C1)
         layer.weight.value[...] = np.eye(3) + 0.3 * rng.gauss_array((3, 3))
         x = rng.gauss_array((100, 3, 2, 2))
-        y, ld, _ = layer.forward(x)
-        back, _ = layer.inverse(y)
+        y, ld, _ = layer.forward(x, layer.constants())
+        back, _ = layer.inverse(y, layer.constants())
         assert np.max(np.abs(back - x)) < 1e-8
         expect = 4 * math.log(abs(np.linalg.det(layer.weight.value)))
         assert abs(ld[0] - expect) < 1e-12
@@ -120,7 +119,7 @@ class TestLayerAlgebra:
         layer = InvConv1x1(2, store, "iv")
         layer.weight.value[...] = [[1.0, 1.0], [1.0, 1.0]]
         with pytest.raises(SingularMatrixError):
-            layer.inverse(np.zeros((1, 2, 2, 2)))
+            layer.inverse(np.zeros((1, 2, 2, 2)), layer.constants())
 
     def test_coupling_round_trip(self):
         store = ParamStore()
@@ -129,10 +128,10 @@ class TestLayerAlgebra:
         for p in (layer.w1, layer.b1, layer.w2, layer.b2):
             p.value[...] = 0.2 * rng.gauss_array(p.value.shape)
         x = rng.gauss_array((100, 4, 4, 4))
-        y, _, _ = layer.forward(x)
-        back, _ = layer.inverse(y)
+        y, _, _ = layer.forward(x, layer.constants())
+        back, _ = layer.inverse(y, layer.constants())
         assert np.max(np.abs(back - x)) < 1e-8
-        fwd_again, _, _ = layer.forward(back)
+        fwd_again, _, _ = layer.forward(back, layer.constants())
         assert np.max(np.abs(fwd_again - y)) < 1e-8
 
 
@@ -253,7 +252,7 @@ class TestDataInit:
         batch = 3.0 * Prng(0xBEEF).gauss_array((32, 1, 8, 8)) + 1.5
         model.data_init(batch)
         first = model._levels[0].steps[0][0]
-        out, _, _ = first.forward(squeeze(batch))
+        out, _, _ = first.forward(squeeze(batch), first.constants())
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         assert np.max(np.abs(mean)) < 1e-8
@@ -316,12 +315,12 @@ class TestConstruction:
 def _forward_objective(layer, x, seed):
     """Scalar probe <y, Cy> + <logdet, Cld> with frozen random cotangents."""
     rng = Prng(seed)
-    y0, ld0, _ = layer.forward(x)
+    y0, ld0, _ = layer.forward(x, layer.constants())
     cy = rng.gauss_array(y0.shape)
     cld = rng.gauss_array(ld0.shape)
 
     def f(store):
-        y, ld, ctx = layer.forward(x)
+        y, ld, ctx = layer.forward(x, layer.constants())
         layer.backward(ctx, cy, cld)
         return float((y * cy).sum() + (ld * cld).sum())
 
@@ -330,11 +329,11 @@ def _forward_objective(layer, x, seed):
 
 def _inverse_objective(layer, y, seed):
     rng = Prng(seed)
-    x0, _ = layer.inverse(y)
+    x0, _ = layer.inverse(y, layer.constants())
     cx = rng.gauss_array(x0.shape)
 
     def f(store):
-        x, ctx = layer.inverse(y)
+        x, ctx = layer.inverse(y, layer.constants())
         layer.inverse_backward(ctx, cx)
         return float((x * cx).sum())
 
@@ -464,11 +463,11 @@ class TestNoWritesIntoInputs:
         for level in model._levels:
             x = _read_only(rng.gauss_array((2,) + level.shape))
             for layer in level.steps[0]:
-                y, _, ctx = layer.forward(x)
+                y, _, ctx = layer.forward(x, layer.constants())
                 _freeze(ctx)
                 layer.backward(ctx, _read_only(rng.gauss_array(y.shape)),
                                _read_only(rng.gauss_array(2)))
-                back, ctx = layer.inverse(_read_only(y))
+                back, ctx = layer.inverse(_read_only(y), layer.constants())
                 _freeze(ctx)
                 layer.inverse_backward(ctx, _read_only(rng.gauss_array(back.shape)))
                 x = y
@@ -586,32 +585,24 @@ _WEIGHT_CHANGES = {
 
 
 class TestInvConvCache:
+    """The 1x1 conv keeps no cache of its own: ``constants()`` derives W^-1
+    and log|det W| from the current weight on every call (the flow's one
+    cache is its plan, :class:`TestFlowPlan`)."""
+
     @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
     def test_every_weight_change_is_seen(self, change):
         model = _random_model((1, 4, 4), 1, 1, 4, seed=0x1C2)
         layer = model._levels[0].steps[0][1]
         rng = Prng(0x1C3)
         x = rng.gauss_array((2, 4, 2, 2))
-        layer.forward(x)
-        layer.inverse(x)
         before = layer.weight.value.copy()
         _WEIGHT_CHANGES[change](model, rng)
         assert not np.array_equal(before, layer.weight.value)
         det, inv = small_det_inv(layer.weight.value)
-        _, ld, _ = layer.forward(x)
+        _, ld, _ = layer.forward(x, layer.constants())
         assert np.array_equal(ld, np.full(2, 4 * math.log(abs(det))))
-        back, _ = layer.inverse(x)
+        back, _ = layer.inverse(x, layer.constants())
         assert np.array_equal(back, np.matmul(inv, x.reshape(2, 4, 4)).reshape(x.shape))
-
-    def test_cached_weight_is_a_copy(self):
-        # the key is a bytes snapshot of the weight: a later in-place write
-        # changes the weight, not the key it is compared against
-        layer = InvConv1x1(3, ParamStore(), "iv")
-        layer.forward(np.zeros((1, 3, 2, 2)))
-        key = layer._cached[0]
-        assert key == layer.weight.value.tobytes()
-        layer.weight.value[0, 1] += 0.25
-        assert layer._cached[0] is key and key != layer.weight.value.tobytes()
 
     def test_singular_weight_raises_on_every_call(self):
         layer = InvConv1x1(2, ParamStore(), "iv")
@@ -619,84 +610,9 @@ class TestInvConvCache:
         named = r"^iv\.weight: matrix of size 2 is numerically singular"
         for _ in range(2):
             with pytest.raises(SingularMatrixError, match=named):
-                layer.forward(np.zeros((1, 2, 2, 2)))
+                layer.forward(np.zeros((1, 2, 2, 2)), layer.constants())
             with pytest.raises(SingularMatrixError, match=named):
-                layer.inverse(np.zeros((1, 2, 2, 2)))
-
-    def test_cache_is_read_once_under_threads(self, monkeypatch):
-        # tiles on other threads may replace the cache between two reads; a
-        # call must never pair the det of one cached weight with the inverse
-        # of another.  Both entries are built in _det_inv's own key format,
-        # so a stale one is seen as stale and recomputed: the recount below
-        # shows it was.  A reader that raises fails the test.
-        layer = InvConv1x1(4, ParamStore(), "iv")
-        rng = Prng(0x1C6)
-        other = np.eye(4) + 0.3 * rng.gauss_array((4, 4))
-        layer.weight.value[...] = np.eye(4) + 0.3 * rng.gauss_array((4, 4))
-        fresh = (layer.weight.value.tobytes(), *small_det_inv(layer.weight.value))
-        stale = (other.tobytes(), *small_det_inv(other))
-        recomputed = []
-
-        def counted(m):
-            recomputed.append(1)
-            return small_det_inv(m)
-
-        monkeypatch.setattr(flowunfold.flow, "small_det_inv", counted)
-        stop = threading.Event()
-        wrong, errors = [], []
-
-        def replace():
-            for cached in itertools.cycle((stale, fresh)):
-                if stop.is_set():
-                    break
-                layer._cached = cached
-
-        def read():
-            try:
-                for _ in range(10000):
-                    det, inv = layer._det_inv()
-                    if det != fresh[1] or not np.array_equal(inv, fresh[2]):
-                        wrong.append(det)
-            except Exception as exc:  # reported by the assertions below
-                errors.append(exc)
-
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        writer = threading.Thread(target=replace)
-        readers = [threading.Thread(target=read) for _ in range(4)]
-        try:
-            writer.start()
-            for t in readers:
-                t.start()
-            for t in readers:
-                t.join(timeout=60)
-        finally:
-            stop.set()
-            writer.join(timeout=60)
-            sys.setswitchinterval(old_interval)
-        assert not writer.is_alive() and not any(t.is_alive() for t in readers)
-        assert not errors, errors[:3]
-        assert recomputed, "no reader ever met the stale entry"
-        assert not wrong, f"{len(wrong)} mixed det/inverse pairs"
-
-    def test_one_det_inverse_per_layer_with_fixed_weights(self, monkeypatch):
-        calls = []
-
-        def counted(m):
-            calls.append(1)
-            return small_det_inv(m)
-
-        monkeypatch.setattr(flowunfold.flow, "small_det_inv", counted)
-        net = UnrolledNet((1, 16, 16), 3, 2, 4, 16)
-        for fold in net.folds:
-            fold.flow.randomize(Prng(0x1C4))
-        op = GaussianBlur((1, 16, 16), 1.0, 3)
-        y = Prng(0x1C5).gauss_array((1, 16, 16))
-        reconstruct(net, y, op)
-        assert len(calls) <= 3 * 2 * 4  # one per InvConv1x1 of K=3, L=2, D=4
-        first = len(calls)
-        reconstruct(net, y, op)
-        assert len(calls) == first
+                layer.inverse(np.zeros((1, 2, 2, 2)), layer.constants())
 
 
 def _random_net(k, seed):
