@@ -4,16 +4,22 @@ formats live in :mod:`flowunfold.io`.
 
 Configs are `key = value` lines with `#` comments; unknown keys are errors,
 and every command echoes its fully resolved config as `resolved.cfg`.  A
-config that is missing, unreadable or invalid exits 2; any other failure,
-an output path under a regular file included, exits 1 with one `error:`
-line.  Output paths are checked before any work, creating nothing;
-`echo_config` makes the output directory just before the outputs are
-written, so a command that fails on the way leaves none behind.
+config that is missing, unreadable or invalid exits 2; any other failure
+exits 1 with one `error:` line.  Output paths are checked before any work,
+creating nothing: an output under a regular file, or one that is an
+existing directory, exits 1; `echo_config` makes the output directory just
+before the outputs are written, so a command that fails on the way leaves
+none behind.
+
+The argument parser is built once per process, by the first `main` call,
+and reused by every later one; it names each command, and `main` calls
+that command's `cmd_*` function as the module holds it at the time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import fields
@@ -95,9 +101,13 @@ def echo_config(cfg: TrainConfig, dirpath) -> None:
 
 
 def _check_output(path) -> None:
-    """Fail, creating nothing, unless the directory of the output file
-    ``path`` can be made: its nearest existing ancestor is a directory."""
-    ancestor = next((p for p in Path(path).parents if p.exists()), Path("."))
+    """Fail, creating nothing, unless the output file ``path`` can be
+    written: it is not an existing directory, and the nearest existing
+    ancestor of its directory is a directory."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    ancestor = next((p for p in path.parents if p.exists()), Path("."))
     if not ancestor.is_dir():
         raise DataError(f"cannot write {path}: {ancestor} is not a directory")
 
@@ -267,7 +277,10 @@ def cmd_selftest(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built on the first call: each subcommand
+    sets ``args.command``, which names its ``cmd_*`` function."""
     parser = argparse.ArgumentParser(
         prog="flowunfold",
         description="Unrolled proximal-gradient imaging with an invertible prior.",
@@ -277,17 +290,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-data", help="generate a synthetic blob dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=500)
-    p.add_argument("--size", type=int, nargs=2, default=[16, 16], metavar=("H", "W"))
+    p.add_argument("--size", type=int, nargs=2, default=(16, 16), metavar=("H", "W"))
     p.add_argument("--channels", type=int, default=1, choices=(1, 3))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(fn=cmd_synth_data)
 
     p = sub.add_parser("pretrain", help="likelihood-pretrain a flow prior")
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("train", help="fine-tune the unrolled network end to end")
     p.add_argument("--task", required=True, choices=TASKS)
@@ -297,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pretrained", help="checkpoint of a pretrained prior")
     group.add_argument("--no-pretrain", action="store_true", help="identity-init ablation arm")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("reconstruct", help="reconstruct one image")
     p.add_argument("--model", required=True)
@@ -307,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--emit-init", action="store_true")
     p.add_argument("--measure", action="store_true")
-    p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("eval", help="PSNR report over a dataset's test split")
     p.add_argument("--model", required=True)
@@ -315,20 +324,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--config", required=True)
     p.add_argument("--report", required=True)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("selftest", help="run the built-in invariant checks")
     p.add_argument("--tol-grad", type=float, default=1e-5)
     p.add_argument("--tol-inv", type=float, default=1e-8)
-    p.set_defaults(fn=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

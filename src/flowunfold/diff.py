@@ -29,14 +29,15 @@ _MIN_CAPACITY = 4096  # values; an add that outgrows the buffers at least double
 
 class Parameter:
     """A named value/grad pair; grad always mirrors the value's shape.  In a
-    store both are views into the store's buffers."""
+    store both are views into the store's buffers, starting at ``offset``."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "grad", "offset")
 
-    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray, offset: int = 0):
         self.name = name
         self.value = value
         self.grad = grad
+        self.offset = offset
 
     def item(self) -> float:
         return float(self.value)
@@ -80,7 +81,7 @@ class ParamStore:
         start = self.size
         if start + value.size > len(self._value_buf):
             self.reserve(max(start + value.size, 2 * len(self._value_buf), _MIN_CAPACITY))
-        p = Parameter(name, *self._views(start, value.size, value.shape))
+        p = Parameter(name, *self._views(start, value.size, value.shape), start)
         p.value[...] = value
         self.size += value.size
         self._entries[name] = p
@@ -101,10 +102,8 @@ class ParamStore:
         values[: self.size] = self.values
         grads[: self.size] = self.grads
         self._value_buf, self._grad_buf = values, grads
-        start = 0
         for p in self:
-            p.value, p.grad = self._views(start, p.value.size, p.value.shape)
-            start += p.value.size
+            p.value, p.grad = self._views(p.offset, p.value.size, p.value.shape)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._entries[name]

@@ -14,7 +14,12 @@ class ShapeError(FlowUnfoldError):
 
 
 class SingularMatrixError(FlowUnfoldError):
-    """A matrix that must be invertible is numerically singular."""
+    """A matrix that must be invertible is numerically singular.  ``index``
+    is the position of the first singular matrix of a stack, else None."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigError(FlowUnfoldError):

@@ -38,6 +38,8 @@ conv: that would change the rounding.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -89,6 +91,12 @@ def _random_orthogonal(rng: Prng, c: int) -> np.ndarray:
     """A c x c orthogonal matrix from the QR factors of a Gaussian draw."""
     q, r = np.linalg.qr(rng.gauss_array((c, c)))
     return q * np.sign(np.diag(r))[None, :]
+
+
+def _copy(param):
+    """A copy of a parameter's value: what a layer's ``constants()`` reads by
+    default.  A plan reads views into its own copy of the weights instead."""
+    return param.value.copy()
 
 
 def _scale_shift(x, s, bias):
@@ -147,12 +155,13 @@ class ActNorm:
         self.log_scale.grad -= (gx * x).sum(axis=(0, 2, 3))
         return gy
 
-    def constants(self):
+    def constants(self, read=_copy):
         """(s, inv_s, bias): exp(+-log_scale) and the bias as the passes use
-        them, shaped (C, 1, 1), owning their memory."""
-        log_scale = self.log_scale.value
+        them, shaped (C, 1, 1), each parameter taken by ``read`` (by default
+        a copy), so none views the store."""
+        log_scale = read(self.log_scale)
         return (np.exp(log_scale)[:, None, None], np.exp(-log_scale)[:, None, None],
-                self.bias.value[:, None, None].copy())
+                read(self.bias)[:, None, None])
 
 
 def _channel_outer(gy, x):
@@ -201,15 +210,29 @@ class InvConv1x1:
         self.weight.grad -= _channel_outer(gy, x)
         return gy
 
-    def constants(self):
-        """(W, W^-1, log|det W|) for a copy W of the weight, by pivoted LU.
-        A singular weight raises SingularMatrixError naming the weight."""
-        w = self.weight.value.copy()
+    def constants(self, read=_copy):
+        """(W, W^-1, log|det W|) for W = ``read(weight)`` (by default a
+        copy), by pivoted LU.  A singular weight raises SingularMatrixError
+        naming the weight."""
+        return _invert_1x1([self], read)[0]
+
+
+def _invert_1x1(layers, read) -> list:
+    """:meth:`InvConv1x1.constants` of each 1x1 conv in ``layers``, with one
+    stacked :func:`small_det_inv` per run of equal channel counts: one per
+    channel count along a flow's walk, whose counts never decrease.  Each
+    result is bitwise the one the weight gets alone.  A singular weight
+    raises SingularMatrixError naming the first in ``layers``."""
+    out = []
+    for _, run in itertools.groupby(layers, key=lambda layer: layer.channels):
+        run = list(run)
+        weights = [read(layer.weight) for layer in run]
         try:
-            det, inv = small_det_inv(w)
+            dets, invs = small_det_inv(np.stack(weights))
         except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{self.weight.name}: {exc}") from exc
-        return w, inv, math.log(abs(det))
+            raise SingularMatrixError(f"{run[exc.index].weight.name}: {exc}") from exc
+        out += [(w, inv, math.log(abs(float(det)))) for w, inv, det in zip(weights, invs, dets)]
+    return out
 
 
 def _coupling_net(xb, half, conv1, conv2):
@@ -319,12 +342,13 @@ class AffineCoupling:
         np.add(gxb, self._net_backward(ctx, g_out), out=gy[:, self.half :])
         return gy
 
-    def constants(self):
+    def constants(self, read=_copy):
         """(half, conv1, conv2), the arguments of :func:`_coupling_net` after
-        xb: each conv's kernel and bias laid out by :func:`conv_layout`, both
-        copied first so no layout views the store."""
-        conv1 = conv_layout(self.w1.value.copy(), self.b1.value.copy())
-        conv2 = conv_layout(self.w2.value.copy(), self.b2.value.copy())
+        xb: each conv's kernel and bias, taken by ``read`` (by default a
+        copy, so no layout views the store), laid out by
+        :func:`conv_layout`."""
+        conv1 = conv_layout(read(self.w1), read(self.b1))
+        conv2 = conv_layout(read(self.w2), read(self.b2))
         return self.half, conv1, conv2
 
 
@@ -335,6 +359,46 @@ class _Level(NamedTuple):
     steps: list  # (actnorm, invconv, coupling) per step, in composition order
     shape: tuple[int, int, int]  # the squeezed (C, H, W) the steps act on
     out: int  # leading channels written to the latent: C at the last level, else C // 2
+
+
+def _geometry(shape, levels: int, depth: int) -> list:
+    """(squeeze factors, squeezed (C, H, W), ``out``) per level of a flow
+    on ``shape``: the rows of :class:`FlowModel`'s level table without
+    their steps.  An impossible architecture raises ConfigError."""
+    if levels < 1 or depth < 1:
+        raise ConfigError(f"need levels >= 1 and depth >= 1, got {levels}, {depth}")
+    c, h, w = shape
+    rows = []
+    for lvl in range(levels):
+        fh = 2 if h % 2 == 0 else 1
+        fw = 2 if w % 2 == 0 else 1
+        if fh * fw == 1:
+            raise ConfigError(
+                f"level {lvl}: spatial dims {h}x{w} cannot squeeze "
+                f"(input {shape} with {levels} levels)"
+            )
+        c, h, w = c * fh * fw, h // fh, w // fw
+        out = c if lvl == levels - 1 else c // 2
+        rows.append(((fh, fw), (c, h, w), out))
+        c -= out
+    return rows
+
+
+def _step(channels: int, hidden: int, store: ParamStore, name: str) -> tuple:
+    """One (actnorm, 1x1 conv, coupling) step, its parameters added to
+    ``store`` under ``name``."""
+    return (ActNorm(channels, store, name + ".actnorm"),
+            InvConv1x1(channels, store, name + ".invconv"),
+            AffineCoupling(channels, hidden, store, name + ".coupling"))
+
+
+@functools.cache
+def _step_size(channels: int, hidden: int) -> int:
+    """The parameter values of one step, counted on a step built into a
+    scratch store, so the layers stay the one statement of their shapes."""
+    store = ParamStore()
+    _step(channels, hidden, store, "step")
+    return store.size
 
 
 def _down(levels, x: np.ndarray, step) -> np.ndarray:
@@ -386,8 +450,6 @@ class FlowModel:
 
     def __init__(self, shape: tuple[int, int, int], levels: int, depth: int, hidden: int,
                  store: ParamStore, prefix: str = ""):
-        if levels < 1 or depth < 1:
-            raise ConfigError(f"need levels >= 1 and depth >= 1, got {levels}, {depth}")
         self.shape = tuple(shape)
         self.levels = levels
         self.depth = depth
@@ -395,31 +457,26 @@ class FlowModel:
         self.store = store
 
         first = store.size
-        c, h, w = shape
-        self._levels: list[_Level] = []
+        # room for every parameter up front, so adding them never moves the buffers
+        store.reserve(first + FlowModel.param_count(self.shape, levels, depth, hidden))
         dot = prefix + "." if prefix else ""
-        for lvl in range(levels):
-            fh = 2 if h % 2 == 0 else 1
-            fw = 2 if w % 2 == 0 else 1
-            if fh * fw == 1:
-                raise ConfigError(
-                    f"level {lvl}: spatial dims {h}x{w} cannot squeeze "
-                    f"(input {self.shape} with {levels} levels)"
-                )
-            c, h, w = c * fh * fw, h // fh, w // fw
-            steps = []
-            for d in range(depth):
-                name = f"{dot}level{lvl}.step{d}"
-                steps.append((ActNorm(c, store, name + ".actnorm"),
-                              InvConv1x1(c, store, name + ".invconv"),
-                              AffineCoupling(c, hidden, store, name + ".coupling")))
-            out = c if lvl == levels - 1 else c // 2
-            self._levels.append(_Level((fh, fw), steps, (c, h, w), out))
-            c -= out
-        self.n = int(np.prod(shape))
+        self._levels: list[_Level] = []
+        for lvl, (factors, (c, h, w), out) in enumerate(_geometry(self.shape, levels, depth)):
+            steps = [_step(c, hidden, store, f"{dot}level{lvl}.step{d}") for d in range(depth)]
+            self._levels.append(_Level(factors, steps, (c, h, w), out))
+        self.n = math.prod(self.shape)
         # this model's parameters, added in one run: their slice of store.values
         self.span = slice(first, store.size)
         self._plan = None  # the last FlowPlan built
+
+    @staticmethod
+    def param_count(shape: tuple[int, int, int], levels: int, depth: int, hidden: int) -> int:
+        """The parameter values a model of this architecture adds to its
+        store, found without building it, so a caller can reserve them;
+        an impossible architecture raises ConfigError as construction
+        would."""
+        return depth * sum(_step_size(c, hidden) for _, (c, _, _), _ in
+                           _geometry(tuple(shape), levels, depth))
 
     def _steps(self):
         return [step for level in self._levels for step in level.steps]
@@ -596,9 +653,10 @@ class FlowPlan:
 
     It holds the model's level table with each step's layers replaced by
     the constants they derive from the weights (``constants()`` of each
-    layer): the actnorm's scale, inverse scale and bias, the 1x1 weight, its
-    inverse and log|det|, and each coupling conv's kernel in its
-    ``conv_layout``.
+    layer, reading views into ``weights``; the 1x1 weights of a channel
+    count are inverted as one stack): the actnorm's scale, inverse scale and
+    bias, the 1x1 weight, its inverse and log|det|, and each coupling conv's
+    kernel in its ``conv_layout``.
     The model's passes read them (:attr:`steps`); :meth:`forward` and
     :meth:`inverse` walk them with the layers' own arithmetic, so they
     equal the recording passes bitwise, but build no log-det and keep no
@@ -614,9 +672,17 @@ class FlowPlan:
     def __init__(self, flow: FlowModel, weights: np.ndarray):
         self.shape, self.n = flow.shape, flow.n
         self.weights = weights
+        base = flow.span.start
+
+        def read(param):
+            start = param.offset - base
+            return weights[start : start + param.value.size].reshape(param.value.shape)
+
+        inverted = iter(_invert_1x1([step[1] for step in flow._steps()], read))
         self.levels = [
-            level._replace(steps=[tuple(layer.constants() for layer in layers)
-                                  for layers in level.steps])
+            level._replace(steps=[(actnorm.constants(read), next(inverted),
+                                   coupling.constants(read))
+                                  for actnorm, _, coupling in level.steps])
             for level in flow._levels
         ]
         self._x0 = None

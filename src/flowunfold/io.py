@@ -116,9 +116,9 @@ class ImageSet:
     ids: dict | None = None  # split name -> list of manifest indices
 
 
-def _image_path(dirpath: Path, index: int, channels: int) -> Path:
+def _image_name(index: int, channels: int) -> str:
     ext = "pgm" if channels == 1 else "ppm"
-    return dirpath / f"{index:05d}.{ext}"
+    return f"{index:05d}.{ext}"
 
 
 def save_dataset(dirpath, images: np.ndarray) -> None:
@@ -129,10 +129,18 @@ def save_dataset(dirpath, images: np.ndarray) -> None:
     n_train, n_val, _ = split_counts(len(images))
     lines = []
     for i, image in enumerate(images):
-        save_image(_image_path(dirpath, i, image.shape[0]), image)
+        save_image(dirpath / _image_name(i, image.shape[0]), image)
         split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
         lines.append(f"{i}\t{split}")
     (dirpath / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _exists(listing: dict, name: str) -> bool:
+    """Whether the entry ``name`` of a directory listing (name -> DirEntry)
+    exists as ``Path.exists()`` sees it: a link counts only if its target
+    does."""
+    entry = listing.get(name)
+    return entry is not None and (not entry.is_symlink() or os.path.exists(entry.path))
 
 
 def load_dataset(dirpath, splits=("train", "val", "test")) -> ImageSet:
@@ -141,15 +149,19 @@ def load_dataset(dirpath, splits=("train", "val", "test")) -> ImageSet:
 
     With manifest.txt (lines `index<TAB>split`), images load into the listed
     splits, each index at most once, and every line is checked whatever
-    splits load; without one, every image file becomes test data.
+    splits load; without one, every image file becomes test data.  Which
+    files exist is read from one listing of the directory, not asked per
+    manifest line.
     """
     dirpath = Path(dirpath)
     if not dirpath.is_dir():
         raise DataError(f"dataset directory {dirpath} does not exist")
+    with os.scandir(dirpath) as entries:
+        listing = {entry.name: entry for entry in entries}
     manifest = dirpath / "manifest.txt"
     images: dict[str, list] = {"train": [], "val": [], "test": []}
     ids: dict[str, list] = {"train": [], "val": [], "test": []}
-    if manifest.exists():
+    if _exists(listing, manifest.name):
         listed: dict[int, int] = {}  # index -> the manifest line that lists it
         for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
             line = line.strip()
@@ -168,16 +180,16 @@ def load_dataset(dirpath, splits=("train", "val", "test")) -> ImageSet:
                 )
             listed[idx] = lineno
             for channels in (1, 3):
-                p = _image_path(dirpath, idx, channels)
-                if p.exists():
+                name = _image_name(idx, channels)
+                if _exists(listing, name):
                     if split in splits:
-                        images[split].append(load_image(p))
+                        images[split].append(load_image(dirpath / name))
                         ids[split].append(idx)
                     break
             else:
                 raise DataError(f"{manifest}:{lineno}: no image file for index {idx}")
     else:
-        files = sorted(list(dirpath.glob("*.pgm")) + list(dirpath.glob("*.ppm")))
+        files = sorted(dirpath / name for name in listing if name.endswith((".pgm", ".ppm")))
         if not files:
             raise DataError(f"{dirpath} holds no .pgm/.ppm images")
         if "test" in splits:
@@ -273,13 +285,15 @@ def save_checkpoint(path, store: ParamStore) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint into an ordered name -> array mapping."""
+    """Read a checkpoint into an ordered name -> array mapping.  The file is
+    read into one writable buffer and each entry is a little-endian
+    float64 view into it, so no entry aliases a store."""
     try:
-        data = Path(path).read_bytes()
+        data = bytearray(Path(path).read_bytes())
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if data[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {_CKPT_MAGIC!r}")
+        raise CheckpointError(f"{path}: bad magic {bytes(data[:4])!r}, expected {_CKPT_MAGIC!r}")
     entries: dict[str, np.ndarray] = {}
     try:
         (version,) = struct.unpack_from("<I", data, 4)
@@ -298,11 +312,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += 4
             dims = struct.unpack_from(f"<{rank}Q", data, offset)
             offset += 8 * rank
-            size = int(np.prod(dims)) if rank else 1
+            size = math.prod(dims)
             values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
             offset += 8 * size
-            entries[name] = values.reshape(dims).astype(float)
-    except (struct.error, ValueError) as exc:
+            entries[name] = values.reshape(dims)
+    except (struct.error, ValueError, OverflowError) as exc:  # Overflow: dims past 2^63
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint") from exc
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after the last entry")
@@ -313,8 +327,13 @@ def restore_into(
     store: ParamStore, entries: dict[str, np.ndarray], origin="checkpoint", hint=""
 ) -> None:
     """Copy loaded entries into a store; names and shapes must match exactly
-    and every value must be finite.  ``hint`` is appended to a name or shape
-    mismatch, the one error a model built for other data explains."""
+    and every value must be finite, else the store is left as it was.
+    ``hint`` is appended to a name or shape mismatch, the one error a model
+    built for other data explains.
+
+    The entries are laid out in store order in one new array, tested for
+    finiteness at once and written with one copy; when any check fails, a
+    walk in entry order names the first bad entry."""
     want = set(store.names())
     have = set(entries)
     if want != have:
@@ -324,6 +343,13 @@ def restore_into(
             f"{origin} does not match the model: missing {missing[:4]}, "
             f"unexpected {extra[:4]}{hint}"
         )
+    if not entries:
+        return
+    if all(value.shape == store[name].value.shape for name, value in entries.items()):
+        staged = np.concatenate([entries[p.name].reshape(-1) for p in store])
+        if np.isfinite(staged).all():
+            store.values[...] = staged
+            return
     for name, value in entries.items():
         expected = store[name].value.shape
         if value.shape != expected:
@@ -332,5 +358,3 @@ def restore_into(
             )
         if not np.isfinite(value).all():
             raise CheckpointError(f"{origin} entry {name}: holds non-finite values")
-    for name, value in entries.items():
-        store[name].value[...] = value

@@ -40,7 +40,6 @@ aliases the buffer.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 
 import numpy as np
@@ -277,22 +276,30 @@ def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray
 
 
 def small_det_inv(m: np.ndarray):
-    """Determinant and inverse of a small square matrix via pivoted LU.
+    """Determinant and inverse of a small square matrix via pivoted LU, or
+    of each matrix of an (S, n, n) stack: an array of S determinants and
+    the S inverses.  ``np.linalg`` runs one LAPACK factorization per
+    matrix of a stack, so each result is bitwise the one its matrix gets
+    alone.
 
     Raises :class:`SingularMatrixError` when |det| < 1e-12 or det is not
-    finite, which signals an invalid flow state upstream.
+    finite, which signals an invalid flow state upstream; for a stack, the
+    error's ``index`` is the position of the first such matrix.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ShapeError(f"small_det_inv: expected square matrix, got {m.shape}")
-    det = float(np.linalg.det(m))
-    if not math.isfinite(det) or abs(det) < 1e-12:
+    det = np.linalg.det(m)
+    bad = ~np.isfinite(det) | (np.abs(det) < 1e-12)
+    if bad.any():
+        index = int(np.argmax(bad)) if m.ndim == 3 else None
         raise SingularMatrixError(
-            f"matrix of size {m.shape[0]} is numerically singular or not finite "
-            f"(det={det:.3e})"
+            f"matrix of size {m.shape[-1]} is numerically singular or not finite "
+            f"(det={float(det if index is None else det[index]):.3e})",
+            index,
         )
     inverse = np.linalg.inv(m)
-    return det, inverse
+    return (float(det) if m.ndim == 2 else det), inverse
 
 
 def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:

@@ -88,6 +88,12 @@ class Fold:
         self.mu = store.add(prefix + ".mu", np.array(MU_INIT))
         self.rho = store.add(prefix + ".rho", np.array(math.log(math.expm1(LAMBDA_INIT))))
 
+    @staticmethod
+    def param_count(shape, levels, depth, hidden) -> int:
+        """The parameter values a fold adds to its store: its flow's, mu's
+        and rho's."""
+        return FlowModel.param_count(shape, levels, depth, hidden) + 2
+
     @property
     def lam(self) -> float:
         return _softplus(self.rho.item())
@@ -103,10 +109,10 @@ class UnrolledNet:
             raise ConfigError(f"need at least 1 fold, got {folds}")
         self.shape = tuple(shape)
         self.store = ParamStore()
-        self.folds = [Fold(shape, levels, depth, hidden, self.store, "fold0")]
-        self.store.reserve(folds * self.store.size)  # every fold has fold 0's layout
-        self.folds += [
-            Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(1, folds)
+        # reserved exactly before any fold is built, so the buffers never move
+        self.store.reserve(folds * Fold.param_count(shape, levels, depth, hidden))
+        self.folds = [
+            Fold(shape, levels, depth, hidden, self.store, f"fold{k}") for k in range(folds)
         ]
 
     @property

@@ -211,6 +211,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="8 trailing bytes"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**64 - 1,)])
+    def test_rejects_dims_past_the_index_range(self, tmp_path, dims):
+        # a value count past what an array can index is a corrupt file, not
+        # an OverflowError
+        p = tmp_path / "huge.ckpt"
+        p.write_bytes(b"UNFW" + struct.pack("<IQ", 1, 1) + struct.pack("<I", 1) + b"w"
+                      + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + bytes(8))
+        with pytest.raises(CheckpointError, match="truncated or corrupt"):
+            load_checkpoint(p)
+
+    def test_loaded_entries_are_writable_float64(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _sample_store())
+        for value in load_checkpoint(p).values():
+            assert value.dtype == np.float64 and value.flags.writeable
+
     def test_restore_copies_values(self, tmp_path):
         store = _sample_store()
         p = tmp_path / "m.ckpt"
@@ -244,6 +260,22 @@ class TestCheckpoint:
         entries = {p.name: p.value + 1.0 for p in store}
         entries["w.block"][1, 0, 0] = bad
         with pytest.raises(CheckpointError, match="w.block"):
+            restore_into(store, entries)
+        assert np.array_equal(store.values, before)
+
+    @pytest.mark.parametrize("first, second", [("non-finite", "shape"), ("shape", "non-finite")])
+    def test_restore_names_the_first_bad_entry(self, first, second):
+        # two faults, in either order: the earlier entry is named, and the
+        # store is left as it was
+        faults = {"non-finite": lambda v: np.full(v.shape, np.nan),
+                  "shape": lambda v: np.zeros(v.size + 1)}
+        store = _sample_store()
+        before = store.snapshot()
+        entries = {p.name: p.value + 1.0 for p in store}
+        entries["w.small"] = faults[first](entries["w.small"])  # before w.block
+        entries["w.block"] = faults[second](entries["w.block"])
+        named = "holds non-finite values" if first == "non-finite" else "shape"
+        with pytest.raises(CheckpointError, match=f"entry w.small: {named}"):
             restore_into(store, entries)
         assert np.array_equal(store.values, before)
 
@@ -417,6 +449,20 @@ class TestDatasetDir:
             (tmp_path / "manifest.txt").write_text(bad + "\n")
             with pytest.raises(DataError, match=named):
                 load_dataset(tmp_path)
+
+    def test_a_link_to_nothing_is_a_missing_image(self, tmp_path):
+        # as Path.exists() has it: index 1's dangling .pgm link is passed
+        # over for its .ppm, and index 2 has no image at all
+        save_image(tmp_path / "00000.pgm", np.zeros((1, 4, 4)))
+        save_image(tmp_path / "00001.ppm", np.zeros((3, 4, 4)))
+        for i in (1, 2):
+            (tmp_path / f"0000{i}.pgm").symlink_to(tmp_path / "nowhere.pgm")
+        (tmp_path / "manifest.txt").write_text("0\ttrain\n1\ttest\n")
+        ds = load_dataset(tmp_path)
+        assert ds.test.shape == (1, 3, 4, 4) and ds.ids["test"] == [1]
+        (tmp_path / "manifest.txt").write_text("0\ttrain\n2\ttest\n")
+        with pytest.raises(DataError, match=":2: no image file for index 2"):
+            load_dataset(tmp_path)
 
     def test_mixed_shapes_are_an_error(self, tmp_path):
         save_image(tmp_path / "00000.pgm", np.zeros((1, 4, 4)))
@@ -746,30 +792,42 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
         assert not (pipeline.root / "missing-input").exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("pretrain", "--out"), ("train", "--out"), ("eval", "--report"),
-        ("reconstruct", "--output")])
+    _OUTPUTS = [("pretrain", "--out"), ("train", "--out"), ("eval", "--report"),
+                ("reconstruct", "--output")]
+
+    @pytest.mark.parametrize("command, flag, target", [
+        pytest.param(command, flag, target, id=f"{command}-{flag}{suffix}")
+        for command, flag in _OUTPUTS
+        for target, suffix in (("under a file", ""), ("a directory", "-is-a-directory"))])
     def test_an_output_path_under_a_file_exits_1(self, pipeline, tmp_path, capsys,
-                                                 monkeypatch, command, flag):
-        # found before any work: pretrain and train never start their epochs
+                                                 monkeypatch, command, flag, target):
+        # found before any work: pretrain and train never start their epochs,
+        # and no resolved.cfg is written beside an output that is a directory
         def fit(*args):
             raise AssertionError("training ran before the output path was checked")
 
         monkeypatch.setattr(flowunfold.train, "_fit", fit)
-        afile = tmp_path / "afile"
-        afile.write_text("")
+        blocker = tmp_path / "blocker"
+        if target == "under a file":
+            blocker.write_text("")
+            out = blocker / "out"
+        else:
+            (blocker / "inside").mkdir(parents=True)
+            out = blocker
         if command == "pretrain":
             args = ["pretrain", "--data", str(pipeline.data), "--config", str(pipeline.cfg),
                     "--out", ""]
         else:
             args = self._command(pipeline, command)
-        args[args.index(flag) + 1] = str(afile / "out")
+        args[args.index(flag) + 1] = str(out)
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and str(afile) in lines[0]
-        assert list(tmp_path.iterdir()) == [afile]
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(blocker) in lines[0]
+        assert list(tmp_path.iterdir()) == [blocker]
+        if target == "a directory":
+            assert list(blocker.iterdir()) == [blocker / "inside"]
 
     def test_console_entry_point_reports_a_missing_model(self, pipeline):
         # the real interpreter entry point, not main() called in-process

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowunfold.diff import ParamStore, grad_check, zero_grads
-from flowunfold.errors import GradCheckError
+from flowunfold.errors import ConfigError, GradCheckError
 from flowunfold.flow import FlowModel
 from flowunfold.numerics import Prng
 from flowunfold.unfold import UnrolledNet
@@ -77,6 +77,43 @@ class TestFlatBuffers:
             assert net.store.locate(span.start) == (
                 fold.flow._levels[0].steps[0][0].log_scale, 0)
             assert net.store.locate(span.stop) == (fold.mu, 0)
+
+    @pytest.mark.parametrize("shape, levels, depth, hidden", [
+        ((1, 8, 8), 2, 2, 4), ((3, 8, 16), 3, 1, 16), ((1, 2, 16), 3, 2, 4),
+        ((1, 16, 16), 2, 4, 16)])
+    def test_param_count_is_what_construction_adds(self, shape, levels, depth, hidden):
+        store = ParamStore()
+        store.add("before", np.zeros(3))
+        flow = FlowModel(shape, levels, depth, hidden, store)
+        assert FlowModel.param_count(shape, levels, depth, hidden) == store.size - 3
+        assert flow.span == slice(3, store.size)
+
+    @pytest.mark.parametrize("shape, levels, depth", [((1, 8, 8), 0, 1), ((1, 8, 8), 1, 0),
+                                                      ((1, 6, 6), 2, 1)])
+    def test_param_count_rejects_what_construction_rejects(self, shape, levels, depth):
+        with pytest.raises(ConfigError) as counted:
+            FlowModel.param_count(shape, levels, depth, 4)
+        with pytest.raises(ConfigError) as built:
+            FlowModel(shape, levels, depth, 4, ParamStore())
+        assert str(counted.value) == str(built.value)
+
+    @pytest.mark.parametrize("build", ["net", "flow"])
+    def test_construction_never_moves_the_buffers(self, monkeypatch, build):
+        grown = []  # (capacity, parameters already there) per growth
+        reserve = ParamStore.reserve
+
+        def counted(store, capacity):
+            if capacity > len(store._value_buf):
+                grown.append((capacity, len(store)))
+            reserve(store, capacity)
+
+        monkeypatch.setattr(ParamStore, "reserve", counted)
+        if build == "net":
+            store = UnrolledNet((1, 16, 16), 3, 2, 4, 16).store
+        else:
+            store = FlowModel((1, 16, 16), 2, 4, 16, ParamStore()).store
+        # one exact growth, before any parameter exists
+        assert grown == [(store.size, 0)]
 
     def test_growth_rebinds_earlier_parameters(self):
         s = ParamStore()

@@ -713,6 +713,29 @@ class TestFlowPlan:
         assert len(arrays) > 1
         assert not any(np.shares_memory(a, model.store.values) for a in arrays)
 
+    # (1, 2, 16) squeezes one axis after the first level, so all three
+    # levels have 4 channels: one stacked det inverse covers them all
+    @pytest.mark.parametrize("shape, levels", [((1, 16, 16), 2), ((3, 8, 16), 3),
+                                               ((1, 2, 16), 3)])
+    def test_constants_equal_each_layers_own_bitwise(self, shape, levels):
+        model = _random_model(shape, levels, 2, 4, seed=0x1A0)
+        for layers, constants in zip(model._steps(), model.plan().steps, strict=True):
+            for layer, got in zip(layers, constants, strict=True):
+                want = layer.constants()
+                assert len(_arrays_in(got)) == len(_arrays_in(want)) > 0
+                for a, b in zip(_arrays_in(got), _arrays_in(want)):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+                assert [c for c in got if not isinstance(c, (np.ndarray, tuple))] == [
+                    c for c in want if not isinstance(c, (np.ndarray, tuple))]
+
+    def test_the_first_singular_weight_in_walk_order_is_named(self):
+        model = _random_model((1, 2, 16), 3, 2, 4, seed=0x1A1)
+        for name in ("level2.step0.invconv.weight", "level1.step1.invconv.weight"):
+            model.store[name].value[...] = 1.0
+        with pytest.raises(SingularMatrixError,
+                           match=r"^level1\.step1\.invconv\.weight: matrix of size 4"):
+            model.plan()
+
     def test_a_discarded_model_is_freed_without_the_cycle_collector(self):
         # a plan that referred back to its model would make a cycle, and
         # every discarded model would keep its store until a collection

@@ -370,6 +370,33 @@ class TestSmallDetInv:
             small_det_inv(m)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 13])
+    def test_a_stack_gives_each_matrix_its_own_result_bitwise(self, n):
+        rng = Prng(0x5D0 + n)
+        stack = np.stack([np.eye(n) * (1 + i) + 0.4 * rng.gauss_array((n, n))
+                          for i in range(6)])
+        dets, invs = small_det_inv(stack)
+        assert dets.shape == (6,) and invs.shape == (6, n, n)
+        for m, det, inv in zip(stack, dets, invs):
+            alone_det, alone_inv = small_det_inv(m)
+            assert float(det) == alone_det
+            assert np.array_equal(inv, alone_inv)
+
+    def test_a_stack_names_its_first_singular_matrix(self):
+        stack = np.stack([np.eye(3), np.eye(3), np.ones((3, 3)), np.ones((3, 3))])
+        with pytest.raises(SingularMatrixError, match="matrix of size 3") as raised:
+            small_det_inv(stack)
+        assert raised.value.index == 2
+        with pytest.raises(SingularMatrixError) as raised:
+            small_det_inv(np.ones((3, 3)))
+        assert raised.value.index is None
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 3, 3), (2, 2, 3)])
+    def test_rejects_what_is_not_a_square_matrix_or_a_stack(self, shape):
+        with pytest.raises(ShapeError):
+            small_det_inv(np.zeros(shape))
+
+
 class TestGaussianKernel:
     @pytest.mark.parametrize("sigma,radius", [(0.5, 1), (1.0, 3), (5.0, 15)])
     def test_sums_to_one(self, sigma, radius):
