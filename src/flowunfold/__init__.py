@@ -16,6 +16,7 @@ from .errors import (
     DataError,
     FlowUnfoldError,
     GradCheckError,
+    ReconstructionError,
     ShapeError,
     TrainingError,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "DataError",
     "FlowUnfoldError",
     "GradCheckError",
+    "ReconstructionError",
     "ShapeError",
     "TrainingError",
     "FlowModel",

@@ -20,15 +20,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import checks
 from .diff import ParamStore
-from .errors import ConfigError, DataError, FlowUnfoldError
+from .errors import ConfigError, DataError, FlowUnfoldError, ReconstructionError
 from .flow import FlowModel
 from .io import (
     load_checkpoint,
@@ -226,13 +229,18 @@ def cmd_eval(args) -> int:
     ids = dataset.ids["test"]
 
     y = measure_by_id(op, test, cfg.sigma_n, ids, cfg.seed, _TAG_EVAL)
-    x_hat = net.reconstruct_batch(y, op)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output fails below
+        x_hat = net.reconstruct_batch(y, op)
 
     rows = ["image_id,task,psnr_input,psnr_output"]
     p_in, p_out = [], []
     for i, image_id in enumerate(ids):
         pi = psnr(y[i], test[i])
         po = psnr(x_hat[i], test[i])
+        if math.isnan(po):
+            raise ReconstructionError(
+                f"test image {image_id}: the reconstruction is not finite or its error "
+                f"overflows; the model's arithmetic overflowed on this measurement")
         p_in.append(pi)
         p_out.append(po)
         rows.append(f"{image_id},{cfg.task},{pi:.6f},{po:.6f}")

@@ -38,6 +38,11 @@ class GradCheckError(FlowUnfoldError):
     """Gradient checking hit a non-finite objective value."""
 
 
+class ReconstructionError(FlowUnfoldError):
+    """A reconstruction is not finite, or so large that its error
+    overflows: the model's arithmetic overflowed on that measurement."""
+
+
 class TrainingError(FlowUnfoldError):
     """Training cannot go on: a train or val loss is non-finite, a 1x1 conv
     weight is singular, or a parameter is non-finite after an Adam step."""

@@ -21,10 +21,13 @@ write into: :class:`FlowModel` sums each step's log-dets in place.
 pass is one of two walks over it, down (squeeze, steps, split off) or up
 (join, steps reversed, unsqueeze).  A recording pass (the default) keeps
 one flat list of layer contexts, which its reverse rule reads backwards and
-leaves intact; training's passes record.  :meth:`FlowModel.log_prob_batch`
-(so the NLL and pretraining's val pass) runs the forward walk without a
-record, dropping each layer's context as soon as the next layer has its
-output.
+leaves intact; training's passes record.  A context keeps what its reverse
+rule cannot cheaply redo: a coupling's keeps the clamp's bool mask, not its
+hidden activation, which the reverse rule rebuilds bitwise from the input
+taps it gathers anyway (:class:`AffineCoupling`).
+:meth:`FlowModel.log_prob_batch` (so the NLL and pretraining's val pass)
+runs the forward walk without a record, dropping each layer's context as
+soon as the next layer has its output.
 
 The flow's one cache of constants is its plan (a :class:`FlowPlan`), every
 layer's ``constants()`` at one weight value.  Every pass reads it: the
@@ -51,6 +54,7 @@ from .numerics import (
     Prng,
     conv2d_circular_backward,
     conv_apply,
+    conv_input_taps,
     conv_layout,
     small_det_inv,
 )
@@ -238,19 +242,24 @@ def _invert_1x1(layers, read) -> list:
 def _coupling_net(xb, half, conv1, conv2):
     """A coupling's network on its passed-through half xb, shared by its
     passes and the plan walk: ``conv1`` and ``conv2`` are its two
-    convolutions' kernels laid out by :func:`conv_layout`.  Returns (a1,
-    clamped, t, s): the first conv's relu output, the clamped raw
-    log-scale, the shift and exp(clamped).  The relu and the clamp run in
-    place on the conv outputs; a1 > 0 where the conv output is and
-    -SCALE_CLAMP < clamped < SCALE_CLAMP where raw is, so the record keeps
-    no pre-activation copies."""
+    convolutions' kernels laid out by :func:`conv_layout`.  Returns
+    (clamped, t, s): the clamped raw log-scale, the shift and
+    exp(clamped).  The relu and the clamp run in place on the conv
+    outputs; -SCALE_CLAMP < clamped < SCALE_CLAMP exactly where the raw
+    log-scale is, so the clamp's reverse rule needs only that mask."""
     a1 = conv_apply(xb, conv1)
     np.maximum(a1, 0.0, out=a1)
     out = conv_apply(a1, conv2)
     clamped, t = out[:, :half], out[:, half:]
     np.maximum(clamped, -SCALE_CLAMP, out=clamped)
     np.minimum(clamped, SCALE_CLAMP, out=clamped)
-    return a1, clamped, t, np.exp(clamped)
+    return clamped, t, np.exp(clamped)
+
+
+def _inside(clamped):
+    """Where the clamp passed the raw log-scale through: a bool mask, the
+    one thing the clamp's reverse rule reads."""
+    return (clamped > -SCALE_CLAMP) & (clamped < SCALE_CLAMP)
 
 
 def _couple(x, half, s, t):
@@ -278,6 +287,13 @@ class AffineCoupling:
 
     With the final convolution at zero the layer is the identity map with
     zero log-det, which is how training starts.
+
+    A pass records ``(xa, xb, inside, s)``: the two halves of the
+    untransformed input, the clamp's bool mask and the scale.  The hidden
+    activation a1 (hidden channels, the widest array of the net) is not
+    kept: the reverse rule gathers xb's taps once, rebuilds a1 from them
+    with the forward's own operations, so bitwise, and hands the same taps
+    to the first conv's reverse rule, which would gather them anyway.
     """
 
     def __init__(self, channels: int, hidden: int, store: ParamStore, prefix: str):
@@ -292,24 +308,30 @@ class AffineCoupling:
     def _net_backward(self, ctx, g_out):
         """:func:`_coupling_net`'s reverse rule into xb, given the cotangent
         ``g_out`` of (clamped, t) in one array the caller allocated: its
-        first half is zeroed in place where the clamp is active."""
-        _, xb, a1, clamped, _ = ctx
-        g_out[:, : self.half] *= (clamped > -SCALE_CLAMP) & (clamped < SCALE_CLAMP)
+        first half is zeroed in place where the clamp is active.  a1 is
+        rebuilt as :func:`_coupling_net` built it, from xb's taps gathered
+        once for the rebuild and the first conv's reverse rule alike."""
+        _, xb, inside, _ = ctx
+        g_out[:, : self.half] *= inside
+        w1 = self.w1.value
+        patches = conv_input_taps(xb, w1)
+        a1 = conv_apply(xb, conv_layout(w1, self.b1.value), patches)
+        np.maximum(a1, 0.0, out=a1)
         g_a1, gw2, gb2 = conv2d_circular_backward(a1, self.w2.value, g_out)
         self.w2.grad += gw2
         self.b2.grad += gb2
         g_a1 *= a1 > 0.0
-        g_xb, gw1, gb1 = conv2d_circular_backward(xb, self.w1.value, g_a1)
+        g_xb, gw1, gb1 = conv2d_circular_backward(xb, w1, g_a1, patches)
         self.w1.grad += gw1
         self.b1.grad += gb1
         return g_xb
 
     def forward(self, x, c):
         xa, xb = x[:, : self.half], x[:, self.half :]
-        a1, clamped, t, s = _coupling_net(xb, *c)
+        clamped, t, s = _coupling_net(xb, *c)
         y = _couple(x, self.half, s, t)
         ld = clamped.sum(axis=(1, 2, 3))
-        return y, ld, (xa, xb, a1, clamped, s)
+        return y, ld, (xa, xb, _inside(clamped), s)
 
     def backward(self, ctx, gy, gld):
         xa, s = ctx[0], ctx[-1]
@@ -326,9 +348,9 @@ class AffineCoupling:
 
     def inverse(self, y, c):
         xb = y[:, self.half :]
-        a1, clamped, t, s = _coupling_net(xb, *c)
+        clamped, t, s = _coupling_net(xb, *c)
         x = _uncouple(y, self.half, s, t)
-        return x, (x[:, : self.half], xb, a1, clamped, s)
+        return x, (x[:, : self.half], xb, _inside(clamped), s)
 
     def inverse_backward(self, ctx, gx):
         xa, s = ctx[0], ctx[-1]
@@ -636,14 +658,14 @@ def _plan_forward_step(constants, x):
     """One step of :meth:`FlowPlan.forward`: actnorm, 1x1 conv, coupling."""
     (scale, _, bias), (w, _, _), (half, conv1, conv2) = constants
     x = _mix_channels(w, _scale_shift(x, scale, bias))
-    _, _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
+    _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
     return _couple(x, half, s, t)
 
 
 def _plan_inverse_step(constants, x):
     """One step of :meth:`FlowPlan.inverse`, the layers in reverse."""
     (_, inv_s, bias), (_, inv, _), (half, conv1, conv2) = constants
-    _, _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
+    _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
     return _unshift_scale(_mix_channels(inv, _uncouple(x, half, s, t)), bias, inv_s)
 
 

@@ -8,20 +8,27 @@ All operations here are pure functions of their inputs.
 The circular convolution is built from two gathers, each one ``take``
 over a cached flat index, called as the array method: the ``np.take``
 wrapper adds a Python call, which at 16x16 costs about a third of the
-gather.  ``_im2col`` copies each pixel's wrapped taps, and
-``_col2im`` applies every tap's kernel slice to the unshifted input first and
-then moves each tap's product by its offset before the taps are summed.  Both
-directions gather only the thinner of their two sides, because the gather,
-not the matmul, is what costs.  The forward pass is im2col when the output
-has at least as many channels (a coupling's first conv, C/2 -> hidden) and
-col2im when it has fewer (the second conv, hidden -> C), moving Cout rows
-per tap instead of Cin.  The reverse rule gathers the output cotangent at
-the mirrored taps when it has at most twice the input's channels; otherwise
-it gathers the input for the kernel gradient and puts the input gradient
-back by col2im at the mirrored taps.  The forward conv is a layout step,
-``conv_layout`` (the kernel reshaped for its side, a copy on the col2im
-side), and an apply step, ``conv_apply``; a caller that convolves with one
-kernel many times, such as a flow's inference plan, keeps the layout.
+gather.  ``_im2col`` copies each pixel's wrapped taps, and ``_col2im``
+applies every tap's kernel slice to the unshifted input first and then
+moves each tap's product by its offset before the taps are summed; its
+kernel rows and products are laid out tap-major, (tap, channel), so each
+tap's moved products are one contiguous row and the sum over taps runs over
+long rows.  Both directions gather only the thinner of their two sides,
+because the gather, not the matmul, is what costs.  The forward pass is
+im2col when the output has at least as many channels (a coupling's first
+conv, C/2 -> hidden) and col2im when it has fewer (the second conv,
+hidden -> C), moving Cout rows per tap instead of Cin.  The reverse rule
+gathers the output cotangent at the mirrored taps when it has at most twice
+the input's channels; otherwise it gathers the input for the kernel
+gradient and puts the input gradient back by col2im at the mirrored taps.
+The forward conv is a layout step, ``conv_layout`` (the kernel reshaped for
+its side, a copy on the col2im side), and an apply step, ``conv_apply``; a
+caller that convolves with one kernel many times, such as a flow's
+inference plan, keeps the layout.  A caller that recomputes a conv's output
+in its reverse rule instead of keeping it takes x's taps from
+``conv_input_taps`` and hands them to both ``conv_apply`` and
+``conv2d_circular_backward``, so the reverse rule's one gather of x serves
+both.
 
 Both gathers keep their temporaries, the ``take`` output and on the
 col2im side the per-tap products, in one scratch buffer per thread
@@ -32,9 +39,13 @@ im2col of C channels or 2*B*Cout*kh*kw*H*W for a col2im, and is then kept
 for the thread's life.  For a K=3, L=2, D=4, hidden=16 net the forward
 col2im of a first-level coupling's second conv sets its size, as every
 backward gather is smaller: 2.4 MB in each tile worker at 64x64 and 0.6 MB
-for a B=16 16x16 training step.  An untiled call, such as a whole-split NLL,
-grows the calling thread's buffer to its own batch.  Nothing a call returns
-aliases the buffer.
+for a B=16 16x16 training step.  An untiled call, such as a whole-split
+NLL, grows the calling thread's buffer to its own batch.  Nothing a call
+returns aliases the buffer, except the taps ``conv_input_taps`` returns:
+they must outlive the gathers between the two calls that read them, so
+they live in a second buffer per thread, ``_SCRATCH.taps``, until that
+thread's next ``conv_input_taps``.  A fresh array each time instead cost a
+B=16 16x16 fine-tune step about 120 minor page faults, against 1-2.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ __all__ = [
     "conv2d_circular",
     "conv2d_circular_backward",
     "conv_apply",
+    "conv_input_taps",
     "conv_layout",
     "small_det_inv",
     "gaussian_kernel",
@@ -134,53 +146,69 @@ def derive_seed(base: int, *words: int) -> int:
     return int(h)
 
 
-_SCRATCH = threading.local()  # .buf: this thread's conv temporaries
+_SCRATCH = threading.local()  # .buf: this thread's conv temporaries; .taps: its input taps
 
 
-def _scratch(size: int) -> np.ndarray:
-    """This thread's scratch buffer as ``size`` float64 values, grown to fit
-    the largest request and then reused.  Its contents last only until the
-    thread's next request, so no caller may return a view of it."""
-    buf = getattr(_SCRATCH, "buf", None)
+def _scratch(size: int, slot: str = "buf") -> np.ndarray:
+    """This thread's scratch buffer ``slot`` as ``size`` float64 values,
+    grown to fit the largest request and then reused.  Its contents last
+    only until the thread's next request for that slot, so no caller may
+    return a view of ``buf``."""
+    buf = getattr(_SCRATCH, slot, None)
     if buf is None or buf.size < size:
-        buf = _SCRATCH.buf = np.empty(size)
+        buf = np.empty(size)
+        setattr(_SCRATCH, slot, buf)
     return buf[:size]
 
 
 @functools.cache
-def _tap_indices(h: int, w: int, kh: int, kw: int, sign: int, tap_major: bool) -> np.ndarray:
+def _tap_indices(h: int, w: int, kh: int, kw: int, sign: int, channels: int = 0) -> np.ndarray:
     """(kh*kw, H*W) flat offsets rows[dr, r]*W + cols[dc, c] of the wrapped
-    taps, ordered (dr, dc) by (r, c); ``sign=-1`` flips each tap offset, and
-    ``tap_major`` adds t*H*W to read tap t's part of a (kh*kw*H*W) row."""
+    taps, ordered (dr, dc) by (r, c); ``sign=-1`` flips each tap offset.
+    With ``channels`` > 0 it is col2im's (kh*kw, channels*H*W) index into
+    products laid out (tap, channel, pixel): tap t reads its own block and
+    moves each channel's row by its offset."""
     rows = (np.arange(h)[None, :] + sign * (np.arange(kh)[:, None] - kh // 2)) % h
     cols = (np.arange(w)[None, :] + sign * (np.arange(kw)[:, None] - kw // 2)) % w
     idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(kh * kw, h * w)
-    return idx + np.arange(kh * kw)[:, None] * (h * w) if tap_major else idx
+    if not channels:
+        return idx
+    blocks = np.arange(kh * kw * channels).reshape(kh * kw, channels, 1) * (h * w)
+    return (blocks + idx[:, None, :]).reshape(kh * kw, channels * h * w)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sign: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, sign: int, slot: str = "buf") -> np.ndarray:
     """(B, C, H, W) -> (B, C*kh*kw, H*W): each pixel's wrapped taps, gathered
-    into the scratch buffer."""
+    into the scratch buffer ``slot``."""
     b, c, h, w = x.shape
-    out = _scratch(b * c * kh * kw * h * w).reshape(b, c, kh * kw, h * w)
-    x.reshape(b, c, h * w).take(_tap_indices(h, w, kh, kw, sign, False),
+    out = _scratch(b * c * kh * kw * h * w, slot).reshape(b, c, kh * kw, h * w)
+    x.reshape(b, c, h * w).take(_tap_indices(h, w, kh, kw, sign),
                                 axis=2, mode="clip", out=out)
     return out.reshape(b, c * kh * kw, h * w)
 
 
 def _col2im(kmat: np.ndarray, x: np.ndarray, kh: int, kw: int, sign: int) -> np.ndarray:
     """The sum over taps t of the tap-t rows of kmat x, each moved by tap t's
-    offset, for ``kmat`` laid out (Cout*kh*kw, C): a fresh (B, Cout, H*W)
-    array; the products and their gather live in the scratch buffer."""
+    offset, for ``kmat`` laid out (kh*kw*Cout, C), tap-major: a fresh
+    (B, Cout, H*W) array; the products and their gather live in the scratch
+    buffer.  Tap-major products make each tap's moved block one contiguous
+    Cout*H*W row, so the sum over taps runs over long rows."""
     b, c, h, w = x.shape
-    cout, hw = kmat.shape[0] // (kh * kw), h * w
+    taps, hw = kh * kw, h * w
+    cout = kmat.shape[0] // taps
     n = b * kmat.shape[0] * hw
     scratch = _scratch(2 * n)
     z = np.matmul(kmat, x.reshape(b, c, hw), out=scratch[:n].reshape(b, -1, hw))
-    cols = scratch[n:].reshape(b, cout, kh * kw, hw)
-    z.reshape(b, cout, -1).take(_tap_indices(h, w, kh, kw, sign, True),
-                                axis=2, mode="clip", out=cols)
-    return cols.sum(axis=2)
+    cols = scratch[n:].reshape(b, taps, cout * hw)
+    z.reshape(b, -1).take(_tap_indices(h, w, kh, kw, sign, cout),
+                          axis=1, mode="clip", out=cols)
+    return cols.sum(axis=1).reshape(b, cout, hw)
+
+
+def _gathers_input(cout: int, cin: int) -> bool:
+    """Whether :func:`conv2d_circular_backward` gathers the conv's input x
+    (rather than the output cotangent) for a kernel of these channels."""
+    return cout > 2 * cin
 
 
 def conv_layout(kernel: np.ndarray, bias: np.ndarray | None = None):
@@ -188,33 +216,49 @@ def conv_layout(kernel: np.ndarray, bias: np.ndarray | None = None):
     kw, odd kh and kw) and ``bias`` (Cout,) or None, laid out for the side
     the conv gathers, as :func:`conv_apply` takes them.  With Cout >= Cin
     that is im2col and the kernel is a (Cout, Cin*kh*kw) view; otherwise
-    col2im and a (Cout*kh*kw, Cin) copy.  A caller that convolves with one
-    kernel many times can keep the layout and call ``conv_apply`` alone."""
+    col2im and a (kh*kw*Cout, Cin) copy, tap-major.  A caller that
+    convolves with one kernel many times can keep the layout and call
+    ``conv_apply`` alone."""
     cout, cin, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d_circular: kernel dims must be odd, got {kh}x{kw}")
     col2im = cout < cin
     if col2im:
-        kmat = kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
+        kmat = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
     else:
         kmat = kernel.reshape(cout, -1)
     return kmat, cout, kh, kw, col2im, None if bias is None else bias[None, :, None, None]
 
 
-def conv_apply(x: np.ndarray, layout) -> np.ndarray:
+def conv_apply(x: np.ndarray, layout, patches: np.ndarray | None = None) -> np.ndarray:
     """The apply step of :func:`conv2d_circular`: convolve the (B, Cin, H, W)
     batch ``x`` with a kernel laid out by :func:`conv_layout`, whose input
-    channels must be x's.  The result is a new array."""
+    channels must be x's.  The result is a new array.  ``patches``, x's taps
+    from :func:`conv_input_taps`, replace the gather of an im2col layout."""
     kmat, cout, kh, kw, col2im, bias = layout
     b, _, h, w = x.shape
     if col2im:
         out = _col2im(kmat, x, kh, kw, 1)
     else:
-        out = kmat @ _im2col(x, kh, kw, 1)  # (B, Cout, H*W) via broadcasting
+        if patches is None:
+            patches = _im2col(x, kh, kw, 1)
+        out = kmat @ patches  # (B, Cout, H*W) via broadcasting
     out = out.reshape(b, cout, h, w)
     if bias is not None:
         out += bias
     return out
+
+
+def conv_input_taps(x: np.ndarray, kernel: np.ndarray) -> np.ndarray | None:
+    """x's im2col taps when :func:`conv2d_circular_backward` gathers x for
+    this kernel (Cout > 2*Cin, an im2col layout), else None: the
+    ``patches`` that ``conv_apply`` and the reverse rule both take.  A
+    caller that recomputes a conv's output for its reverse rule, rather
+    than keeping it, so gathers x once for both.  The taps are a view of
+    this thread's second scratch buffer, valid until its next call here;
+    the gathers in between use the first."""
+    cout, cin, kh, kw = kernel.shape
+    return _im2col(x, kh, kw, 1, "taps") if _gathers_input(cout, cin) else None
 
 
 def conv2d_circular(
@@ -239,7 +283,8 @@ def conv2d_circular(
     return conv_apply(x, conv_layout(kernel, bias))
 
 
-def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray):
+def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray,
+                             patches: np.ndarray | None = None):
     """Reverse-mode rule for :func:`conv2d_circular` on batched input.
 
     Returns (gx, gkernel, gbias) for cotangent ``gout`` of the output.  Each
@@ -253,25 +298,30 @@ def conv2d_circular_backward(x: np.ndarray, kernel: np.ndarray, gout: np.ndarray
       never gathered.
     * otherwise: x is gathered as the forward pass does, into P, and
       gkernel = sum_b gout_b P_b^T; gx is the col2im of K^T gout at the
-      mirrored offsets.
+      mirrored offsets.  ``patches``, x's taps from
+      :func:`conv_input_taps`, replace that gather.
 
-    The forward patches are not kept from the forward pass: with the cached
-    index the gather is cheap, and keeping them would hold every coupling
-    conv's im2col matrix in the reverse-sweep record.
+    No caller keeps the forward patches in a record: with the cached index
+    the gather is cheap, and keeping them would hold every coupling conv's
+    im2col matrix in the reverse-sweep record.
     """
     b, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
     gout_mat = gout.reshape(b, cout, h * w)
     gbias = gout_mat.sum(axis=(0, 2))
-    if cout <= 2 * cin:
+    if not _gathers_input(cout, cin):
         g = _im2col(gout, kh, kw, -1)
         gx = kernel.transpose(1, 0, 2, 3).reshape(cin, -1) @ g
         gk = np.matmul(g, x.reshape(b, cin, h * w).transpose(0, 2, 1)).sum(0)
         gkernel = gk.reshape(cout, kh * kw, cin).transpose(0, 2, 1).reshape(kernel.shape)
     else:
-        patches = _im2col(x, kh, kw, 1)
+        if patches is None:
+            patches = _im2col(x, kh, kw, 1)
         gkernel = np.matmul(gout_mat, patches.transpose(0, 2, 1)).sum(0).reshape(kernel.shape)
-        gx = _col2im(kernel.reshape(cout, -1).T, gout, kh, kw, -1)
+        # tap-major K^T as a transposed view, which BLAS rounds as it rounds
+        # kernel.reshape(cout, -1).T; a contiguous copy can round otherwise
+        kmat = kernel.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
+        gx = _col2im(kmat, gout, kh, kw, -1)
     return gx.reshape(b, cin, h, w), gkernel, gbias
 
 

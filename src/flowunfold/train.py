@@ -145,8 +145,13 @@ def mse_loss(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
 def psnr(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     """10 log10(1 / mse) in dB (peak 1, the width of the [-0.5, 0.5] pixel
-    range), capped at 99.0 for near-zero error."""
-    mse = mse_loss(x_hat, x_true)
+    range), capped at 99.0 for near-zero error; nan, without a warning,
+    when the mse is not finite (x_hat is not, or is so large that the
+    squares overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = mse_loss(x_hat, x_true)
+    if not math.isfinite(mse):
+        return math.nan
     if mse < 1e-12:
         return 99.0
     return 10.0 * math.log10(1.0 / mse)

@@ -39,6 +39,7 @@ is bitwise the same however the batch is cut.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 
@@ -167,7 +168,10 @@ class UnrolledNet:
 
             _POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="flowunfold-tile")
         tiles = [y[start : start + rows] for start in range(0, len(y), rows)]
-        outs = _POOL.map(lambda tile: self._unroll(x0, tile, op, plans), tiles)
+        # each tile runs in a copy of the caller's context, so a caller's
+        # np.errstate holds on the workers as it would untiled
+        runs = [contextvars.copy_context().run for _ in tiles]
+        outs = _POOL.map(lambda run, tile: run(self._unroll, x0, tile, op, plans), runs, tiles)
         return np.concatenate(list(outs))
 
     def reconstruct_batch_grad(self, y: np.ndarray, op: ForwardOp):

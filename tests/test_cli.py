@@ -662,6 +662,19 @@ class TestCommands:
         assert "fold0.level0.step0.invconv.weight: matrix of size 4" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("fold", ["fold0", "fold1"])
+    def test_eval_names_an_image_whose_reconstruction_overflows(self, pipeline, capsys, fold):
+        # a finite checkpoint whose data step overflows: fold 0's sends inf
+        # and nan through the flow, the last fold's (fold 1) gives finite
+        # values whose squared error overflows
+        rc, report = self._eval_with_weight(pipeline, f"huge-{fold}-mu", 1e300, f"{fold}.mu")
+        assert rc == 1
+        first = load_dataset(pipeline.data, splits=("test",)).ids["test"][0]
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: test image {first}: ")
+        assert not report.exists()
+
     def test_eval_names_a_singular_layer_of_the_unused_last_fold(self, pipeline, capsys):
         # fold 1 is the K=2 net's last fold, whose flow no reconstruction
         # runs; restoring checks its 1x1 convs all the same

@@ -27,7 +27,7 @@ from flowunfold.flow import (
     _unsqueeze_axes,
 )
 from flowunfold.io import restore_into
-from flowunfold.numerics import Prng, small_det_inv
+from flowunfold.numerics import Prng, conv2d_circular_backward, small_det_inv
 from flowunfold.train import AdamState, TrainConfig, adam_update
 from flowunfold.unfold import UnrolledNet
 
@@ -434,6 +434,73 @@ class TestGradients:
         zero_grads(model.store)
         total = sum(float(np.abs(p.grad).sum()) for p in model.store)
         assert total == 0.0
+
+
+class TestHiddenRebuild:
+    """A coupling's record keeps no hidden activation: its reverse rule
+    rebuilds a1 from xb.  Against the rule that keeps the forward's own a1
+    and lets the first conv's reverse rule gather xb itself, the rebuilt
+    a1, every parameter gradient and the input cotangent are bitwise equal.
+    The cases cover the first conv's reverse rule reusing the rebuild's taps
+    (hidden > 2*half, the level shapes of 16x16 and 64x64 nets), gathering
+    the cotangent instead (half <= hidden <= 2*half), a col2im first conv
+    (hidden < half), a 2x2 level and a non-square one."""
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("channels, hidden, batch, h, w", [
+        (4, 16, 16, 8, 8), (8, 16, 16, 4, 4), (4, 16, 1, 32, 32), (16, 40, 3, 2, 2),
+        (4, 3, 2, 8, 8), (8, 2, 2, 4, 4), (12, 8, 2, 4, 6)])
+    def test_equals_the_rule_on_the_forwards_own_a1(self, monkeypatch, direction, channels,
+                                                    hidden, batch, h, w):
+        store = ParamStore()
+        layer = AffineCoupling(channels, hidden, store, "cp")
+        rng = Prng(0x4EB1 + 100 * channels + hidden)
+        for p in (layer.w1, layer.b1, layer.w2, layer.b2):
+            p.value[...] = rng.gauss_array(p.value.shape)
+        x = rng.gauss_array((batch, channels, h, w))
+        g, gld = rng.gauss_array(x.shape), rng.gauss_array(batch)
+        conv_apply, outputs = flowunfold.flow.conv_apply, []
+
+        def recorded(*args):
+            outputs.append(conv_apply(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(flowunfold.flow, "conv_apply", recorded)
+        if direction == "forward":
+            _, _, ctx = layer.forward(x, layer.constants())
+            reverse = lambda: layer.backward(ctx, g, gld)  # noqa: E731
+        else:
+            _, ctx = layer.inverse(x, layer.constants())
+            reverse = lambda: layer.inverse_backward(ctx, g)  # noqa: E731
+        a1 = outputs[0]  # the forward's first conv output, relu'd in place
+        inside = ctx[2]
+        assert inside.dtype == bool and inside.any() and not inside.all()  # the clamp acts
+        assert [e.shape for e in ctx if e.shape[1] == hidden] == []
+
+        def rule():
+            zero_grads(store)
+            outputs.clear()
+            gx = reverse()
+            return gx, store.grads.copy()
+
+        gx, grads = rule()
+        assert np.array_equal(outputs[0], a1)  # the rebuilt a1
+
+        def kept_a1_rule(ctx, g_out):
+            xb = ctx[1]
+            g_out[:, : layer.half] *= inside
+            g_a1, gw2, gb2 = conv2d_circular_backward(a1, layer.w2.value, g_out)
+            layer.w2.grad += gw2
+            layer.b2.grad += gb2
+            g_a1 *= a1 > 0.0
+            g_xb, gw1, gb1 = conv2d_circular_backward(xb, layer.w1.value, g_a1)
+            layer.w1.grad += gw1
+            layer.b1.grad += gb1
+            return g_xb
+
+        monkeypatch.setattr(layer, "_net_backward", kept_a1_rule)
+        ref_gx, ref_grads = rule()
+        assert np.array_equal(gx, ref_gx) and np.array_equal(grads, ref_grads)
 
 
 def _read_only(a):

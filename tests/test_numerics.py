@@ -13,6 +13,9 @@ from flowunfold.numerics import (
     _im2col,
     conv2d_circular,
     conv2d_circular_backward,
+    conv_apply,
+    conv_input_taps,
+    conv_layout,
     derive_seed,
     gaussian_kernel,
     small_det_inv,
@@ -330,6 +333,40 @@ class TestConvBackward:
         for name, g, ref in zip(("gx", "gkernel", "gbias"), got, refs):
             assert g.shape == ref.shape, name
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+class TestInputTaps:
+    # a caller that rebuilds a conv's output in its reverse rule passes x's
+    # taps to both calls; they must change no bit of either and survive the
+    # gathers between the calls
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        batch=st.sampled_from([1, 3]),
+        cin=st.sampled_from([1, 2, 3, 8]),
+        cout=st.sampled_from([1, 2, 7, 16, 40]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=3, cin=8, cout=40, h=2, w=2, seed=1)
+    def test_bitwise_equal_to_gathering_again(self, batch, cin, cout, h, w, seed):
+        rng = Prng(seed)
+        x = rng.gauss_array((batch, cin, h, w))
+        kernel = rng.gauss_array((cout, cin, 3, 3))
+        bias = rng.gauss_array(cout)
+        gout = rng.gauss_array((batch, cout, h, w))
+        taps = conv_input_taps(x, kernel)
+        assert (taps is None) == (cout <= 2 * cin)
+        kept = None if taps is None else taps.copy()
+        out = conv_apply(x, conv_layout(kernel, bias), taps)
+        conv2d_circular(gout, kernel.transpose(1, 0, 2, 3))  # another gather between
+        assert np.array_equal(out, conv2d_circular(x, kernel, bias))
+        got = conv2d_circular_backward(x, kernel, gout, taps)
+        for g, ref in zip(got, conv2d_circular_backward(x, kernel, gout), strict=True):
+            assert np.array_equal(g, ref)
+        if taps is not None:
+            assert np.array_equal(taps, kept)
+            assert not np.shares_memory(taps, flowunfold.numerics._SCRATCH.buf)
 
 
 class TestSmallDetInv:

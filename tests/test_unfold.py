@@ -367,6 +367,18 @@ class TestTiledBatch:
             net.reconstruct_batch(y, GaussianBlur(_SHAPE64, 1.0, 3))
 
 
+    def test_the_callers_error_state_holds_in_every_tile(self, cpus):
+        # fold 0's huge step overflows every row; the caller silences that,
+        # so no tile may warn (a RuntimeWarning is an error under pytest)
+        net = _random_net(_SHAPE64, 3, 2, 2, 4, seed=0x98)
+        net.folds[0].mu.value[...] = 1e308
+        y = Prng(0x99).gauss_array((16,) + _SHAPE64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = net.reconstruct_batch(y, GaussianBlur(_SHAPE64, 1.0, 3))
+        assert unfold._POOL is not None
+        assert not np.isfinite(out).reshape(16, -1).all(axis=1).any()
+
+
 def _mse_loss_fn(net, y, op, x_true):
     def f(store):
         x_hat, pipe = net.reconstruct_batch_grad(y, op)

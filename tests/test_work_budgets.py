@@ -18,6 +18,11 @@ convs, over the stack of those weights.  Everything runs at
 K=3, L=2, D=4, hidden=16.  A change that lowers the work lowers the budget
 with it.
 
+The record budget counts the bytes of the distinct buffers a grad step's
+reverse-sweep record keeps alive, as perfbench's
+``unfold.reconstruct_batch_grad.record_mb`` does: a view keeps its whole
+base array.  It is what training holds per batch, twice at a time.
+
 The start-up budget counts what one `eval` command does around its
 reconstruction: image and checkpoint reads, plan builds, parser builds and
 the loader calls perfbench's ``cli.*`` spans time.
@@ -28,6 +33,7 @@ import pathlib
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from flowunfold import cli, flow, io, numerics
@@ -125,6 +131,35 @@ def test_grad_step_after_a_reconstruction_at_the_same_weights(work):
     work.clear()
     _grad_step(net, y, op)
     assert _seen(work) == _budget(120, 80, 1797120, 149760, 5, 0, 0)
+
+
+def _record_buffers(record) -> list:
+    """The distinct base arrays the arrays in a record (tuples and lists of
+    arrays, at any depth) keep alive."""
+    buffers, stack = {}, [record]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return list(buffers.values())
+
+
+def test_batch_16_16x16_grad_step_record():
+    # per coupling pass the record keeps (xa, xb, the clamp's bool mask, s):
+    # no hidden activation, and no conv output behind a view; the rest is
+    # each fold's actnorm and 1x1 inputs, its latents and data-step terms
+    shape = (1, 16, 16)
+    net, op = _net(shape), operator_for_task("inpaint", shape)
+    y = op.apply(Prng(2).gauss_array((16,) + shape))
+    _, record = net.reconstruct_batch_grad(y, op)
+    buffers = _record_buffers(record)
+    assert sum(buf.nbytes for buf in buffers) == 3117312
+    hidden = net.folds[0].flow.hidden
+    assert [buf.shape for buf in buffers if buf.ndim > 2 and buf.shape[1] == hidden] == []
 
 
 def test_batch_16_64x64_deblur_reconstruction(work):
