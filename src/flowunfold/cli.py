@@ -201,6 +201,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _overflowed(what: str) -> ReconstructionError:
+    """The error for a reconstruction of ``what`` that is not finite, or so
+    large that its error against a bounded image overflows, which
+    :func:`psnr` reports as nan."""
+    return ReconstructionError(
+        f"{what}: the reconstruction is not finite or its error overflows; "
+        f"the model's arithmetic overflowed on this measurement")
+
+
 def cmd_reconstruct(args) -> int:
     _check_output(args.output)
     x_in = load_image(args.input)
@@ -210,7 +219,10 @@ def cmd_reconstruct(args) -> int:
         y = make_measurement(op, x_in, cfg.sigma_n, rng)
     else:
         y = x_in
-    x_hat = reconstruct(net, y, op)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output fails below
+        x_hat = reconstruct(net, y, op)
+    if math.isnan(psnr(x_hat, y)):
+        raise _overflowed(f"input image {args.input}")
     out = Path(args.output)
     echo_config(cfg, out.parent)
     save_image(out, x_hat)
@@ -238,9 +250,7 @@ def cmd_eval(args) -> int:
         pi = psnr(y[i], test[i])
         po = psnr(x_hat[i], test[i])
         if math.isnan(po):
-            raise ReconstructionError(
-                f"test image {image_id}: the reconstruction is not finite or its error "
-                f"overflows; the model's arithmetic overflowed on this measurement")
+            raise _overflowed(f"test image {image_id}")
         p_in.append(pi)
         p_out.append(po)
         rows.append(f"{image_id},{cfg.task},{pi:.6f},{po:.6f}")

@@ -20,11 +20,25 @@ write into: :class:`FlowModel` sums each step's log-dets in place.
 :class:`FlowModel` composes them from a table with one row per level.  Each
 pass is one of two walks over it, down (squeeze, steps, split off) or up
 (join, steps reversed, unsqueeze).  A recording pass (the default) keeps
-one flat list of layer contexts, which its reverse rule reads backwards and
-leaves intact; training's passes record.  A context keeps what its reverse
-rule cannot cheaply redo: a coupling's keeps the clamp's bool mask, not its
-hidden activation, which the reverse rule rebuilds bitwise from the input
-taps it gathers anyway (:class:`AffineCoupling`).
+one flat list of step records, which its reverse rule reads backwards and
+leaves intact; training's passes record.  A record keeps what its reverse
+rule cannot cheaply redo, one tuple per (actnorm, 1x1 conv, coupling) step:
+
+* forward, ``(x, scale, inv, inside, s)``: the step input, the actnorm
+  scale row, the 1x1 inverse, the coupling's clamp mask and scale;
+* inverse, ``(u, inv, inv_s, inside, s)``: the coupling output, the 1x1
+  inverse, the actnorm inverse scale, the mask and the scale.  u's second
+  half is a copy of the step input's, so it serves as the coupling's xb.
+
+The reverse rules rebuild the actnorm and 1x1 outputs with the forward's
+own helpers (:func:`_scale_shift`, :func:`_mix_channels`,
+:func:`_unshift_scale`), reading W and the bias from the store, which does
+not change between a pass and its reverse rule; so they are bitwise the
+ones the pass made, and no record keeps a plan's weight copy alive.  The
+rebuilt contexts go to each layer's own ``backward`` or
+``inverse_backward``.  A coupling's context keeps the clamp's bool mask,
+not its hidden activation, which its reverse rule rebuilds bitwise from
+the input taps it gathers anyway (:class:`AffineCoupling`).
 :meth:`FlowModel.log_prob_batch` (so the NLL and pretraining's val pass)
 runs the forward walk without a record, dropping each layer's context as
 soon as the next layer has its output.
@@ -582,7 +596,8 @@ class FlowModel:
         the concatenation, in level order, of each level's ``out`` leading
         channels (flattened C-major row-major): half of every level's
         channels, then all of the last level's.  ctx is the record
-        :meth:`backward_forward` reads, or None when ``record`` is false.
+        :meth:`backward_forward` reads, one ``(x, scale, inv, inside, s)``
+        per step (see the module docstring), or None when ``record`` is false.
         """
         if x.shape[1:] != self.shape:
             raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
@@ -593,15 +608,15 @@ class FlowModel:
         def step(layers, x):
             actnorm, invconv, coupling = layers
             k_an, k_iv, k_cp = next(constants)
-            x, step_ld, c_an = actnorm.forward(x, k_an)
-            x, ld_iv, c_iv = invconv.forward(x, k_iv)
-            x, ld_cp, c_cp = coupling.forward(x, k_cp)
+            y, step_ld, (_, scale, _) = actnorm.forward(x, k_an)
+            y, ld_iv, (_, inv, _) = invconv.forward(y, k_iv)
+            y, ld_cp, (_, _, inside, s) = coupling.forward(y, k_cp)
             if record:
-                ctx.extend((c_an, c_iv, c_cp))
+                ctx.append((x, scale, inv, inside, s))
             step_ld += ld_iv  # one step's log-det, then the total
             step_ld += ld_cp
             np.add(ld, step_ld, out=ld)
-            return x
+            return y
 
         return _down(self._levels, x, step), ld, ctx
 
@@ -611,27 +626,33 @@ class FlowModel:
         record = reversed(ctx)
 
         def step(layers, g):
-            for layer in reversed(layers):
-                g = layer.backward(next(record), g, gld)
-            return g
+            actnorm, invconv, coupling = layers
+            x, scale, inv, inside, s = next(record)
+            hw, half = x.shape[2] * x.shape[3], coupling.half
+            x_an = _scale_shift(x, scale, actnorm.bias.value[:, None, None])
+            x_iv = _mix_channels(invconv.weight.value, x_an)
+            g = coupling.backward((x_iv[:, :half], x_iv[:, half:], inside, s), g, gld)
+            g = invconv.backward((x_an, inv, hw), g, gld)
+            return actnorm.backward((x, scale, hw), g, gld)
 
         return _up(self._levels, gz, step)
 
     def inverse_batch(self, z: np.ndarray):
         """Map (B, n) latents back to images; exact layer-by-layer inverse.
-        Returns ``(x, ctx)``, ctx the record :meth:`backward_inverse` reads."""
+        Returns ``(x, ctx)``, ctx the record :meth:`backward_inverse` reads,
+        one ``(u, inv, inv_s, inside, s)`` per step (see the module docstring)."""
         if z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
         ctx = []
         constants = reversed(self.plan().steps)
 
-        def step(layers, x):
+        def step(layers, y):
             actnorm, invconv, coupling = layers
             k_an, k_iv, k_cp = next(constants)
-            x, c_cp = coupling.inverse(x, k_cp)
-            x, c_iv = invconv.inverse(x, k_iv)
-            x, c_an = actnorm.inverse(x, k_an)
-            ctx.extend((c_cp, c_iv, c_an))
+            u, (_, _, inside, s) = coupling.inverse(y, k_cp)
+            x, (_, inv) = invconv.inverse(u, k_iv)
+            x, (_, inv_s) = actnorm.inverse(x, k_an)
+            ctx.append((u, inv, inv_s, inside, s))
             return x
 
         return _up(self._levels, z, step), ctx
@@ -641,9 +662,14 @@ class FlowModel:
         record = reversed(ctx)
 
         def step(layers, g):
-            for layer in layers:
-                g = layer.inverse_backward(next(record), g)
-            return g
+            actnorm, invconv, coupling = layers
+            u, inv, inv_s, inside, s = next(record)
+            half = coupling.half
+            x_iv = _mix_channels(inv, u)
+            x = _unshift_scale(x_iv, actnorm.bias.value[:, None, None], inv_s)
+            g = actnorm.inverse_backward((x, inv_s), g)
+            g = invconv.inverse_backward((x_iv, inv), g)
+            return coupling.inverse_backward((u[:, :half], u[:, half:], inside, s), g)
 
         return _down(self._levels, gx, step)
 

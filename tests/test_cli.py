@@ -631,16 +631,22 @@ class TestCommands:
         assert "trailing bytes" in err and "trained at this size" not in err
 
     @staticmethod
-    def _eval_with_weight(pipeline, tag, weight, name="fold0.level0.step0.invconv.weight"):
-        """Run ``eval`` on the trained net with the 1x1 conv weight ``name``
-        replaced; returns (exit code, report path)."""
+    def _with_weight(pipeline, tag, weight, name):
+        """A copy of the trained net's checkpoint with the parameter
+        ``name`` replaced by ``weight``."""
         entries = load_checkpoint(pipeline.net)
         entries[name][...] = weight
         store = ParamStore()
-        for name, value in entries.items():
-            store.add(name, value)
+        for key, value in entries.items():
+            store.add(key, value)
         ckpt = pipeline.root / f"{tag}.ckpt"
         save_checkpoint(ckpt, store)
+        return ckpt
+
+    def _eval_with_weight(self, pipeline, tag, weight, name="fold0.level0.step0.invconv.weight"):
+        """Run ``eval`` on the trained net with the parameter ``name``
+        replaced; returns (exit code, report path)."""
+        ckpt = self._with_weight(pipeline, tag, weight, name)
         report = pipeline.root / tag / "report.csv"
         rc = main(["eval", "--model", str(ckpt), "--data", str(pipeline.data),
                    "--task", "denoise", "--config", str(pipeline.resolved),
@@ -674,6 +680,23 @@ class TestCommands:
                   if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith(f"error: test image {first}: ")
         assert not report.exists()
+
+    @pytest.mark.parametrize("fold", ["fold0", "fold1"])
+    def test_reconstruct_rejects_a_reconstruction_that_overflows(self, pipeline, capsys, fold):
+        # the checkpoints eval rejects above: reconstruct fails the same way
+        # and writes neither the image, its initial guess nor the config
+        ckpt = self._with_weight(pipeline, f"huge-{fold}-mu-net", 1e300, f"{fold}.mu")
+        src = pipeline.data / "00000.pgm"
+        out = pipeline.root / f"huge-{fold}-recon" / "y.pgm"
+        rc = main(["reconstruct", "--model", str(ckpt), "--input", str(src),
+                   "--task", "denoise", "--config", str(pipeline.resolved),
+                   "--output", str(out), "--emit-init"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: input image {src}: ")
+        assert "written" not in captured.out
+        assert not out.parent.exists()
 
     def test_eval_names_a_singular_layer_of_the_unused_last_fold(self, pipeline, capsys):
         # fold 1 is the K=2 net's last fold, whose flow no reconstruction

@@ -4,6 +4,7 @@ makes some calls outside its tracer; those are pinned here too."""
 
 import inspect
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +94,30 @@ def test_record_counter_sees_the_whole_record():
     held = _load_spans()._held_bytes(record)
     assert held > 0 and held == _deep_held_bytes(record)
     assert _deep_held_bytes({"hidden": types.SimpleNamespace(record=record)}) == held
+
+
+def test_training_calls_every_traced_flow_procedure(monkeypatch):
+    # the per-layer rows flow.<layer>.<procedure> and flow.<walk> read 0 calls
+    # unless training reaches each traced flow name: one small grad step and
+    # one NLL gradient must call the 12 layer procedures and the 4 walks
+    names = {(owner, attr): name for name, owner, attr, _ in
+             _load_spans().traced_targets(flowunfold) if name.startswith("flow.")}
+    assert len(names) == 3 * 4 + 4
+    calls = Counter()
+    for (owner, attr), name in names.items():
+
+        def counted(*args, _original=vars(owner)[attr], _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    shape = (1, 8, 8)
+    net = flowunfold.UnrolledNet(shape, 2, 2, 2, 4)
+    for fold in net.folds:
+        fold.flow.randomize(flowunfold.Prng(5))
+    op = flowunfold.operator_for_task("inpaint", shape)
+    y = op.apply(flowunfold.Prng(6).gauss_array((2,) + shape))
+    x_hat, record = net.reconstruct_batch_grad(y, op)
+    net.reconstruct_backward(record, x_hat - y)
+    flowunfold.train.nll_loss_grad(y, net.folds[0].flow)
+    assert sorted(name for name in names.values() if not calls[name]) == []
