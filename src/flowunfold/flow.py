@@ -3,26 +3,36 @@ coupling, squeeze, and their multi-scale composition.
 
 Layer conventions
 -----------------
-Every layer derives what its weights fix in ``constants()`` and exposes
-four procedures on batched (B, C, H, W) arrays, ``c`` being that result:
+Layers compute; the walk records and sums log-dets.  Every layer derives
+what its weights fix in ``constants()`` and exposes four procedures on
+batched (B, C, H, W) arrays, ``c`` being that result:
 
-* ``forward(x, c) -> (y, logdet, ctx)`` with per-sample ``logdet`` of shape (B,),
+* ``forward(x, c) -> y``; a coupling returns ``(y, (clamped, s))``,
 * ``backward(ctx, gy, glogdet) -> gx`` accumulating parameter gradients,
-* ``inverse(y, c) -> (x, ctx)`` the exact algebraic inverse,
+* ``inverse(y, c) -> x`` the exact algebraic inverse, a coupling's likewise,
 * ``inverse_backward(ctx, gx) -> gy`` accumulating parameter gradients.
 
-A layer writes in place only into arrays it allocated itself (the relu,
-clamp and output arithmetic of a coupling, say), never into its input, a
-cotangent it was given or an entry of a record, which may be read again.
-An output or log-det it returns, and not in its record, is the caller's to
-write into: :class:`FlowModel` sums each step's log-dets in place.
+A pass reads its weights from ``c`` alone.  The actnorm's and the 1x1
+conv's log-dets are weight constants, H*W times the sum(log s) and the
+log|det W| that ``c`` holds; a coupling's is the per-sample sum of the
+clamped log-scale it returns with its scale s.  A layer writes in place
+only into arrays it allocated itself (the relu, clamp and output
+arithmetic of a coupling, say), never into its input, a cotangent it was
+given or an entry of a record, which may be read again.
 
 :class:`FlowModel` composes them from a table with one row per level.  Each
 pass is one of two walks over it, down (squeeze, steps, split off) or up
-(join, steps reversed, unsqueeze).  A recording pass (the default) keeps
-one flat list of step records, which its reverse rule reads backwards and
-leaves intact; training's passes record.  A record keeps what its reverse
-rule cannot cheaply redo, one tuple per (actnorm, 1x1 conv, coupling) step:
+(join, steps reversed, unsqueeze), made by :class:`FlowPlan`, the one
+walker, whose table pairs each layer with its constants.  Its
+``forward(x, record=None, ld=None)`` and ``inverse(z, record=None)``
+append one record per step to ``record`` and add each step's log-det,
+``(actnorm + 1x1) + coupling``, into ``ld``, each when given.  Inference
+passes neither and :meth:`FlowModel.log_prob_batch` (the NLL and
+pretraining's val pass) ``ld`` alone, so both drop each layer's output as
+soon as the next layer has its own; training's passes record, into one
+flat list that the reverse rule reads backwards and leaves intact.  A
+record keeps what its reverse rule cannot cheaply redo, one tuple per
+(actnorm, 1x1 conv, coupling) step:
 
 * forward, ``(x, scale, inv, inside, s)``: the step input, the actnorm
   scale row, the 1x1 inverse, the coupling's clamp mask and scale;
@@ -39,18 +49,11 @@ rebuilt contexts go to each layer's own ``backward`` or
 ``inverse_backward``.  A coupling's context keeps the clamp's bool mask,
 not its hidden activation, which its reverse rule rebuilds bitwise from
 the input taps it gathers anyway (:class:`AffineCoupling`).
-:meth:`FlowModel.log_prob_batch` (so the NLL and pretraining's val pass)
-runs the forward walk without a record, dropping each layer's context as
-soon as the next layer has its output.
 
-The flow's one cache of constants is its plan (a :class:`FlowPlan`), every
-layer's ``constants()`` at one weight value.  Every pass reads it: the
-model's beside the layers, inference (the fold loop without a record and
-the initial guess) alone, with no log-det and no context.  Both run the
-same helpers (:func:`_scale_shift`, :func:`_mix_channels`,
-:func:`_coupling_net`, :func:`_couple` and their inverses), so a plan pass
-equals the recording pass bitwise.  Actnorm is not fused into the 1x1
-conv: that would change the rounding.
+The flow's one cache of constants is its plan, every layer's
+``constants()`` at one weight value, kept by :meth:`FlowModel.plan` while
+the weights stay the same.  Actnorm is not fused into the 1x1 conv: that
+would change the rounding.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ def _copy(param):
 
 
 def _scale_shift(x, s, bias):
-    """ActNorm's map, shared by its forward and the plan walk: x * s + bias."""
+    """ActNorm's map, shared by its forward and the reverse rule's rebuild:
+    x * s + bias."""
     y = x * s
     y += bias
     return y
@@ -149,11 +153,8 @@ class ActNorm:
         self.bias.value[...] = -mean / std
 
     def forward(self, x, c):
-        s, _, bias = c
-        y = _scale_shift(x, s, bias)
-        hw = x.shape[2] * x.shape[3]
-        ld = np.full(x.shape[0], hw * float(self.log_scale.value.sum()))
-        return y, ld, (x, s, hw)
+        s, _, bias, _ = c
+        return _scale_shift(x, s, bias)
 
     def backward(self, ctx, gy, gld):
         x, s, hw = ctx
@@ -162,9 +163,8 @@ class ActNorm:
         return gy * s
 
     def inverse(self, y, c):
-        _, inv_s, bias = c
-        x = _unshift_scale(y, bias, inv_s)
-        return x, (x, inv_s)
+        _, inv_s, bias, _ = c
+        return _unshift_scale(y, bias, inv_s)
 
     def inverse_backward(self, ctx, gx):
         x, inv_s = ctx
@@ -174,12 +174,13 @@ class ActNorm:
         return gy
 
     def constants(self, read=_copy):
-        """(s, inv_s, bias): exp(+-log_scale) and the bias as the passes use
-        them, shaped (C, 1, 1), each parameter taken by ``read`` (by default
-        a copy), so none views the store."""
+        """(s, inv_s, bias, log_det): exp(+-log_scale) and the bias as the
+        passes use them, shaped (C, 1, 1), and the log-det per pixel,
+        sum(log_scale); each parameter taken by ``read`` (by default a
+        copy), so none views the store."""
         log_scale = read(self.log_scale)
         return (np.exp(log_scale)[:, None, None], np.exp(-log_scale)[:, None, None],
-                read(self.bias)[:, None, None])
+                read(self.bias)[:, None, None], float(log_scale.sum()))
 
 
 def _channel_outer(gy, x):
@@ -205,11 +206,8 @@ class InvConv1x1:
         self.weight = store.add(prefix + ".weight", np.eye(channels))
 
     def forward(self, x, c):
-        w, inv, log_det = c
-        y = _mix_channels(w, x)
-        hw = x.shape[2] * x.shape[3]
-        ld = np.full(x.shape[0], hw * log_det)
-        return y, ld, (x, inv, hw)
+        w, _, _ = c
+        return _mix_channels(w, x)
 
     def backward(self, ctx, gy, gld):
         x, inv, hw = ctx
@@ -219,8 +217,7 @@ class InvConv1x1:
 
     def inverse(self, y, c):
         _, inv, _ = c
-        x = _mix_channels(inv, y)
-        return x, (x, inv)
+        return _mix_channels(inv, y)
 
     def inverse_backward(self, ctx, gx):
         x, inv = ctx
@@ -255,7 +252,7 @@ def _invert_1x1(layers, read) -> list:
 
 def _coupling_net(xb, half, conv1, conv2):
     """A coupling's network on its passed-through half xb, shared by its
-    passes and the plan walk: ``conv1`` and ``conv2`` are its two
+    forward and inverse: ``conv1`` and ``conv2`` are its two
     convolutions' kernels laid out by :func:`conv_layout`.  Returns
     (clamped, t, s): the clamped raw log-scale, the shift and
     exp(clamped).  The relu and the clamp run in place on the conv
@@ -302,8 +299,9 @@ class AffineCoupling:
     With the final convolution at zero the layer is the identity map with
     zero log-det, which is how training starts.
 
-    A pass records ``(xa, xb, inside, s)``: the two halves of the
-    untransformed input, the clamp's bool mask and the scale.  The hidden
+    Its reverse rules read the context ``(xa, xb, inside, s)``, which the
+    model's reverse walks rebuild from a step record: the two halves of
+    the untransformed input, the clamp's bool mask and the scale.  The hidden
     activation a1 (hidden channels, the widest array of the net) is not
     kept: the reverse rule gathers xb's taps once, rebuilds a1 from them
     with the forward's own operations, so bitwise, and hands the same taps
@@ -341,11 +339,8 @@ class AffineCoupling:
         return g_xb
 
     def forward(self, x, c):
-        xa, xb = x[:, : self.half], x[:, self.half :]
-        clamped, t, s = _coupling_net(xb, *c)
-        y = _couple(x, self.half, s, t)
-        ld = clamped.sum(axis=(1, 2, 3))
-        return y, ld, (xa, xb, _inside(clamped), s)
+        clamped, t, s = _coupling_net(x[:, self.half :], *c)
+        return _couple(x, self.half, s, t), (clamped, s)
 
     def backward(self, ctx, gy, gld):
         xa, s = ctx[0], ctx[-1]
@@ -361,10 +356,8 @@ class AffineCoupling:
         return gx
 
     def inverse(self, y, c):
-        xb = y[:, self.half :]
-        clamped, t, s = _coupling_net(xb, *c)
-        x = _uncouple(y, self.half, s, t)
-        return x, (x[:, : self.half], xb, _inside(clamped), s)
+        clamped, t, s = _coupling_net(y[:, self.half :], *c)
+        return _uncouple(y, self.half, s, t), (clamped, s)
 
     def inverse_backward(self, ctx, gx):
         xa, s = ctx[0], ctx[-1]
@@ -392,7 +385,7 @@ class _Level(NamedTuple):
     """One row of :class:`FlowModel`'s level table."""
 
     factors: tuple[int, int]  # squeeze factors (fh, fw)
-    steps: list  # (actnorm, invconv, coupling) per step, in composition order
+    steps: list  # (actnorm, invconv, coupling) per step, in a plan each with its constants
     shape: tuple[int, int, int]  # the squeezed (C, H, W) the steps act on
     out: int  # leading channels written to the latent: C at the last level, else C // 2
 
@@ -441,7 +434,7 @@ def _down(levels, x: np.ndarray, step) -> np.ndarray:
     """Images (B, C, H, W) to a flat (B, n) array over a level table: per
     level, squeeze, ``x = step(layers, x)`` per step, split off ``out``
     channels.  The table is a model's own, or a plan's (:class:`FlowPlan`),
-    whose steps hold constants in place of layers."""
+    whose steps pair each layer with its constants."""
     b = x.shape[0]
     parts = []
     for level in levels:
@@ -548,7 +541,7 @@ class FlowModel:
         only because perfbench's workloads call it after a restore."""
 
     def plan(self) -> "FlowPlan":
-        """The plan at the current weights, which every pass reads.  The last
+        """The plan at the current weights, which walks every pass.  The last
         one built is kept with a copy of this model's slice of the store and
         reused while one comparison finds the slice equal.  Comparing values, rather than
         hooking each writer (Adam, restores, direct writes), stays right
@@ -580,16 +573,16 @@ class FlowModel:
             raise ConfigError("data_init needs a batch of at least 2 samples")
 
         def step(layers, x):
-            layers[0].data_init(x)
-            for layer in layers:
-                x, _, _ = layer.forward(x, layer.constants())
-            return x
+            actnorm, invconv, coupling = layers
+            actnorm.data_init(x)
+            x = invconv.forward(actnorm.forward(x, actnorm.constants()), invconv.constants())
+            return coupling.forward(x, coupling.constants())[0]
 
         _down(self._levels, batch, step)
 
     # -- forward / inverse ----------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray, record: bool = True):
+    def forward_batch(self, x: np.ndarray):
         """Map (B, C, H, W) images to latents.
 
         Returns ``(z, logdet, ctx)`` where z has shape (B, n).  The latent is
@@ -597,28 +590,9 @@ class FlowModel:
         channels (flattened C-major row-major): half of every level's
         channels, then all of the last level's.  ctx is the record
         :meth:`backward_forward` reads, one ``(x, scale, inv, inside, s)``
-        per step (see the module docstring), or None when ``record`` is false.
-        """
-        if x.shape[1:] != self.shape:
-            raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
-        ld = np.zeros(x.shape[0])
-        ctx = [] if record else None
-        constants = iter(self.plan().steps)
-
-        def step(layers, x):
-            actnorm, invconv, coupling = layers
-            k_an, k_iv, k_cp = next(constants)
-            y, step_ld, (_, scale, _) = actnorm.forward(x, k_an)
-            y, ld_iv, (_, inv, _) = invconv.forward(y, k_iv)
-            y, ld_cp, (_, _, inside, s) = coupling.forward(y, k_cp)
-            if record:
-                ctx.append((x, scale, inv, inside, s))
-            step_ld += ld_iv  # one step's log-det, then the total
-            step_ld += ld_cp
-            np.add(ld, step_ld, out=ld)
-            return y
-
-        return _down(self._levels, x, step), ld, ctx
+        per step (see the module docstring).  The plan's recording walk."""
+        ld, ctx = np.zeros(x.shape[:1]), []
+        return self.plan().forward(x, ctx, ld), ld, ctx
 
     def backward_forward(self, ctx, gz: np.ndarray, glogdet: np.ndarray | None):
         """Cotangent of :meth:`forward_batch`: (gz, glogdet) -> gx."""
@@ -640,22 +614,10 @@ class FlowModel:
     def inverse_batch(self, z: np.ndarray):
         """Map (B, n) latents back to images; exact layer-by-layer inverse.
         Returns ``(x, ctx)``, ctx the record :meth:`backward_inverse` reads,
-        one ``(u, inv, inv_s, inside, s)`` per step (see the module docstring)."""
-        if z.shape[1] != self.n:
-            raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
+        one ``(u, inv, inv_s, inside, s)`` per step (see the module docstring).
+        The plan's recording walk."""
         ctx = []
-        constants = reversed(self.plan().steps)
-
-        def step(layers, y):
-            actnorm, invconv, coupling = layers
-            k_an, k_iv, k_cp = next(constants)
-            u, (_, _, inside, s) = coupling.inverse(y, k_cp)
-            x, (_, inv) = invconv.inverse(u, k_iv)
-            x, (_, inv_s) = actnorm.inverse(x, k_an)
-            ctx.append((u, inv, inv_s, inside, s))
-            return x
-
-        return _up(self._levels, z, step), ctx
+        return self.plan().inverse(z, ctx), ctx
 
     def backward_inverse(self, ctx, gx: np.ndarray):
         """Cotangent of :meth:`inverse_batch`: gx -> gz."""
@@ -676,40 +638,26 @@ class FlowModel:
     # -- densities -------------------------------------------------------------
 
     def log_prob_batch(self, x: np.ndarray) -> np.ndarray:
-        z, ld, _ = self.forward_batch(x, record=False)
+        ld = np.zeros(x.shape[:1])
+        z = self.plan().forward(x, ld=ld)
         return -0.5 * self.n * LOG_2PI - 0.5 * np.sum(z * z, axis=1) + ld
 
 
-def _plan_forward_step(constants, x):
-    """One step of :meth:`FlowPlan.forward`: actnorm, 1x1 conv, coupling."""
-    (scale, _, bias), (w, _, _), (half, conv1, conv2) = constants
-    x = _mix_channels(w, _scale_shift(x, scale, bias))
-    _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
-    return _couple(x, half, s, t)
-
-
-def _plan_inverse_step(constants, x):
-    """One step of :meth:`FlowPlan.inverse`, the layers in reverse."""
-    (_, inv_s, bias), (_, inv, _), (half, conv1, conv2) = constants
-    _, t, s = _coupling_net(x[:, half:], half, conv1, conv2)
-    return _unshift_scale(_mix_channels(inv, _uncouple(x, half, s, t)), bias, inv_s)
-
-
 class FlowPlan:
-    """A flow's constants and inference passes at one value of its weights,
-    built by :meth:`FlowModel.plan`.
+    """A flow's constants at one value of its weights, built by
+    :meth:`FlowModel.plan`, and the flow's one walker in each direction.
 
-    It holds the model's level table with each step's layers replaced by
-    the constants they derive from the weights (``constants()`` of each
-    layer, reading views into ``weights``; the 1x1 weights of a channel
-    count are inverted as one stack): the actnorm's scale, inverse scale and
-    bias, the 1x1 weight, its inverse and log|det|, and each coupling conv's
-    kernel in its ``conv_layout``.
-    The model's passes read them (:attr:`steps`); :meth:`forward` and
-    :meth:`inverse` walk them with the layers' own arithmetic, so they
-    equal the recording passes bitwise, but build no log-det and keep no
-    context.  ``weights`` is the copy of the model's store slice the plan
-    was built from; nothing in a plan views the store.
+    It holds the model's level table with each layer paired with the
+    constants it derives from the weights: ``constants()`` of each layer,
+    reading views into ``weights``, the 1x1 weights of a channel count
+    inverted as one stack.  Those are the actnorm's scale, inverse scale,
+    bias and per-pixel log-det, the 1x1 weight, its inverse and log|det|,
+    and each coupling conv's kernel in its ``conv_layout``.  ``weights`` is
+    the copy of the model's store slice the plan was built from, so no
+    constant views the store.  The layers are held only for their
+    arithmetic: their passes read nothing but the constants.
+    :meth:`forward` and :meth:`inverse` walk them, recording and summing
+    log-dets only when asked (see the module docstring).
     A plan keeps no reference to its model: a model keeps its plan, and a
     cycle between them would hold a discarded model's store until the
     cyclic garbage collector ran.
@@ -728,29 +676,52 @@ class FlowPlan:
 
         inverted = iter(_invert_1x1([step[1] for step in flow._steps()], read))
         self.levels = [
-            level._replace(steps=[(actnorm.constants(read), next(inverted),
-                                   coupling.constants(read))
-                                  for actnorm, _, coupling in level.steps])
+            level._replace(steps=[((actnorm, actnorm.constants(read)), (invconv, next(inverted)),
+                                   (coupling, coupling.constants(read)))
+                                  for actnorm, invconv, coupling in level.steps])
             for level in flow._levels
         ]
         self._x0 = None
 
-    @property
-    def steps(self) -> list:
-        """Each step's constants in the order the down walk meets them."""
-        return [step for level in self.levels for step in level.steps]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(B, C, H, W) images to (B, n) latents, as :meth:`FlowModel.forward_batch`."""
+    def forward(self, x: np.ndarray, record: list | None = None,
+                ld: np.ndarray | None = None) -> np.ndarray:
+        """(B, C, H, W) images to (B, n) latents; see
+        :meth:`FlowModel.forward_batch`.  Appends one ``(x, scale, inv,
+        inside, s)`` per step to ``record`` and adds the (B,) log-det to
+        ``ld`` in place, each when given."""
         if x.shape[1:] != self.shape:
             raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
-        return _down(self.levels, x, _plan_forward_step)
 
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        """(B, n) latents to images, as :meth:`FlowModel.inverse_batch`."""
-        if z.shape[1] != self.n:
-            raise ShapeError.mismatch("flow latent", z.shape[1:], (self.n,))
-        return _up(self.levels, z, _plan_inverse_step)
+        def step(layers, x):
+            (actnorm, k_an), (invconv, k_iv), (coupling, k_cp) = layers
+            y = invconv.forward(actnorm.forward(x, k_an), k_iv)
+            y, (clamped, s) = coupling.forward(y, k_cp)
+            if record is not None:
+                record.append((x, k_an[0], k_iv[1], _inside(clamped), s))
+            if ld is not None:
+                hw = x.shape[2] * x.shape[3]
+                # the step's log-det, (actnorm + 1x1) + coupling, then the total
+                np.add(ld, hw * k_an[3] + hw * k_iv[2] + clamped.sum(axis=(1, 2, 3)), out=ld)
+            return y
+
+        return _down(self.levels, x, step)
+
+    def inverse(self, z: np.ndarray, record: list | None = None) -> np.ndarray:
+        """(B, n) latents to images; see :meth:`FlowModel.inverse_batch`.
+        Appends one ``(u, inv, inv_s, inside, s)`` per step to ``record``
+        when given."""
+        if z.ndim != 2 or z.shape[1] != self.n:
+            raise ShapeError.mismatch("flow latent", z.shape, ("B", self.n))
+
+        def step(layers, y):
+            (actnorm, k_an), (invconv, k_iv), (coupling, k_cp) = layers
+            u, (clamped, s) = coupling.inverse(y, k_cp)
+            x = actnorm.inverse(invconv.inverse(u, k_iv), k_an)
+            if record is not None:
+                record.append((u, k_iv[1], k_an[1], _inside(clamped), s))
+            return x
+
+        return _up(self.levels, z, step)
 
     def inverse_of_zero(self) -> np.ndarray:
         """The image of the zero latent, (1, C, H, W) and read-only: computed

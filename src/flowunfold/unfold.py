@@ -19,15 +19,17 @@ layout; they get exactly zero gradient.
 The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 0.5 ||y - Ax||^2 for small mu.
 
-Every flow pass reads its flow's plan (:class:`flowunfold.flow.FlowPlan`),
-the one cache of what the weights fix: inference walks it with no log-dets
-and no contexts, and a grad step's recording passes derive each body
-fold's constants once.  A flow keeps its last plan with a copy of its
-slice of the parameter store, and builds a new one only when one
-comparison finds the slice changed; so an inference call makes one
-comparison per fold before the last.  The initial guess depends only on
-fold 0's flow weights, so it is kept with fold 0's plan and shared across
-calls, as every image of a batch shares it.
+Every flow pass is a walk of its flow's plan
+(:class:`flowunfold.flow.FlowPlan`), the one cache of what the weights
+fix: the fold loop reads each body fold's plan once per call, and its
+passes record for the reverse sweep on the training path and keep nothing
+on the inference path.  No fold-loop pass sums a log-det, since the loss
+reads none.  A flow keeps its last plan with a copy of its slice of the
+parameter store, and builds a new one only when one comparison finds the
+slice changed; so a call makes one comparison per fold before the last.
+The initial guess depends only on fold 0's flow weights, so inference
+keeps it with fold 0's plan and shares it across calls, as every image of
+a batch shares it.
 
 Every image of a batch is reconstructed independently, so a large batch
 runs as tiles of about TILE_VALUES pixel values, mapped over a thread pool
@@ -155,8 +157,7 @@ class UnrolledNet:
         are read once, here, for every tile."""
         global _POOL
         self._check_batch(y)
-        # every fold before the last runs its flow; fold 0's plan also holds x0
-        plans = [fold.flow.plan() for fold in self.folds[: max(1, self.k - 1)]]
+        plans = self._plans()
         x0 = plans[0].inverse_of_zero()
         rows = max(1, TILE_VALUES // math.prod(y.shape[1:]))
         if len(y) <= rows:
@@ -184,28 +185,30 @@ class UnrolledNet:
         steps = []
         flow = self.folds[0].flow
         x0, ctx_init = flow.inverse_batch(np.zeros((1, flow.n)))
-        return self._unroll(x0, y, op, None, steps), (op, ctx_init, steps)
+        return self._unroll(x0, y, op, self._plans(), steps), (op, ctx_init, steps)
+
+    def _plans(self) -> list:
+        """The plans of every fold before the last, which run their flows,
+        and of fold 0 when it is the only fold, since its plan holds x0."""
+        return [fold.flow.plan() for fold in self.folds[: max(1, self.k - 1)]]
 
     def _unroll(self, x0, y, op, plans, steps=None):
         """The fold loop from the initial guess ``x0`` (one row, broadcast
-        over the batch).  Inference passes ``plans``, one per fold before
-        the last: each flow pass walks its fold's plan, with no log-dets and
-        no contexts, so inference holds one layer's activations at a time.
-        Training passes None and a ``steps`` list: the flow passes record,
-        and each fold appends what the reverse sweep needs,
-        ``(atr, z, ctx_f, ctx_i)`` for the folds before the last, ``atr``
-        alone for the last."""
+        over the batch), each flow pass a walk of its fold's plan in
+        ``plans``.  Inference passes no ``steps``: the walks keep nothing,
+        so it holds one layer's activations at a time.  Training passes a
+        ``steps`` list: the walks record, and each fold appends what the
+        reverse sweep needs, ``(atr, z, ctx_f, ctx_i)`` for the folds before
+        the last, ``atr`` alone for the last."""
         x = np.broadcast_to(x0, y.shape)
         *body, last = self.folds
         for k, fold in enumerate(body):
             xt, atr = dc_step(x, y, op, fold.mu.item())
-            if steps is None:
-                x = plans[k].inverse(prox_shrink(plans[k].forward(xt), fold.lam))
-                continue
-            z, _, ctx_f = fold.flow.forward_batch(xt)
-            z = prox_shrink(z, fold.lam)
-            x, ctx_i = fold.flow.inverse_batch(z)
-            steps.append((atr, z, ctx_f, ctx_i))
+            ctx_f, ctx_i = (None, None) if steps is None else ([], [])
+            z = prox_shrink(plans[k].forward(xt, ctx_f), fold.lam)
+            x = plans[k].inverse(z, ctx_i)
+            if steps is not None:
+                steps.append((atr, z, ctx_f, ctx_i))
         x, atr = dc_step(x, y, op, last.mu.item())
         if steps is not None:
             steps.append(atr)

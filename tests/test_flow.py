@@ -23,6 +23,7 @@ from flowunfold.flow import (
     FlowModel,
     FlowPlan,
     InvConv1x1,
+    _inside,
     _squeeze_axes,
     _unsqueeze_axes,
 )
@@ -42,6 +43,28 @@ def _random_model(shape, levels, depth, hidden, seed, scale=0.1):
 
 def squeeze(x):
     return _squeeze_axes(x, 2, 2)
+
+
+def _layer_pass(layer, x, c, direction="forward"):
+    """One layer's ``forward`` or ``inverse`` pass on x with constants c,
+    plus what the flow's walks make of its outputs: ``(out, ld, ctx)``, ld
+    the (B,) log-det of the layer's forward map at the pass's input (the
+    forward direction) or output (the inverse one), ctx the full context
+    its ``backward`` or ``inverse_backward`` reads."""
+    hw = x.shape[2] * x.shape[3]
+    out = getattr(layer, direction)(x, c)
+    forward = direction == "forward"
+    if isinstance(layer, AffineCoupling):
+        out, (clamped, s) = out
+        xa = x[:, : layer.half] if forward else out[:, : layer.half]
+        return out, clamped.sum(axis=(1, 2, 3)), (xa, x[:, layer.half :], _inside(clamped), s)
+    if isinstance(layer, ActNorm):
+        s, inv_s, _, log_det = c
+        ctx = (x, s, hw) if forward else (out, inv_s)
+    else:
+        _, inv, log_det = c
+        ctx = (x, inv, hw) if forward else (out, inv)
+    return out, np.full(x.shape[0], hw * log_det), ctx
 
 
 class TestSqueeze:
@@ -79,7 +102,7 @@ class TestLayerAlgebra:
         store = ParamStore()
         layer = AffineCoupling(4, 8, store, "cp")
         x = Prng(0xC0).gauss_array((3, 4, 5, 5))
-        y, ld, _ = layer.forward(x, layer.constants())
+        y, ld, _ = _layer_pass(layer, x, layer.constants())
         assert np.array_equal(y, x)
         assert np.array_equal(ld, np.zeros(3))
 
@@ -90,8 +113,8 @@ class TestLayerAlgebra:
         layer.log_scale.value[...] = rng.gauss_array(3)
         layer.bias.value[...] = rng.gauss_array(3)
         x = rng.gauss_array((100, 3, 4, 4))
-        y, _, _ = layer.forward(x, layer.constants())
-        back, _ = layer.inverse(y, layer.constants())
+        y = layer.forward(x, layer.constants())
+        back = layer.inverse(y, layer.constants())
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_actnorm_logdet_value(self):
@@ -99,7 +122,7 @@ class TestLayerAlgebra:
         layer = ActNorm(2, store, "an")
         layer.log_scale.value[...] = [0.3, -0.7]
         x = np.zeros((1, 2, 4, 5))
-        _, ld, _ = layer.forward(x, layer.constants())
+        _, ld, _ = _layer_pass(layer, x, layer.constants())
         assert abs(ld[0] - 20 * (0.3 - 0.7)) < 1e-12
 
     def test_invconv_round_trip_and_logdet(self):
@@ -108,8 +131,8 @@ class TestLayerAlgebra:
         rng = Prng(0x1C1)
         layer.weight.value[...] = np.eye(3) + 0.3 * rng.gauss_array((3, 3))
         x = rng.gauss_array((100, 3, 2, 2))
-        y, ld, _ = layer.forward(x, layer.constants())
-        back, _ = layer.inverse(y, layer.constants())
+        y, ld, _ = _layer_pass(layer, x, layer.constants())
+        back = layer.inverse(y, layer.constants())
         assert np.max(np.abs(back - x)) < 1e-8
         expect = 4 * math.log(abs(np.linalg.det(layer.weight.value)))
         assert abs(ld[0] - expect) < 1e-12
@@ -128,10 +151,10 @@ class TestLayerAlgebra:
         for p in (layer.w1, layer.b1, layer.w2, layer.b2):
             p.value[...] = 0.2 * rng.gauss_array(p.value.shape)
         x = rng.gauss_array((100, 4, 4, 4))
-        y, _, _ = layer.forward(x, layer.constants())
+        y, _ = layer.forward(x, layer.constants())
         back, _ = layer.inverse(y, layer.constants())
         assert np.max(np.abs(back - x)) < 1e-8
-        fwd_again, _, _ = layer.forward(back, layer.constants())
+        fwd_again, _ = layer.forward(back, layer.constants())
         assert np.max(np.abs(fwd_again - y)) < 1e-8
 
 
@@ -202,13 +225,18 @@ class TestRoundTrip:
     def test_plain_passes_match_recording_ones_bitwise(self, hidden):
         # at hidden=16 every coupling's second conv (16 -> 4 or 8 channels)
         # takes the conv's col2im side; at hidden=4 none does
+        # inference walks a plan with neither record nor log-det, the NLL
+        # with a log-det only, training's calls with both
         model = _random_model((1, 8, 8), 2, 2, hidden, seed=0x5B5B)
         x = Prng(0x78).gauss_array((3, 1, 8, 8))
         z, ld, ctx = model.forward_batch(x)
-        z_plain, ld_plain, ctx_plain = model.forward_batch(x, record=False)
-        assert len(ctx) == 2 * 2 and ctx_plain is None  # one record per step
-        assert np.array_equal(z, z_plain) and np.array_equal(ld, ld_plain)
-        assert np.array_equal(z, model.plan().forward(x))
+        assert len(ctx) == 2 * 2  # one record per step
+        ld_nll = np.zeros(3)
+        assert np.array_equal(model.plan().forward(x, ld=ld_nll), z)
+        assert np.array_equal(ld_nll, ld)
+        assert np.array_equal(model.plan().forward(x), z)
+        lp = -0.5 * model.n * LOG_2PI - 0.5 * np.sum(z * z, axis=1) + ld
+        assert np.array_equal(model.log_prob_batch(x), lp)
         back, ctx = model.inverse_batch(z)
         assert len(ctx) == 2 * 2
         assert np.array_equal(back, model.plan().inverse(z))
@@ -252,7 +280,7 @@ class TestDataInit:
         batch = 3.0 * Prng(0xBEEF).gauss_array((32, 1, 8, 8)) + 1.5
         model.data_init(batch)
         first = model._levels[0].steps[0][0]
-        out, _, _ = first.forward(squeeze(batch), first.constants())
+        out = first.forward(squeeze(batch), first.constants())
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         assert np.max(np.abs(mean)) < 1e-8
@@ -315,12 +343,12 @@ class TestConstruction:
 def _forward_objective(layer, x, seed):
     """Scalar probe <y, Cy> + <logdet, Cld> with frozen random cotangents."""
     rng = Prng(seed)
-    y0, ld0, _ = layer.forward(x, layer.constants())
+    y0, ld0, _ = _layer_pass(layer, x, layer.constants())
     cy = rng.gauss_array(y0.shape)
     cld = rng.gauss_array(ld0.shape)
 
     def f(store):
-        y, ld, ctx = layer.forward(x, layer.constants())
+        y, ld, ctx = _layer_pass(layer, x, layer.constants())
         layer.backward(ctx, cy, cld)
         return float((y * cy).sum() + (ld * cld).sum())
 
@@ -329,11 +357,11 @@ def _forward_objective(layer, x, seed):
 
 def _inverse_objective(layer, y, seed):
     rng = Prng(seed)
-    x0, _ = layer.inverse(y, layer.constants())
+    x0, _, _ = _layer_pass(layer, y, layer.constants(), "inverse")
     cx = rng.gauss_array(x0.shape)
 
     def f(store):
-        x, ctx = layer.inverse(y, layer.constants())
+        x, _, ctx = _layer_pass(layer, y, layer.constants(), "inverse")
         layer.inverse_backward(ctx, cx)
         return float((x * cx).sum())
 
@@ -466,11 +494,10 @@ class TestHiddenRebuild:
             return outputs[-1]
 
         monkeypatch.setattr(flowunfold.flow, "conv_apply", recorded)
+        _, _, ctx = _layer_pass(layer, x, layer.constants(), direction)
         if direction == "forward":
-            _, _, ctx = layer.forward(x, layer.constants())
             reverse = lambda: layer.backward(ctx, g, gld)  # noqa: E731
         else:
-            _, ctx = layer.inverse(x, layer.constants())
             reverse = lambda: layer.inverse_backward(ctx, g)  # noqa: E731
         a1 = outputs[0]  # the forward's first conv output, relu'd in place
         inside = ctx[2]
@@ -506,8 +533,8 @@ class TestHiddenRebuild:
 class TestStepRecords:
     """A recording pass keeps one record per step and its reverse rule
     rebuilds the actnorm and 1x1 outputs.  Against the chain of each layer's
-    own reverse rule over the full contexts its own pass returned, the
-    input cotangent and every parameter gradient are bitwise equal, in both
+    own reverse rule over the full contexts built from its own pass's
+    outputs, the input cotangent and every parameter gradient are bitwise equal, in both
     directions and with non-zero log-det cotangents.  The cases cover 1-3
     levels, 2x2 levels, levels that squeeze one axis and non-square ones."""
 
@@ -528,11 +555,11 @@ class TestStepRecords:
             return cotangent, model.store.grads.copy()
 
         def forward_chain():
-            contexts, constants = [], iter(model.plan().steps)
+            contexts = []
 
             def step(layers, x):
-                for layer, c in zip(layers, next(constants)):
-                    x, _, ctx = layer.forward(x, c)
+                for layer in layers:
+                    x, _, ctx = _layer_pass(layer, x, layer.constants())
                     contexts.append(ctx)
                 return x
 
@@ -551,11 +578,11 @@ class TestStepRecords:
             return model.backward_forward(record, gz, gld)
 
         def inverse_chain():
-            contexts, constants = [], reversed(model.plan().steps)
+            contexts = []
 
             def step(layers, x):
-                for layer, c in reversed(list(zip(layers, next(constants)))):
-                    x, ctx = layer.inverse(x, c)
+                for layer in reversed(layers):
+                    x, _, ctx = _layer_pass(layer, x, layer.constants(), "inverse")
                     contexts.append(ctx)
                 return x
 
@@ -607,11 +634,11 @@ class TestNoWritesIntoInputs:
         for level in model._levels:
             x = _read_only(rng.gauss_array((2,) + level.shape))
             for layer in level.steps[0]:
-                y, _, ctx = layer.forward(x, layer.constants())
+                y, _, ctx = _layer_pass(layer, x, layer.constants())
                 _freeze(ctx)
                 layer.backward(ctx, _read_only(rng.gauss_array(y.shape)),
                                _read_only(rng.gauss_array(2)))
-                back, ctx = layer.inverse(_read_only(y), layer.constants())
+                back, _, ctx = _layer_pass(layer, _read_only(y), layer.constants(), "inverse")
                 _freeze(ctx)
                 layer.inverse_backward(ctx, _read_only(rng.gauss_array(back.shape)))
                 x = y
@@ -743,9 +770,9 @@ class TestInvConvCache:
         _WEIGHT_CHANGES[change](model, rng)
         assert not np.array_equal(before, layer.weight.value)
         det, inv = small_det_inv(layer.weight.value)
-        _, ld, _ = layer.forward(x, layer.constants())
+        _, ld, _ = _layer_pass(layer, x, layer.constants())
         assert np.array_equal(ld, np.full(2, 4 * math.log(abs(det))))
-        back, _ = layer.inverse(x, layer.constants())
+        back = layer.inverse(x, layer.constants())
         assert np.array_equal(back, np.matmul(inv, x.reshape(2, 4, 4)).reshape(x.shape))
 
     def test_singular_weight_raises_on_every_call(self):
@@ -801,9 +828,9 @@ class TestInitialGuessCache:
 
 
 class TestFlowPlan:
-    """FlowModel.plan keeps the inference constants of the current weights
-    and builds them again only when one comparison over the model's store
-    slice finds a change; its passes equal the recording ones bitwise."""
+    """FlowModel.plan keeps the constants of the current weights and builds
+    them again only when one comparison over the model's store slice finds
+    a change; its plain walks equal the recording ones bitwise."""
 
     @settings(max_examples=24, deadline=None, derandomize=True)
     @given(
@@ -828,11 +855,14 @@ class TestFlowPlan:
         assert np.array_equal(plan.inverse_of_zero(), zero)
 
     def test_wrong_shapes_raise(self):
-        plan = _random_model((1, 8, 8), 2, 1, 4, seed=0x9B).plan()
+        model = _random_model((1, 8, 8), 2, 1, 4, seed=0x9B)
+        plan = model.plan()
         with pytest.raises(ShapeError, match="flow input"):
             plan.forward(np.zeros((1, 1, 8, 4)))
-        with pytest.raises(ShapeError, match="flow latent"):
-            plan.inverse(np.zeros((1, 63)))
+        for z in (np.zeros((1, 63)), np.zeros(64), np.zeros((1, 64, 1))):
+            for inverse in (plan.inverse, model.inverse_batch):
+                with pytest.raises(ShapeError, match="flow latent"):
+                    inverse(z)
 
     @pytest.mark.parametrize("change", sorted(_WEIGHT_CHANGES))
     def test_every_weight_change_is_seen(self, change):
@@ -863,14 +893,17 @@ class TestFlowPlan:
                                                ((1, 2, 16), 3)])
     def test_constants_equal_each_layers_own_bitwise(self, shape, levels):
         model = _random_model(shape, levels, 2, 4, seed=0x1A0)
-        for layers, constants in zip(model._steps(), model.plan().steps, strict=True):
-            for layer, got in zip(layers, constants, strict=True):
-                want = layer.constants()
-                assert len(_arrays_in(got)) == len(_arrays_in(want)) > 0
-                for a, b in zip(_arrays_in(got), _arrays_in(want)):
-                    assert a.shape == b.shape and np.array_equal(a, b)
-                assert [c for c in got if not isinstance(c, (np.ndarray, tuple))] == [
-                    c for c in want if not isinstance(c, (np.ndarray, tuple))]
+        pairs = [pair for level in model.plan().levels for step in level.steps for pair in step]
+        layers = [layer for step in model._steps() for layer in step]
+        assert len(pairs) == len(layers)
+        for (layer, got), own in zip(pairs, layers):
+            assert layer is own
+            want = layer.constants()
+            assert len(_arrays_in(got)) == len(_arrays_in(want)) > 0
+            for a, b in zip(_arrays_in(got), _arrays_in(want)):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            assert [c for c in got if not isinstance(c, (np.ndarray, tuple))] == [
+                c for c in want if not isinstance(c, (np.ndarray, tuple))]
 
     def test_the_first_singular_weight_in_walk_order_is_named(self):
         model = _random_model((1, 2, 16), 3, 2, 4, seed=0x1A1)

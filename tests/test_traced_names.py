@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import flowunfold
 import flowunfold.cli  # noqa: F401  (traced_targets reads every submodule)
@@ -121,3 +122,44 @@ def test_training_calls_every_traced_flow_procedure(monkeypatch):
     net.reconstruct_backward(record, x_hat - y)
     flowunfold.train.nll_loss_grad(y, net.folds[0].flow)
     assert sorted(name for name in names.values() if not calls[name]) == []
+
+
+@pytest.mark.parametrize("tiled", [False, True])
+def test_inference_calls_every_traced_layer_pass(monkeypatch, tiled):
+    # the plan walks call the layers' own passes, so the per-layer rows
+    # flow.<layer>.forward and .inverse see serving as well as training: a
+    # B=1 reconstruct and a batch cut into tiles on the pool each call all six
+    names = {(owner, attr): name for name, owner, attr, _ in
+             _load_spans().traced_targets(flowunfold)
+             if name.startswith("flow.") and attr in ("forward", "inverse")}
+    assert len(names) == 3 * 2
+    called = set()  # set.add is atomic, and tiles run on the pool's threads
+    for (owner, attr), name in names.items():
+
+        def counted(*args, _original=vars(owner)[attr], _name=name, **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    shape = (1, 8, 8)
+    net = flowunfold.UnrolledNet(shape, 2, 2, 2, 4)
+    for fold in net.folds:
+        fold.flow.randomize(flowunfold.Prng(7))
+    net.initial_guess()  # warm, so only the fold loop calls the passes
+    called.clear()
+    op = flowunfold.operator_for_task("inpaint", shape)
+    if tiled:
+        unfold, tiles = flowunfold.unfold, []
+        unroll = unfold.UnrolledNet._unroll
+
+        def counted_unroll(self, x0, y, *args):
+            tiles.append(len(y))
+            return unroll(self, x0, y, *args)
+
+        monkeypatch.setattr(unfold, "TILE_VALUES", 64)  # one 8x8 image per tile
+        monkeypatch.setattr(unfold.UnrolledNet, "_unroll", counted_unroll)
+        net.reconstruct_batch(op.apply(flowunfold.Prng(8).gauss_array((3,) + shape)), op)
+        assert tiles == [1, 1, 1]
+    else:
+        flowunfold.reconstruct(net, op.apply(flowunfold.Prng(8).gauss_array(shape)), op)
+    assert sorted(names.values()) == sorted(called)

@@ -9,10 +9,10 @@ any host.
 A gather is one call of ``numerics._im2col`` or ``numerics._col2im``, and
 the values it gathered are the size of the array it returns: im2col's
 (B, C*kh*kw, H*W) patch matrix, col2im's (B, Cout, H*W) sum over the moved
-taps.  A flow pass is one ``FlowModel.forward_batch`` or ``inverse_batch``
-call (recording) or one ``FlowPlan.forward`` or ``inverse`` call
-(inference); a plan build is one ``FlowPlan`` constructed, by inference
-and recording passes alike; a det inverse is one ``small_det_inv`` call
+taps.  A flow pass is one ``FlowPlan.forward`` or ``inverse`` call,
+recording or not (``FlowModel.forward_batch`` and ``inverse_batch`` are
+recording walks of the plan, so they are not counted again); a plan build
+is one ``FlowPlan`` constructed; a det inverse is one ``small_det_inv`` call
 from the flow, made by a plan build for each channel count of its 1x1
 convs, over the stack of those weights.  Everything runs at
 K=3, L=2, D=4, hidden=16.  A change that lowers the work lowers the budget
@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from flowunfold import cli, flow, io, numerics
-from flowunfold.flow import FlowModel, FlowPlan
+from flowunfold.flow import FlowPlan
 from flowunfold.io import save_checkpoint
 from flowunfold.numerics import Prng
 from flowunfold.operators import operator_for_task
@@ -65,8 +65,6 @@ def work(monkeypatch):
 
     count(numerics, "_im2col", "im2col", True)
     count(numerics, "_col2im", "col2im", True)
-    count(FlowModel, "forward_batch", "flow passes", False)
-    count(FlowModel, "inverse_batch", "flow passes", False)
     count(FlowPlan, "forward", "flow passes", False)
     count(FlowPlan, "inverse", "flow passes", False)
     count(FlowPlan, "__init__", "plan builds", False)
