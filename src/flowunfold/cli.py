@@ -4,7 +4,8 @@ formats live in :mod:`flowunfold.io`.
 
 Configs are `key = value` lines with `#` comments; unknown keys are errors,
 and every command echoes its fully resolved config as `resolved.cfg`.  A
-config that is missing, unreadable or invalid exits 2; any other failure
+config that is missing, unreadable or invalid exits 2, as does a size
+past `train.MAX_SIZE`; any other failure, running out of memory included,
 exits 1 with one `error:` line.  Output paths are checked before any work,
 creating nothing: an output under a regular file, or one that is an
 existing directory, exits 1; `echo_config` makes the output directory just
@@ -360,6 +361,9 @@ def main(argv=None) -> int:
         return 2
     except (FlowUnfoldError, OSError) as exc:  # OSError: an output path that cannot be made
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an architecture or batch too large for this host
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

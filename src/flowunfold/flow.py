@@ -12,8 +12,11 @@ batched (B, C, H, W) arrays, ``c`` being that result:
 * ``inverse(y, c) -> x`` the exact algebraic inverse, a coupling's likewise,
 * ``inverse_backward(ctx, gx) -> gy`` accumulating parameter gradients.
 
-A pass reads its weights from ``c`` alone.  The actnorm's and the 1x1
-conv's log-dets are weight constants, H*W times the sum(log s) and the
+Every procedure reads the weights from ``c`` alone: a reverse rule's
+``ctx`` is ``(x, c)``, x the layer's input in the forward direction (the
+output of an inverse pass), and a coupling's ``(x, c, inside, s)``, with
+its clamp's bool mask and its scale.  The actnorm's and the 1x1 conv's
+log-dets are weight constants, H*W times the sum(log s) and the
 log|det W| that ``c`` holds; a coupling's is the per-sample sum of the
 clamped log-scale it returns with its scale s.  A layer writes in place
 only into arrays it allocated itself (the relu, clamp and output
@@ -31,24 +34,24 @@ passes neither and :meth:`FlowModel.log_prob_batch` (the NLL and
 pretraining's val pass) ``ld`` alone, so both drop each layer's output as
 soon as the next layer has its own; training's passes record, into one
 flat list that the reverse rule reads backwards and leaves intact.  A
-record keeps what its reverse rule cannot cheaply redo, one tuple per
-(actnorm, 1x1 conv, coupling) step:
+record keeps activations only, one tuple per (actnorm, 1x1 conv,
+coupling) step:
 
-* forward, ``(x, scale, inv, inside, s)``: the step input, the actnorm
-  scale row, the 1x1 inverse, the coupling's clamp mask and scale;
-* inverse, ``(u, inv, inv_s, inside, s)``: the coupling output, the 1x1
-  inverse, the actnorm inverse scale, the mask and the scale.  u's second
-  half is a copy of the step input's, so it serves as the coupling's xb.
+* forward, ``(x, inside, s)``: the step input, the coupling's clamp mask
+  and scale;
+* inverse, ``(u, inside, s)``: the coupling output, the mask and the
+  scale; u is the coupling's input in the forward direction.
 
-The reverse rules rebuild the actnorm and 1x1 outputs with the forward's
-own helpers (:func:`_scale_shift`, :func:`_mix_channels`,
-:func:`_unshift_scale`), reading W and the bias from the store, which does
-not change between a pass and its reverse rule; so they are bitwise the
-ones the pass made, and no record keeps a plan's weight copy alive.  The
-rebuilt contexts go to each layer's own ``backward`` or
-``inverse_backward``.  A coupling's context keeps the clamp's bool mask,
-not its hidden activation, which its reverse rule rebuilds bitwise from
-the input taps it gathers anyway (:class:`AffineCoupling`).
+The reverse walks (:meth:`FlowModel.backward_forward` and
+``backward_inverse``) walk the plan their pass walked: the weights do
+not change between a pass and its reverse rule, so it is the same plan,
+and the plan is the only reader of the flow's weights.  They rebuild the
+actnorm and 1x1 outputs with those layers' own ``forward`` or
+``inverse``, so bitwise the ones the pass made, and hand each layer its
+context.  No record keeps a constant, so none keeps a plan alive.  A
+coupling's record keeps the clamp's bool mask, not its hidden
+activation, which its reverse rule rebuilds bitwise from the input taps
+it gathers anyway (:class:`AffineCoupling`).
 
 The flow's one cache of constants is its plan, every layer's
 ``constants()`` at one weight value, kept by :meth:`FlowModel.plan` while
@@ -120,21 +123,6 @@ def _copy(param):
     return param.value.copy()
 
 
-def _scale_shift(x, s, bias):
-    """ActNorm's map, shared by its forward and the reverse rule's rebuild:
-    x * s + bias."""
-    y = x * s
-    y += bias
-    return y
-
-
-def _unshift_scale(y, bias, inv_s):
-    """ActNorm's inverse map, shared like :func:`_scale_shift`."""
-    x = y - bias
-    x *= inv_s
-    return x
-
-
 class ActNorm:
     """Per-channel affine map y = exp(log_scale) * x + bias."""
 
@@ -154,20 +142,25 @@ class ActNorm:
 
     def forward(self, x, c):
         s, _, bias, _ = c
-        return _scale_shift(x, s, bias)
+        y = x * s
+        y += bias
+        return y
 
     def backward(self, ctx, gy, gld):
-        x, s, hw = ctx
+        x, (s, _, _, _) = ctx
+        hw = x.shape[2] * x.shape[3]
         self.log_scale.grad += (gy * x * s).sum(axis=(0, 2, 3)) + hw * float(gld.sum())
         self.bias.grad += gy.sum(axis=(0, 2, 3))
         return gy * s
 
     def inverse(self, y, c):
         _, inv_s, bias, _ = c
-        return _unshift_scale(y, bias, inv_s)
+        x = y - bias
+        x *= inv_s
+        return x
 
     def inverse_backward(self, ctx, gx):
-        x, inv_s = ctx
+        x, (_, inv_s, _, _) = ctx
         gy = gx * inv_s
         self.bias.grad -= gy.sum(axis=(0, 2, 3))
         self.log_scale.grad -= (gx * x).sum(axis=(0, 2, 3))
@@ -210,17 +203,18 @@ class InvConv1x1:
         return _mix_channels(w, x)
 
     def backward(self, ctx, gy, gld):
-        x, inv, hw = ctx
+        x, (w, inv, _) = ctx
+        hw = x.shape[2] * x.shape[3]
         self.weight.grad += _channel_outer(gy, x)
         self.weight.grad += hw * float(gld.sum()) * inv.T
-        return _mix_channels(self.weight.value.T, gy)
+        return _mix_channels(w.T, gy)
 
     def inverse(self, y, c):
         _, inv, _ = c
         return _mix_channels(inv, y)
 
     def inverse_backward(self, ctx, gx):
-        x, inv = ctx
+        x, (_, inv, _) = ctx
         gy = _mix_channels(inv.T, gx)
         self.weight.grad -= _channel_outer(gy, x)
         return gy
@@ -250,14 +244,14 @@ def _invert_1x1(layers, read) -> list:
     return out
 
 
-def _coupling_net(xb, half, conv1, conv2):
+def _coupling_net(xb, c):
     """A coupling's network on its passed-through half xb, shared by its
-    forward and inverse: ``conv1`` and ``conv2`` are its two
-    convolutions' kernels laid out by :func:`conv_layout`.  Returns
-    (clamped, t, s): the clamped raw log-scale, the shift and
-    exp(clamped).  The relu and the clamp run in place on the conv
-    outputs; -SCALE_CLAMP < clamped < SCALE_CLAMP exactly where the raw
-    log-scale is, so the clamp's reverse rule needs only that mask."""
+    forward and inverse, ``c`` its constants.  Returns (clamped, t, s):
+    the clamped raw log-scale, the shift and exp(clamped).  The relu and
+    the clamp run in place on the conv outputs; -SCALE_CLAMP < clamped <
+    SCALE_CLAMP exactly where the raw log-scale is, so the clamp's reverse
+    rule needs only that mask."""
+    half, conv1, conv2, _, _ = c
     a1 = conv_apply(xb, conv1)
     np.maximum(a1, 0.0, out=a1)
     out = conv_apply(a1, conv2)
@@ -299,13 +293,13 @@ class AffineCoupling:
     With the final convolution at zero the layer is the identity map with
     zero log-det, which is how training starts.
 
-    Its reverse rules read the context ``(xa, xb, inside, s)``, which the
-    model's reverse walks rebuild from a step record: the two halves of
-    the untransformed input, the clamp's bool mask and the scale.  The hidden
-    activation a1 (hidden channels, the widest array of the net) is not
-    kept: the reverse rule gathers xb's taps once, rebuilds a1 from them
-    with the forward's own operations, so bitwise, and hands the same taps
-    to the first conv's reverse rule, which would gather them anyway.
+    Its reverse rules read the context ``(x, c, inside, s)``: its input
+    in the forward direction (its output going back), its constants, the
+    clamp's bool mask and the scale.  The hidden activation a1 (hidden
+    channels, the widest array of the net) is not kept: the reverse rule
+    gathers xb's taps once, rebuilds a1 from them with the forward's own
+    operations and conv1 layout, so bitwise, and hands the same taps to
+    the first conv's reverse rule, which would gather them anyway.
     """
 
     def __init__(self, channels: int, hidden: int, store: ParamStore, prefix: str):
@@ -323,13 +317,13 @@ class AffineCoupling:
         first half is zeroed in place where the clamp is active.  a1 is
         rebuilt as :func:`_coupling_net` built it, from xb's taps gathered
         once for the rebuild and the first conv's reverse rule alike."""
-        _, xb, inside, _ = ctx
-        g_out[:, : self.half] *= inside
-        w1 = self.w1.value
+        x, (half, conv1, _, w1, w2), inside, _ = ctx
+        xb = x[:, half:]
+        g_out[:, :half] *= inside
         patches = conv_input_taps(xb, w1)
-        a1 = conv_apply(xb, conv_layout(w1, self.b1.value), patches)
+        a1 = conv_apply(xb, conv1, patches)
         np.maximum(a1, 0.0, out=a1)
-        g_a1, gw2, gb2 = conv2d_circular_backward(a1, self.w2.value, g_out)
+        g_a1, gw2, gb2 = conv2d_circular_backward(a1, w2, g_out)
         self.w2.grad += gw2
         self.b2.grad += gb2
         g_a1 *= a1 > 0.0
@@ -339,11 +333,11 @@ class AffineCoupling:
         return g_xb
 
     def forward(self, x, c):
-        clamped, t, s = _coupling_net(x[:, self.half :], *c)
+        clamped, t, s = _coupling_net(x[:, self.half :], c)
         return _couple(x, self.half, s, t), (clamped, s)
 
     def backward(self, ctx, gy, gld):
-        xa, s = ctx[0], ctx[-1]
+        xa, s = ctx[0][:, : self.half], ctx[-1]
         gya, gyb = gy[:, : self.half], gy[:, self.half :]
         g_out = np.empty_like(gy)  # cotangent of (clamped, t)
         g_clamped = np.multiply(gya, xa, out=g_out[:, : self.half])
@@ -356,11 +350,11 @@ class AffineCoupling:
         return gx
 
     def inverse(self, y, c):
-        clamped, t, s = _coupling_net(y[:, self.half :], *c)
+        clamped, t, s = _coupling_net(y[:, self.half :], c)
         return _uncouple(y, self.half, s, t), (clamped, s)
 
     def inverse_backward(self, ctx, gx):
-        xa, s = ctx[0], ctx[-1]
+        xa, s = ctx[0][:, : self.half], ctx[-1]
         gxa, gxb = gx[:, : self.half], gx[:, self.half :]
         gy = np.empty_like(gx)
         gya = np.divide(gxa, s, out=gy[:, : self.half])
@@ -372,13 +366,12 @@ class AffineCoupling:
         return gy
 
     def constants(self, read=_copy):
-        """(half, conv1, conv2), the arguments of :func:`_coupling_net` after
-        xb: each conv's kernel and bias, taken by ``read`` (by default a
-        copy, so no layout views the store), laid out by
-        :func:`conv_layout`."""
-        conv1 = conv_layout(read(self.w1), read(self.b1))
-        conv2 = conv_layout(read(self.w2), read(self.b2))
-        return self.half, conv1, conv2
+        """(half, conv1, conv2, w1, w2): each conv's kernel and bias, taken
+        by ``read`` (by default a copy, so none views the store), laid out
+        by :func:`conv_layout` for :func:`_coupling_net`, and the two
+        kernels as they are, for the convs' reverse rules."""
+        w1, w2 = read(self.w1), read(self.w2)
+        return self.half, conv_layout(w1, read(self.b1)), conv_layout(w2, read(self.b2)), w1, w2
 
 
 class _Level(NamedTuple):
@@ -589,51 +582,51 @@ class FlowModel:
         the concatenation, in level order, of each level's ``out`` leading
         channels (flattened C-major row-major): half of every level's
         channels, then all of the last level's.  ctx is the record
-        :meth:`backward_forward` reads, one ``(x, scale, inv, inside, s)``
-        per step (see the module docstring).  The plan's recording walk."""
+        :meth:`backward_forward` reads, one ``(x, inside, s)`` per step
+        (see the module docstring).  The plan's recording walk."""
         ld, ctx = np.zeros(x.shape[:1]), []
         return self.plan().forward(x, ctx, ld), ld, ctx
 
     def backward_forward(self, ctx, gz: np.ndarray, glogdet: np.ndarray | None):
-        """Cotangent of :meth:`forward_batch`: (gz, glogdet) -> gx."""
+        """Cotangent of :meth:`forward_batch`: (gz, glogdet) -> gx, walking
+        the plan the pass walked."""
         gld = np.zeros(gz.shape[0]) if glogdet is None else glogdet
         record = reversed(ctx)
 
         def step(layers, g):
-            actnorm, invconv, coupling = layers
-            x, scale, inv, inside, s = next(record)
-            hw, half = x.shape[2] * x.shape[3], coupling.half
-            x_an = _scale_shift(x, scale, actnorm.bias.value[:, None, None])
-            x_iv = _mix_channels(invconv.weight.value, x_an)
-            g = coupling.backward((x_iv[:, :half], x_iv[:, half:], inside, s), g, gld)
-            g = invconv.backward((x_an, inv, hw), g, gld)
-            return actnorm.backward((x, scale, hw), g, gld)
+            (actnorm, k_an), (invconv, k_iv), (coupling, k_cp) = layers
+            x, inside, s = next(record)
+            x_an = actnorm.forward(x, k_an)
+            x_iv = invconv.forward(x_an, k_iv)
+            g = coupling.backward((x_iv, k_cp, inside, s), g, gld)
+            g = invconv.backward((x_an, k_iv), g, gld)
+            return actnorm.backward((x, k_an), g, gld)
 
-        return _up(self._levels, gz, step)
+        return _up(self.plan().levels, gz, step)
 
     def inverse_batch(self, z: np.ndarray):
         """Map (B, n) latents back to images; exact layer-by-layer inverse.
         Returns ``(x, ctx)``, ctx the record :meth:`backward_inverse` reads,
-        one ``(u, inv, inv_s, inside, s)`` per step (see the module docstring).
-        The plan's recording walk."""
+        one ``(u, inside, s)`` per step (see the module docstring).  The
+        plan's recording walk."""
         ctx = []
         return self.plan().inverse(z, ctx), ctx
 
     def backward_inverse(self, ctx, gx: np.ndarray):
-        """Cotangent of :meth:`inverse_batch`: gx -> gz."""
+        """Cotangent of :meth:`inverse_batch`: gx -> gz, walking the plan the
+        pass walked."""
         record = reversed(ctx)
 
         def step(layers, g):
-            actnorm, invconv, coupling = layers
-            u, inv, inv_s, inside, s = next(record)
-            half = coupling.half
-            x_iv = _mix_channels(inv, u)
-            x = _unshift_scale(x_iv, actnorm.bias.value[:, None, None], inv_s)
-            g = actnorm.inverse_backward((x, inv_s), g)
-            g = invconv.inverse_backward((x_iv, inv), g)
-            return coupling.inverse_backward((u[:, :half], u[:, half:], inside, s), g)
+            (actnorm, k_an), (invconv, k_iv), (coupling, k_cp) = layers
+            u, inside, s = next(record)
+            x_iv = invconv.inverse(u, k_iv)
+            x = actnorm.inverse(x_iv, k_an)
+            g = actnorm.inverse_backward((x, k_an), g)
+            g = invconv.inverse_backward((x_iv, k_iv), g)
+            return coupling.inverse_backward((u, k_cp, inside, s), g)
 
-        return _down(self._levels, gx, step)
+        return _down(self.plan().levels, gx, step)
 
     # -- densities -------------------------------------------------------------
 
@@ -652,12 +645,14 @@ class FlowPlan:
     reading views into ``weights``, the 1x1 weights of a channel count
     inverted as one stack.  Those are the actnorm's scale, inverse scale,
     bias and per-pixel log-det, the 1x1 weight, its inverse and log|det|,
-    and each coupling conv's kernel in its ``conv_layout``.  ``weights`` is
-    the copy of the model's store slice the plan was built from, so no
-    constant views the store.  The layers are held only for their
-    arithmetic: their passes read nothing but the constants.
-    :meth:`forward` and :meth:`inverse` walk them, recording and summing
-    log-dets only when asked (see the module docstring).
+    and each coupling conv's kernel, as it is and in its ``conv_layout``.
+    ``weights`` is the copy of the model's store slice the plan was built
+    from, so no constant views the store.  The layers are held only for
+    their arithmetic, which reads nothing but the constants: the plan is
+    the only reader of the flow's weights.  :meth:`forward` and
+    :meth:`inverse` walk the table, recording and summing log-dets only
+    when asked (see the module docstring), and the model's reverse walks
+    walk it back.
     A plan keeps no reference to its model: a model keeps its plan, and a
     cycle between them would hold a discarded model's store until the
     cyclic garbage collector ran.
@@ -686,9 +681,9 @@ class FlowPlan:
     def forward(self, x: np.ndarray, record: list | None = None,
                 ld: np.ndarray | None = None) -> np.ndarray:
         """(B, C, H, W) images to (B, n) latents; see
-        :meth:`FlowModel.forward_batch`.  Appends one ``(x, scale, inv,
-        inside, s)`` per step to ``record`` and adds the (B,) log-det to
-        ``ld`` in place, each when given."""
+        :meth:`FlowModel.forward_batch`.  Appends one ``(x, inside, s)``
+        per step to ``record`` and adds the (B,) log-det to ``ld`` in
+        place, each when given."""
         if x.shape[1:] != self.shape:
             raise ShapeError.mismatch("flow input", x.shape[1:], self.shape)
 
@@ -697,7 +692,7 @@ class FlowPlan:
             y = invconv.forward(actnorm.forward(x, k_an), k_iv)
             y, (clamped, s) = coupling.forward(y, k_cp)
             if record is not None:
-                record.append((x, k_an[0], k_iv[1], _inside(clamped), s))
+                record.append((x, _inside(clamped), s))
             if ld is not None:
                 hw = x.shape[2] * x.shape[3]
                 # the step's log-det, (actnorm + 1x1) + coupling, then the total
@@ -708,8 +703,7 @@ class FlowPlan:
 
     def inverse(self, z: np.ndarray, record: list | None = None) -> np.ndarray:
         """(B, n) latents to images; see :meth:`FlowModel.inverse_batch`.
-        Appends one ``(u, inv, inv_s, inside, s)`` per step to ``record``
-        when given."""
+        Appends one ``(u, inside, s)`` per step to ``record`` when given."""
         if z.ndim != 2 or z.shape[1] != self.n:
             raise ShapeError.mismatch("flow latent", z.shape, ("B", self.n))
 
@@ -718,7 +712,7 @@ class FlowPlan:
             u, (clamped, s) = coupling.inverse(y, k_cp)
             x = actnorm.inverse(invconv.inverse(u, k_iv), k_an)
             if record is not None:
-                record.append((u, k_iv[1], k_an[1], _inside(clamped), s))
+                record.append((u, _inside(clamped), s))
             return x
 
         return _up(self.levels, z, step)

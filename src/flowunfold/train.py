@@ -37,6 +37,11 @@ __all__ = [
     "train_unrolled",
 ]
 
+# The largest K, L, D, hidden, image dimension or image count a config may
+# give.  No host allocates arrays that large, and past it numpy can meet a
+# size with a ValueError ("array is too big") rather than a MemoryError.
+MAX_SIZE = 2**31 - 1
+
 # sub-seed stream tags
 _TAG_INIT = 1
 _TAG_SHUFFLE = 2
@@ -113,6 +118,9 @@ class TrainConfig:
                       "height", "width", "channels", "count"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+        for field in ("K", "L", "D", "hidden", "height", "width", "channels", "count"):
+            if getattr(self, field) > MAX_SIZE:
+                raise ConfigError(f"{field} must be <= {MAX_SIZE}, got {getattr(self, field)}")
         return self
 
 

@@ -22,11 +22,12 @@ The descent form of the data step is used: x + mu A^T(y - Ax) decreases
 Every flow pass is a walk of its flow's plan
 (:class:`flowunfold.flow.FlowPlan`), the one cache of what the weights
 fix: the fold loop reads each body fold's plan once per call, and its
-passes record for the reverse sweep on the training path and keep nothing
-on the inference path.  No fold-loop pass sums a log-det, since the loss
-reads none.  A flow keeps its last plan with a copy of its slice of the
-parameter store, and builds a new one only when one comparison finds the
-slice changed; so a call makes one comparison per fold before the last.
+passes record for the reverse sweep on the training path, which walks the
+same plans back, and keep nothing on the inference path.  No fold-loop
+pass sums a log-det, since the loss reads none.  A flow keeps its last
+plan with a copy of its slice of the parameter store, and builds a new
+one only when one comparison finds the slice changed; so a call makes one
+comparison per fold before the last.
 The initial guess depends only on fold 0's flow weights, so inference
 keeps it with fold 0's plan and shares it across calls, as every image of
 a batch shares it.

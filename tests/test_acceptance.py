@@ -2,7 +2,7 @@
 pass/fail line with the measured numbers (visible with -s; pytest -v adds
 its own PASSED/FAILED line per criterion).
 
-Criteria 6-9 exercise the real command pipeline on a 500-image synthetic
+Criteria 6-10 exercise the real command pipeline on a 500-image synthetic
 corpus at 1x16x16; the heavy artifacts are built once in module fixtures
 and reused.  Criterion 9's repeat of that pipeline runs in a child process,
 started with the module's first heavy fixture, so on a host with two or
@@ -81,7 +81,7 @@ class TestCriterion5PipelineReduction:
 
 # (task, name, from the prior) of each training arm
 ARMS = (("denoise", "denoise", True), ("inpaint", "inpaint", True),
-        ("inpaint", "scratch", False))
+        ("inpaint", "scratch", False), ("deblur", "deblur", True))
 
 
 def _synth_args(out):
@@ -153,7 +153,7 @@ def base_cfg(work):
 @pytest.fixture(scope="module")
 def repeat(work, base_cfg):
     """Criterion 9's repeat pipeline in a child process: synth-data,
-    pretrain and the three arms again, under ``work/repeat``.  Its output
+    pretrain and the four arms again, under ``work/repeat``.  Its output
     goes to files there, so a full pipe never stalls it.  Teardown ends it
     if it is still running, as when criterion 9 is deselected."""
     root = work / "repeat"
@@ -207,33 +207,44 @@ def scratch_arm(work, corpus, base_cfg, prior):
     return _train_and_eval(work, corpus, base_cfg, "inpaint", "scratch", None)
 
 
+@pytest.fixture(scope="module")
+def deblur_arm(work, corpus, base_cfg, prior):
+    return _train_and_eval(work, corpus, base_cfg, "deblur", "deblur", prior)
+
+
+def _beats_measurement_and_identity_net(num, work, corpus, task, arm, measured):
+    """Criteria 6 and 10: the pretrained ``task`` arm beats its measurement
+    by 2 dB and the untrained identity net by 1 dB, evaluated under the
+    arm's resolved config, within 30 epochs and 600 s of training."""
+    psnr_in, psnr_out = _mean_row(arm.report)
+
+    ident_dir = work / f"identity-{task}"
+    ident_dir.mkdir(exist_ok=True)
+    ident_ckpt = ident_dir / "net.ckpt"
+    save_checkpoint(ident_ckpt, UnrolledNet(SHAPE, **ARCH).store)
+    ident_report = ident_dir / "report.csv"
+    assert main(["eval", "--model", str(ident_ckpt), "--data", str(corpus),
+                 "--task", task, "--config", str(work / task / "resolved.cfg"),
+                 "--report", str(ident_report)]) == 0
+    _, psnr_ident = _mean_row(ident_report)
+
+    epochs = len(arm.log.read_text().splitlines())
+    ok = (
+        psnr_out >= psnr_in + 2.0
+        and psnr_out >= psnr_ident + 1.0
+        and epochs <= 30
+        and arm.train_time < 600.0
+    )
+    _report(num, ok, f"{task} PSNR {psnr_out:.2f} dB vs {measured} {psnr_in:.2f} dB "
+                     f"and untrained identity net {psnr_ident:.2f} dB, "
+                     f"{epochs} epochs in {arm.train_time:.0f}s")
+
+
 class TestCriterion6ToyDenoising:
     def test_trained_net_beats_noisy_input_and_identity_net(
         self, work, corpus, denoise_arm
     ):
-        psnr_in, psnr_out = _mean_row(denoise_arm.report)
-
-        ident_dir = work / "identity"
-        ident_dir.mkdir(exist_ok=True)
-        ident_ckpt = ident_dir / "net.ckpt"
-        save_checkpoint(ident_ckpt, UnrolledNet(SHAPE, **ARCH).store)
-        ident_report = ident_dir / "report.csv"
-        assert main(["eval", "--model", str(ident_ckpt), "--data", str(corpus),
-                     "--task", "denoise",
-                     "--config", str(work / "denoise" / "resolved.cfg"),
-                     "--report", str(ident_report)]) == 0
-        _, psnr_ident = _mean_row(ident_report)
-
-        epochs = len(denoise_arm.log.read_text().splitlines())
-        ok = (
-            psnr_out >= psnr_in + 2.0
-            and psnr_out >= psnr_ident + 1.0
-            and epochs <= 30
-            and denoise_arm.train_time < 600.0
-        )
-        _report(6, ok, f"denoise PSNR {psnr_out:.2f} dB vs noisy {psnr_in:.2f} dB "
-                       f"and untrained identity net {psnr_ident:.2f} dB, "
-                       f"{epochs} epochs in {denoise_arm.train_time:.0f}s")
+        _beats_measurement_and_identity_net(6, work, corpus, "denoise", denoise_arm, "noisy")
 
 
 class TestCriterion7ToyInpainting:
@@ -272,7 +283,7 @@ class TestCriterion8PretrainingAblation:
 
 class TestCriterion9Determinism:
     def test_repeat_runs_are_bitwise_identical(
-        self, repeat, prior, denoise_arm, inpaint_arm, scratch_arm
+        self, repeat, prior, denoise_arm, inpaint_arm, scratch_arm, deblur_arm
     ):
         try:
             status = repeat.proc.wait(timeout=900)
@@ -281,12 +292,19 @@ class TestCriterion9Determinism:
         assert status == 0, (f"repeat pipeline: exit {status}, stderr:\n"
                              f"{repeat.stderr.read_text()}")
         firsts = {"denoise": denoise_arm, "inpaint": inpaint_arm,
-                  "scratch": scratch_arm}
+                  "scratch": scratch_arm, "deblur": deblur_arm}
         same = [prior.read_bytes() == repeat.prior.read_bytes()]
         for name, arm in firsts.items():
             again = _arm_files(repeat.root, name)
             same.append(arm.ckpt.read_bytes() == again.ckpt.read_bytes())
             same.append(arm.report.read_bytes() == again.report.read_bytes())
         ok = all(same)
-        _report(9, ok, f"prior + 3 checkpoints + 3 reports byte-identical on "
-                       f"repeat: {same}")
+        _report(9, ok, f"prior + {len(firsts)} checkpoints + {len(firsts)} reports "
+                       f"byte-identical on repeat: {same}")
+
+
+class TestCriterion10ToyDeblurring:
+    def test_trained_net_beats_blurred_input_and_identity_net(
+        self, work, corpus, deblur_arm
+    ):
+        _beats_measurement_and_identity_net(10, work, corpus, "deblur", deblur_arm, "blurred")

@@ -881,6 +881,61 @@ class TestCommands:
         assert "Traceback" not in proc.stderr
 
 
+class TestOversizedSizes:
+    """A size no host could allocate is a config error (exit 2) before any
+    work, and running out of memory on the way exits 1: one `error:` line
+    each, no traceback and nothing written."""
+
+    _CASES = {
+        "pretrain-D": (["pretrain"], "D", "D = " + "1" * 21),
+        "pretrain-hidden": (["pretrain"], "hidden", "hidden = " + "9" * 19),
+        "train-K": (["train", "--task", "denoise", "--no-pretrain"], "K", "K = " + "3" * 20),
+        "synth-count": (["synth-data", "--count", str(10**20)], "count", None),
+        "synth-size": (["synth-data", "--size", str(10**20), "8"], "height", None),
+    }
+
+    @staticmethod
+    def _one_error(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_an_oversized_size_exits_2(self, pipeline, tmp_path, capsys, case):
+        command, field, line = self._CASES[case]
+        out = tmp_path / "out"
+        if command[0] == "synth-data":
+            args = command + ["--out", str(out)]
+        else:
+            kept = [row for row in pipeline.cfg.read_text().splitlines()
+                    if row.split(" = ")[0] != field]
+            cfg = tmp_path / "big.cfg"
+            cfg.write_text("\n".join(kept + [line]) + "\n")
+            args = command + ["--data", str(pipeline.data), "--config", str(cfg),
+                     "--out", str(out / "m.ckpt")]
+        assert main(args) == 2
+        assert self._one_error(capsys).startswith(f"error: {field} must be <= {2**31 - 1}, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 134. GiB for an array with shape (1000000000, 2, 3, 3) and "
+        "data type float64", ""])
+    def test_running_out_of_memory_exits_1(self, pipeline, tmp_path, capsys, monkeypatch,
+                                          message):
+        def pretrain(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(flowunfold.cli, "pretrain", pretrain)
+        out = tmp_path / "out"
+        assert main(["pretrain", "--data", str(pipeline.data), "--config", str(pipeline.cfg),
+                     "--out", str(out / "m.ckpt")]) == 1
+        assert self._one_error(capsys) == (
+            f"error: out of memory: {message or 'an allocation failed'}")
+        assert not out.exists()
+
+
 def _corpus(root, count=160):
     data = root / "data"
     assert main(["synth-data", "--out", str(data), "--count", str(count),

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import flowunfold.flow
 from flowunfold.checks import numeric_logdet
-from flowunfold.diff import ParamStore, grad_check, zero_grads
+from flowunfold.diff import Parameter, ParamStore, grad_check, zero_grads
 from flowunfold.errors import ConfigError, ShapeError, SingularMatrixError
 from flowunfold.flow import (
     LOG_2PI,
@@ -29,6 +30,7 @@ from flowunfold.flow import (
 )
 from flowunfold.io import restore_into
 from flowunfold.numerics import Prng, conv2d_circular_backward, small_det_inv
+from flowunfold.operators import operator_for_task
 from flowunfold.train import AdamState, TrainConfig, adam_update
 from flowunfold.unfold import UnrolledNet
 
@@ -49,22 +51,17 @@ def _layer_pass(layer, x, c, direction="forward"):
     """One layer's ``forward`` or ``inverse`` pass on x with constants c,
     plus what the flow's walks make of its outputs: ``(out, ld, ctx)``, ld
     the (B,) log-det of the layer's forward map at the pass's input (the
-    forward direction) or output (the inverse one), ctx the full context
-    its ``backward`` or ``inverse_backward`` reads."""
-    hw = x.shape[2] * x.shape[3]
+    forward direction) or output (the inverse one), ctx the context its
+    ``backward`` or ``inverse_backward`` reads: the layer's input in the
+    forward direction and c, plus a coupling's clamp mask and scale."""
     out = getattr(layer, direction)(x, c)
-    forward = direction == "forward"
     if isinstance(layer, AffineCoupling):
         out, (clamped, s) = out
-        xa = x[:, : layer.half] if forward else out[:, : layer.half]
-        return out, clamped.sum(axis=(1, 2, 3)), (xa, x[:, layer.half :], _inside(clamped), s)
-    if isinstance(layer, ActNorm):
-        s, inv_s, _, log_det = c
-        ctx = (x, s, hw) if forward else (out, inv_s)
+        ld, rest = clamped.sum(axis=(1, 2, 3)), (_inside(clamped), s)
     else:
-        _, inv, log_det = c
-        ctx = (x, inv, hw) if forward else (out, inv)
-    return out, np.full(x.shape[0], hw * log_det), ctx
+        log_det = c[3] if isinstance(layer, ActNorm) else c[2]
+        ld, rest = np.full(x.shape[0], x.shape[2] * x.shape[3] * log_det), ()
+    return out, ld, (x if direction == "forward" else out, c) + rest
 
 
 class TestSqueeze:
@@ -502,7 +499,7 @@ class TestHiddenRebuild:
         a1 = outputs[0]  # the forward's first conv output, relu'd in place
         inside = ctx[2]
         assert inside.dtype == bool and inside.any() and not inside.all()  # the clamp acts
-        assert [e.shape for e in ctx if e.shape[1] == hidden] == []
+        assert [e.shape for e in (ctx[0],) + ctx[2:] if e.shape[1] == hidden] == []
 
         def rule():
             zero_grads(store)
@@ -514,7 +511,7 @@ class TestHiddenRebuild:
         assert np.array_equal(outputs[0], a1)  # the rebuilt a1
 
         def kept_a1_rule(ctx, g_out):
-            xb = ctx[1]
+            xb = ctx[0][:, layer.half :]
             g_out[:, : layer.half] *= inside
             g_a1, gw2, gb2 = conv2d_circular_backward(a1, layer.w2.value, g_out)
             layer.w2.grad += gw2
@@ -531,12 +528,13 @@ class TestHiddenRebuild:
 
 
 class TestStepRecords:
-    """A recording pass keeps one record per step and its reverse rule
-    rebuilds the actnorm and 1x1 outputs.  Against the chain of each layer's
-    own reverse rule over the full contexts built from its own pass's
-    outputs, the input cotangent and every parameter gradient are bitwise equal, in both
-    directions and with non-zero log-det cotangents.  The cases cover 1-3
-    levels, 2x2 levels, levels that squeeze one axis and non-square ones."""
+    """A recording pass keeps one record of three activations per step and
+    its reverse rule rebuilds the actnorm and 1x1 outputs.  Against the
+    chain of each layer's own reverse rule over the full contexts built
+    from its own pass's outputs, the input cotangent and every parameter
+    gradient are bitwise equal, in both directions and with non-zero
+    log-det cotangents.  The cases cover 1-3 levels, 2x2 levels, levels
+    that squeeze one axis and non-square ones."""
 
     @pytest.mark.parametrize("shape, levels, hidden", [
         ((1, 4, 4), 1, 4), ((1, 8, 8), 2, 16), ((3, 8, 12), 2, 4), ((1, 16, 8), 3, 8),
@@ -574,7 +572,7 @@ class TestStepRecords:
 
         def forward_model():
             _, _, record = model.forward_batch(x)
-            assert len(record) == levels * model.depth
+            assert [len(r) for r in record] == [3] * levels * model.depth
             return model.backward_forward(record, gz, gld)
 
         def inverse_chain():
@@ -597,7 +595,7 @@ class TestStepRecords:
 
         def inverse_model():
             _, record = model.inverse_batch(z)
-            assert len(record) == levels * model.depth
+            assert [len(r) for r in record] == [3] * levels * model.depth
             return model.backward_inverse(record, gx)
 
         for chain, walk in ((forward_chain, forward_model), (inverse_chain, inverse_model)):
@@ -607,16 +605,68 @@ class TestStepRecords:
             assert all(np.any(p.grad) for p in model.store)  # every layer is on the path
 
 
+class _CountedValue(Parameter):
+    """A parameter whose ``value`` reads are counted in ``reads``."""
+
+    __slots__ = ()
+    reads = Counter()
+
+    @property
+    def value(self):
+        _CountedValue.reads[self.name] += 1
+        return Parameter.value.__get__(self)
+
+    @value.setter
+    def value(self, value):
+        Parameter.value.__set__(self, value)
+
+
+class TestPlanIsTheOnlyReader:
+    """The reverse rules read the flow weights from the plan their pass
+    walked, as the passes do: with every flow parameter's ``value`` reads
+    counted (a fold's mu and rho are not flow weights), a grad step's
+    reverse sweep and an NLL gradient's reverse walk read none."""
+
+    @staticmethod
+    def _counted(store):
+        _CountedValue.reads.clear()
+        for p in store:
+            if not p.name.endswith((".mu", ".rho")):
+                p.__class__ = _CountedValue
+
+    def test_reconstruct_backward(self):
+        net = _random_net(3, 0x5B1)
+        op = operator_for_task("inpaint", net.shape)
+        y = op.apply(Prng(0x5B2).gauss_array((2,) + net.shape))
+        x_hat, pipe = net.reconstruct_batch_grad(y, op)
+        self._counted(net.store)
+        net.reconstruct_backward(pipe, x_hat - y)
+        assert net.store.grads.any() and _CountedValue.reads == {}
+
+    def test_backward_forward(self):
+        model = _random_model((1, 8, 8), 2, 2, 4, seed=0x5B3)
+        x = Prng(0x5B4).gauss_array((2, 1, 8, 8))
+        z, _, ctx = model.forward_batch(x)
+        self._counted(model.store)
+        model.backward_forward(ctx, z, np.ones(2))
+        assert model.store.grads.any() and _CountedValue.reads == {}
+        assert model._steps()[0][0].bias.value.shape == (4,)  # a read the spy counts
+        assert _CountedValue.reads == {"level0.step0.actnorm.bias": 1}
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
 
 
 def _freeze(ctx):
-    """Make every array of a layer's record read-only."""
+    """Make every array of a layer's context or a step record read-only,
+    the constants' included."""
     for entry in ctx:
         if isinstance(entry, np.ndarray):
             entry.flags.writeable = False
+        elif isinstance(entry, tuple):
+            _freeze(entry)
 
 
 class TestNoWritesIntoInputs:

@@ -29,6 +29,7 @@ the loader calls perfbench's ``cli.*`` spans time.
 """
 
 import argparse
+import itertools
 import pathlib
 import threading
 from collections import Counter
@@ -148,44 +149,48 @@ def _record_buffers(record) -> list:
 
 def _step_outputs(monkeypatch) -> list:
     """The base arrays every actnorm and 1x1 conv output is a view of, as
-    the flow's helpers return them; kept alive, so no id is reused."""
+    the layers' passes return them; kept alive, so no id is reused."""
     outputs = []
-    for name in ("_scale_shift", "_unshift_scale", "_mix_channels"):
-        original = getattr(flow, name)
+    for layer, name in itertools.product((flow.ActNorm, flow.InvConv1x1),
+                                         ("forward", "inverse")):
+        original = getattr(layer, name)
 
         def wrapper(*args, original=original):
             out = original(*args)
             outputs.append(out if out.base is None else out.base)
             return out
 
-        monkeypatch.setattr(flow, name, wrapper)
+        monkeypatch.setattr(layer, name, wrapper)
     return outputs
 
 
 def _record_bytes(monkeypatch, task, size) -> int:
     """The bytes of a B=16 grad step's record on a size x size image, after
     checking that it keeps no hidden activation and no actnorm or 1x1
-    output: each step keeps its input (its output, going up), the clamp's
-    bool mask and the scale; the rest is each fold's latents and data-step
-    terms."""
+    output and no constant: each step keeps its input (its coupling's
+    output, going up), the clamp's bool mask and the scale; the rest is
+    each fold's latents and data-step terms."""
     shape = (1, size, size)
     net, op = _net(shape), operator_for_task(task, shape)
     y = op.apply(Prng(2).gauss_array((16,) + shape))
     outputs = _step_outputs(monkeypatch)
     _, record = net.reconstruct_batch_grad(y, op)
     buffers = _record_buffers(record)
-    assert outputs and not {id(out) for out in outputs} & {id(buf) for buf in buffers}
+    kept = {id(buf) for buf in buffers}
+    assert outputs and not {id(out) for out in outputs} & kept
+    plans = [fold.flow.plan().levels for fold in net.folds]
+    assert not {id(buf) for buf in _record_buffers(plans)} & kept
     hidden = net.folds[0].flow.hidden
     assert [buf.shape for buf in buffers if buf.ndim > 2 and buf.shape[1] == hidden] == []
     return sum(buf.nbytes for buf in buffers)
 
 
 def test_batch_16_16x16_grad_step_record(monkeypatch):
-    assert _record_bytes(monkeypatch, "inpaint", 16) == 1418496
+    assert _record_bytes(monkeypatch, "inpaint", 16) == 1411840
 
 
 def test_batch_16_64x64_grad_step_record(monkeypatch):
-    assert _record_bytes(monkeypatch, "deblur", 64) == 22596096
+    assert _record_bytes(monkeypatch, "deblur", 64) == 22589440
 
 
 def test_batch_16_64x64_deblur_reconstruction(work):
